@@ -8,6 +8,7 @@ Parsing is strict: anything off-schema raises InputError with a location.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,11 @@ def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float | None = Non
             re = _as_number(entry[0], f"{where}[{k}][0]")
             im = _as_number(entry[1], f"{where}[{k}][1]")
             m[k // dim, k % dim] = re + 1j * im
+        if not np.isfinite(m.view(np.float64)).all():
+            # re + 1j * inf has a NaN real part, so locate on the parsed entries
+            k, part = next((k, part) for k, entry in enumerate(flat)
+                           for part in (0, 1) if not math.isfinite(entry[part]))
+            raise InputError(f"{where}[{k}][{part}]", "expected a finite number")
         mats.append(m)
     kwargs = {} if tol_comm is None else {"tol_comm": tol_comm}
     return validate_tuple(mats, **kwargs)
@@ -102,7 +108,13 @@ def measure_from_dict(doc, location: str = "<measure>") -> AtomicMeasure:
         _require(w >= 0, f"{where}.weight", "expected a nonnegative weight")
         weights.append(w)
     pts = np.array(points, dtype=np.float64).reshape(len(points), kappa)
-    return AtomicMeasure.from_atoms(pts, np.array(weights, dtype=np.float64))
+    weights = np.array(weights, dtype=np.float64)
+    bad = ~np.isfinite(np.column_stack([pts, weights]))
+    if bad.any():
+        ai, j = divmod(int(np.argmax(bad)), kappa + 1)
+        entry = "weight" if j == kappa else f"point[{j}]"
+        raise InputError(f"{location}.atoms[{ai}].{entry}", "expected a finite number")
+    return AtomicMeasure.from_atoms(pts, weights)
 
 
 def load_json(path: str):

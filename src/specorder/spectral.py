@@ -13,7 +13,7 @@ atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +38,15 @@ class CommutingTuple:
 
     Build instances through :func:`validate_tuple`; the calculus constructs
     its own instances directly because a shared eigenbasis certifies
-    commutation without a numerical test.
+    commutation without a numerical test. The instance keeps its
+    default-tolerance joint measure once :func:`joint_measure` has computed
+    it; both are immutable, so every caller can share it.
     """
 
     ops: tuple[HermitianOperator, ...]
     max_commutator_defect: float
+    _measure: JointSpectralMeasure | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def kappa(self) -> int:
@@ -213,7 +217,18 @@ def joint_measure(t: CommutingTuple, cluster_tol: float = CLUSTER_TOL) -> JointS
     cluster mean as the j-th atom coordinate. Distinct atoms are separated by
     more than the threshold in at least one coordinate, so points are
     pairwise distinct in the sup norm.
+
+    The default-tolerance measure is computed once per tuple and kept on
+    it; any other cluster_tol diagonalizes afresh.
     """
+    if cluster_tol != CLUSTER_TOL:
+        return _diagonalize(t, cluster_tol)
+    if t._measure is None:
+        object.__setattr__(t, "_measure", _diagonalize(t, cluster_tol))
+    return t._measure
+
+
+def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
     thresholds = [cluster_tol * (1.0 + op.norm()) for op in t.ops]
     atoms: list[tuple[tuple[float, ...], Projection]] = []
 

@@ -6,6 +6,9 @@ ordered exactly when the per-eigenvector eigenvalue vectors are ordered,
 which gives generators with known ground truth.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
@@ -27,6 +30,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in criterion_lines:
             terminalreporter.line(line)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """Environment for a child interpreter that imports the package from src/."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def fresh_rng(salt: int = 0):

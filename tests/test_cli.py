@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from specorder.cli import main
 from specorder.gallery import crossed_dirac_pair
 from specorder.io import load_tuple, measure_to_dict, save_json, tuple_to_dict
@@ -237,3 +240,36 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "specorder" in capsys.readouterr().out
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    return subprocess.run([sys.executable, "-m", "specorder", *argv], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_non_finite_tuple_exits_two_with_location(tmp_path):
+    doc = tuple_to_dict(validate_tuple([np.diag([1.0, 2.0])]))
+    doc["matrices"][0][3][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    save_json(str(bad), doc)
+    other = write_tuple(tmp_path / "o.json", [0.0, 1.0])
+    proc = run_cli("check-order", str(bad), other)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{bad}.matrices[0][3][0]" in proc.stderr
+
+
+@pytest.mark.parametrize("atom, entry", [({"point": [float("nan"), 0.0], "weight": 1.0},
+                                          "point[0]"),
+                                         ({"point": [0.0, 0.0], "weight": float("inf")},
+                                          "weight")])
+def test_non_finite_measure_exits_two_with_location(tmp_path, atom, entry):
+    good = write_measure(tmp_path / "good.json", [[0.0, 0.0]], [1.0])
+    bad = tmp_path / "bad.json"
+    save_json(str(bad), {"schema": "specorder-measure/1", "kappa": 2, "atoms": [atom]})
+    proc = run_cli("measure-check", good, str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "holds" not in proc.stdout
+    assert f"{bad}.atoms[0].{entry}" in proc.stderr

@@ -20,6 +20,7 @@ from specorder.io import (
     tuple_to_dict,
 )
 from specorder.measures import AtomicMeasure
+from specorder.spectral import validate_tuple
 
 
 @given(salt=st.integers(0, 20))
@@ -188,3 +189,30 @@ def test_report_json_has_sorted_compact_keys():
     raw = rep.to_json()
     assert raw.index('"command"') < raw.index('"schema"') < raw.index('"verdicts"')
     assert ": " not in raw
+
+
+def test_non_finite_tuple_entries_are_located():
+    good = tuple_to_dict(validate_tuple([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
+    for mi, k, part, value in [(0, 3, 0, float("nan")), (1, 1, 1, float("inf")),
+                               (1, 0, 0, float("-inf"))]:
+        matrices = [[list(entry) for entry in flat] for flat in good["matrices"]]
+        matrices[mi][k][part] = value
+        with pytest.raises(InputError) as err:
+            tuple_from_dict(dict(good, matrices=matrices), location="t.json")
+        assert loc(err) == f"t.json.matrices[{mi}][{k}][{part}]"
+        assert "finite" in str(err.value)
+
+
+def test_non_finite_measure_entries_are_located():
+    good = {"schema": MEASURE_SCHEMA, "kappa": 2,
+            "atoms": [{"point": [0.0, 1.0], "weight": 1.0},
+                      {"point": [2.0, 3.0], "weight": 0.5}]}
+    for ai, atom, entry in [(0, {"point": [float("nan"), 1.0], "weight": 1.0}, "point[0]"),
+                            (1, {"point": [2.0, float("-inf")], "weight": 0.5}, "point[1]"),
+                            (0, {"point": [0.0, 1.0], "weight": float("inf")}, "weight")]:
+        atoms = list(good["atoms"])
+        atoms[ai] = atom
+        with pytest.raises(InputError) as err:
+            measure_from_dict(dict(good, atoms=atoms), location="m.json")
+        assert loc(err) == f"m.json.atoms[{ai}].{entry}"
+        assert "finite" in str(err.value)

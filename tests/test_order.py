@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from specorder.gallery import (
 )
 from specorder.measures import lower_indicator_complement, LowerSetGen
 from specorder.order import (
+    TOL_ORDER,
     NormalOperator,
     OrderVerdict,
     bounded_vector_membership,
@@ -482,3 +484,65 @@ def test_infimum_probe_rejects_nonprojections():
     p = validate_tuple([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
     with pytest.raises(ParameterError):
         infimum_probe(t, p)
+
+
+def _reference_order(ea, eb, tol=TOL_ORDER):
+    """The order check by explicit subtraction, one grid point at a time.
+
+    Residual ||(I - F_a(x + slack)) V_b(x)||_F with V_b(x) an orthonormal
+    basis of ran F_b(x), walked in lexicographic grid order; it uses the
+    same grid, slack and threshold as distribution_order and nothing of its
+    Gram form.
+    """
+    pa, pb = ea.points(), eb.points()
+    axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]])) for j in range(ea.kappa)]
+    slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
+    worst = 0.0
+    for x in itertools.product(*axes):
+        x = np.array(x)
+        vb = eb.distribution(x).range_basis
+        residual = float(np.linalg.norm(vb - ea.distribution(x + slack).apply(vb)))
+        worst = max(worst, residual)
+        if residual > tol * max(1, vb.shape[1]):
+            return False, tuple(float(v) for v in x), residual, vb.shape[1]
+    return True, None, worst, ea.dim
+
+
+def _oracle_pair(kind, rng, n, kappa):
+    if kind == "crossed_dirac":
+        return crossed_dirac_diagonal_pair()
+    if kind == "random":
+        return random_commuting(rng, n, kappa), random_commuting(rng, n, kappa)
+    if kind == "ordered":
+        return ordered_pair(rng, n, kappa)
+    q = random_unitary(rng, n)
+    if kind == "violated":
+        ea = rng.uniform(-1, 1, size=(kappa, n))
+        step = rng.uniform(0.05, 1.0, size=(kappa, n))
+        step[int(rng.integers(kappa)), int(rng.integers(n))] = -0.4
+        return tuple_from_eigs(q, ea), tuple_from_eigs(q, ea + step)
+    # tied integer spectra: steps in {-1, 0, 1}, repeated levels
+    ea = rng.integers(-1, 2, size=(kappa, n)).astype(np.float64)
+    eb = ea + rng.integers(-1 if kind == "integer_mixed" else 0, 2, size=(kappa, n))
+    if kind == "integer_tilted":
+        # b's eigenbasis turned by an angle from 1e-10 to 1e-2, so residuals
+        # land on both sides of the threshold tol * rank
+        angle = 10.0 ** rng.uniform(-10, -2)
+        q_b = q @ np.linalg.qr(np.eye(n) + angle * rng.normal(size=(n, n)))[0]
+    else:
+        q_b = q if rng.random() < 0.7 else random_unitary(rng, n)
+    return tuple_from_eigs(q, ea), tuple_from_eigs(q_b, eb)
+
+
+@given(kind=st.sampled_from(["random", "ordered", "violated", "integer_ordered",
+                             "integer_mixed", "integer_tilted", "crossed_dirac"]),
+       kappa=st.integers(1, 3), n=st.integers(1, 8), salt=st.integers(0, 10_000))
+def test_gram_kernel_matches_subtraction_reference(kind, kappa, n, salt):
+    a, b = _oracle_pair(kind, fresh_rng(9000 + salt), n, kappa)
+    ea, eb = joint_measure(a), joint_measure(b)
+    for lo, hi in ((ea, eb), (eb, ea)):
+        holds, witness, defect, rank = _reference_order(lo, hi)
+        v = distribution_order(lo, hi)
+        assert v.holds == holds
+        assert v.witness == witness
+        assert abs(v.defect - defect) <= 1e-12 * (1 + rank)

@@ -264,3 +264,30 @@ def test_is_positive_tuple():
     assert is_positive_tuple(theta3)
     w = np.linalg.eigvalsh(np.array([[3.0, 1.0], [1.0, 4.0]]))
     assert np.allclose(w, [(7 - np.sqrt(5)) / 2, (7 + np.sqrt(5)) / 2])
+
+
+def test_joint_measure_diagonalizes_each_tuple_once(monkeypatch):
+    import specorder.spectral as spectral
+
+    calls = []
+    real = spectral.hermitian_eig
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "hermitian_eig", counting)
+    t = random_commuting(fresh_rng(77), 5, 2)
+    first = joint_measure(t)
+    n_first = len(calls)
+    assert n_first > 0
+    assert joint_measure(t) is first
+    assert len(calls) == n_first
+    # a non-default tolerance bypasses the memo and does not replace it
+    coarse = joint_measure(t, cluster_tol=1e-6)
+    assert coarse is not first and len(calls) > n_first
+    assert joint_measure(t) is first
+    # the memo lives on the instance: an equal tuple diagonalizes afresh
+    n_before = len(calls)
+    joint_measure(validate_tuple(t.matrices()))
+    assert len(calls) > n_before
