@@ -136,9 +136,12 @@ def load_measure(path: str) -> AtomicMeasure:
 
 
 def save_json(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(path, f"cannot write: {exc}") from exc
 
 
 @dataclass

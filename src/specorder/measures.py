@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
 )
 from .functions import BorelFunction, indicator_fn
-from .spectral import CommutingTuple, joint_measure
+from .spectral import CommutingTuple, _merge_points, joint_measure
 
 PREMERGE_TOL = 1e-9
 IDEAL_CAP = 20
@@ -44,6 +44,12 @@ def leq_iota(x, y, iota: int) -> bool:
         raise DimensionError(f"points of shapes {x.shape} and {y.shape}")
     iota = _check_iota(iota, x.shape[0])
     return bool(np.all(x[:iota] <= y[:iota]) and np.all(x[iota:] == y[iota:]))
+
+
+def _group_sums(group: np.ndarray, w: np.ndarray, n_groups: int) -> np.ndarray:
+    # bincount adds in input order, as a running sum per group would; it
+    # returns integers for empty input, hence the cast
+    return np.bincount(group, weights=w, minlength=n_groups).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +74,8 @@ class AtomicMeasure:
             raise DimensionError(f"{pts.shape[0]} points but {w.shape} weights")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
-        reps: list[np.ndarray] = []
-        acc: list[float] = []
-        for i in range(pts.shape[0]):
-            for k, rep in enumerate(reps):
-                if np.max(np.abs(pts[i] - rep), initial=0.0) <= PREMERGE_TOL:
-                    acc[k] += float(w[i])
-                    break
-            else:
-                reps.append(pts[i])
-                acc.append(float(w[i]))
-        if reps:
-            order = sorted(range(len(reps)), key=lambda k: tuple(reps[k]))
-            out_p = np.array([reps[k] for k in order], dtype=np.float64)
-            out_w = np.array([acc[k] for k in order], dtype=np.float64)
-        else:
-            out_p = pts.reshape(0, pts.shape[1])
-            out_w = np.zeros(0)
+        out_p, group = _merge_points(pts, PREMERGE_TOL)
+        out_w = _group_sums(group, w, len(out_p))
         out_p.setflags(write=False)
         out_w.setflags(write=False)
         return cls(points=out_p, weights=out_w)
@@ -214,61 +205,39 @@ class AuditResult:
 
 
 def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult:
-    """Check f(x) <= f(y) for every comparable pair x <=_iota y in the point set.
+    """Check f(x) <= f(y) + tol for every comparable pair x <=_iota y of the points.
 
-    Cross-checked against a sublevel-set formulation: every sublevel set of f
-    restricted to the points must be downward closed under <=_iota. The two
-    routes are algebraically equivalent; disagreement would mean a coding
-    error, so it raises.
+    f is called once per point. The counterexample is the first failing
+    pair (x, y) = (points[a], points[b]) with a != b in row-major order of
+    (a, b). Raises ParameterError unless 1 <= iota <= kappa, also for an
+    empty point set.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
-    iota = _check_iota(iota, pts.shape[1]) if pts.shape[0] else iota
-    values = [float(f(p)) for p in pts]
-    witness = None
-    for a in range(pts.shape[0]):
-        for b in range(pts.shape[0]):
-            if a != b and leq_iota(pts[a], pts[b], iota) and values[a] > values[b] + tol:
-                witness = (tuple(map(float, pts[a])), tuple(map(float, pts[b])))
-                break
-        if witness:
-            break
-
-    sublevel_ok = True
-    for level in sorted(set(values)):
-        inside = [i for i, v in enumerate(values) if v <= level]
-        for i in inside:
-            for j in range(pts.shape[0]):
-                if values[j] > level + tol and leq_iota(pts[j], pts[i], iota):
-                    sublevel_ok = False
-    if sublevel_ok != (witness is None):
-        raise AssertionError("monotonicity audit routes disagree")
-    return AuditResult(ok=witness is None, counterexample=witness)
+    iota = _check_iota(iota, pts.shape[1])
+    values = np.array([float(f(p)) for p in pts], dtype=np.float64)
+    bad = values[:, None] > values[None, :] + tol
+    for j in range(pts.shape[1]):
+        x, y = pts[:, j, None], pts[None, :, j]
+        bad &= (x <= y) if j < iota else (x == y)
+    np.fill_diagonal(bad, False)
+    if not bad.any():
+        return AuditResult(ok=True, counterexample=None)
+    a, b = divmod(int(np.argmax(bad)), pts.shape[0])
+    return AuditResult(ok=False, counterexample=(tuple(map(float, pts[a])),
+                                                 tuple(map(float, pts[b]))))
 
 
 def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
     """Common atom list (pre-merged across the pair) with both weight vectors."""
     if mu1.kappa != mu2.kappa:
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
-    reps: list[np.ndarray] = []
-    w1: list[float] = []
-    w2: list[float] = []
-    for pts, ws, target in ((mu1.points, mu1.weights, 1), (mu2.points, mu2.weights, 2)):
-        for p, w in zip(pts, ws):
-            for k, rep in enumerate(reps):
-                if np.max(np.abs(p - rep), initial=0.0) <= PREMERGE_TOL:
-                    (w1 if target == 1 else w2)[k] += float(w)
-                    break
-            else:
-                reps.append(p)
-                w1.append(float(w) if target == 1 else 0.0)
-                w2.append(float(w) if target == 2 else 0.0)
-    order = sorted(range(len(reps)), key=lambda k: tuple(reps[k]))
-    points = np.array([reps[k] for k in order]) if reps else np.zeros((0, mu1.kappa))
+    points, group = _merge_points(np.vstack([mu1.points, mu2.points]), PREMERGE_TOL)
+    split = mu1.n_atoms
     return (points,
-            np.array([w1[k] for k in order]),
-            np.array([w2[k] for k in order]))
+            _group_sums(group[:split], mu1.weights, len(points)),
+            _group_sums(group[split:], mu2.weights, len(points)))
 
 
 def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
@@ -336,8 +305,7 @@ def enumerate_downward_closed(points, iota: int, cap: int = IDEAL_CAP) -> list[D
     m = pts.shape[0]
     if m > cap:
         raise CapExceededError(m, cap)
-    if m:
-        iota = _check_iota(iota, pts.shape[1])
+    iota = _check_iota(iota, pts.shape[1])
     order = sorted(range(m), key=lambda i: tuple(pts[i]))
     below = [0] * m  # bitmask in original indexing
     for i in range(m):

@@ -190,35 +190,17 @@ def loewner_leq(a, b, tol: float = TOL_LOEWNER) -> bool:
     return is_psd(HermitianOperator(bm - am, 0.0), tol=tol)
 
 
-def _transported_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
-                       phi, tol: float) -> OrderVerdict:
-    # transport on the measure side: phi(atom) stays exact where
-    # rebuilding phi(A) and re-diagonalizing would scatter tied
-    # eigenvalues (clip saturation, equal parts) to either side of
-    # each other by roundoff
-    return distribution_order(pushforward(ea, [phi]), pushforward(eb, [phi]),
-                              tol=tol)
-
-
 def monotone_transport_check(a, b, phi, tol: float = TOL_ORDER) -> OrderVerdict:
     """phi(A) <= phi(B) for increasing phi, given A <= B.
 
     Preconditions: spectral_leq(a, b) holds, and phi passes the
     kappa-increasing audit on the union of both atom sets. Raises
     PreconditionError or MonotonicityError accordingly; the returned verdict
-    is the kappa=1 order check of the transported operators.
+    is the kappa=1 order check of the transported operators. This is
+    restricted_monotone_check with iota = kappa.
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
-    ea, eb = joint_measure(ta), joint_measure(tb)
-    base = distribution_order(ea, eb, tol=tol)
-    if not base.holds:
-        raise PreconditionError("spectral_leq(a, b)",
-                                f"fails at grid point {base.witness}")
-    points = np.vstack([ea.points(), eb.points()])
-    audit = audit_iota_increasing(phi, points, iota=ta.kappa)
-    if not audit.ok:
-        raise MonotonicityError(audit.counterexample, ta.kappa)
-    return _transported_order(ea, eb, phi, tol)
+    ta = _coerce_tuple(a)
+    return restricted_monotone_check(ta, b, phi, iota=ta.kappa, tol=tol)
 
 
 def restricted_monotone_check(a, b, phi, iota: int, omega=None,
@@ -259,7 +241,12 @@ def restricted_monotone_check(a, b, phi, iota: int, omega=None,
     audit = audit_iota_increasing(phi, points, iota=iota)
     if not audit.ok:
         raise MonotonicityError(audit.counterexample, iota)
-    return _transported_order(ea, eb, phi, tol)
+    # transport on the measure side: phi(atom) stays exact where
+    # rebuilding phi(A) and re-diagonalizing would scatter tied
+    # eigenvalues (clip saturation, equal parts) to either side of
+    # each other by roundoff
+    return distribution_order(pushforward(ea, [phi]), pushforward(eb, [phi]),
+                              tol=tol)
 
 
 def _require_positive(t: CommutingTuple, name: str):
@@ -302,23 +289,7 @@ def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL_LOEWNER) -> Orde
     evidence, not proof, up to the tested depth. Raises PositivityError for
     non-positive input.
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
-    _require_positive(ta, "a")
-    _require_positive(tb, "b")
-    ea, eb = joint_measure(ta), joint_measure(tb)
-    alphas = multi_indices(ta.kappa, alpha_max)
-    pow_a = _monomial_matrices(ea, alphas)
-    pow_b = _monomial_matrices(eb, alphas)
-    worst = 0.0
-    for alpha in alphas:
-        diff = HermitianOperator(pow_b[alpha].matrix - pow_a[alpha].matrix, 0.0)
-        w = np.linalg.eigvalsh(diff.matrix)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        lo = float(w[0]) if w.size else 0.0
-        if lo < -tol * (1.0 + scale):
-            return OrderVerdict(holds=False, witness=tuple(alpha), defect=-lo)
-        worst = max(worst, max(0.0, -lo))
-    return OrderVerdict(holds=True, witness=None, defect=worst)
+    return scaled_monomial_check(a, b, lambda alpha: 1.0, alpha_max, tol=tol)
 
 
 def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL_LOEWNER) -> OrderVerdict:
@@ -349,6 +320,14 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL_LOEWNER) -> 
             return OrderVerdict(holds=False, witness=tuple(alpha), defect=-lo)
         worst = max(worst, max(0.0, -lo))
     return OrderVerdict(holds=True, witness=None, defect=worst)
+
+
+def _moment_norm(mu, alpha) -> float:
+    """||A^alpha h|| from the vector-state measure: sqrt of its x^(2 alpha) moment."""
+    if mu.n_atoms == 0:
+        return 0.0
+    powers = np.prod(mu.points ** (2.0 * np.asarray(alpha, dtype=np.float64)), axis=1)
+    return float(np.sqrt(np.sum(mu.weights * powers)))
 
 
 @dataclass(frozen=True)
@@ -384,13 +363,6 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
         raise ParameterError(f"alpha_max must be >= 1, got {alpha_max}")
     mu_a = tuple_scalar_measure(ta, h)
     mu_b = tuple_scalar_measure(tb, h)
-
-    def moment_norm(mu, alpha) -> float:
-        if mu.n_atoms == 0:
-            return 0.0
-        powers = np.prod(mu.points ** (2.0 * np.asarray(alpha, dtype=np.float64)), axis=1)
-        return float(np.sqrt(np.sum(mu.weights * powers)))
-
     shell_maxima: dict[int, float] = {}
     n_tested = 0
     for alpha in multi_indices(ta.kappa, alpha_max):
@@ -400,8 +372,8 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
         if lambda_filter is not None and not lambda_filter(alpha):
             continue
         n_tested += 1
-        num = moment_norm(mu_a, alpha)
-        den = moment_norm(mu_b, alpha)
+        num = _moment_norm(mu_a, alpha)
+        den = _moment_norm(mu_b, alpha)
         if num == 0.0:
             rate = 0.0
         elif den == 0.0:
@@ -470,12 +442,11 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL_ORDER,
 
     mu = tuple_scalar_measure(ta, h / norm_h)
     rate = 0.0
-    for alpha in itertools.product(range(alpha_max + 1), repeat=ta.kappa):
+    for alpha in multi_indices(ta.kappa, alpha_max):
         if sum(alpha) != alpha_max:
             continue
-        av = np.asarray(alpha, dtype=np.float64)
-        num = float(np.sqrt(np.sum(mu.weights * np.prod(mu.points ** (2.0 * av), axis=1))))
-        den = float(np.prod(bound ** av))  # 0^0 = 1 via numpy power
+        num = _moment_norm(mu, alpha)
+        den = float(np.prod(bound ** np.asarray(alpha, dtype=np.float64)))  # 0^0 = 1
         if num == 0.0:
             ratio_rate = 0.0
         elif den == 0.0:

@@ -208,6 +208,30 @@ def _split_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
     return [seg for seg in np.split(order, breaks + 1)]
 
 
+def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merge points within tol of each other in the sup norm.
+
+    The first point in input order represents its group; a later point
+    joins the first representative within tol. Returns the representatives
+    sorted lexicographically and, for each input point, the index of its
+    group's representative in that sorted array.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    group = np.full(pts.shape[0], -1)
+    first: list[int] = []
+    for i in range(pts.shape[0]):
+        if group[i] < 0:
+            near = np.max(np.abs(pts - pts[i]), axis=1, initial=0.0) <= tol
+            group[near & (group < 0)] = len(first)
+            group[i] = len(first)  # an infinite point is NaN away from itself
+            first.append(i)
+    reps = pts[first]
+    order = np.lexsort(reps.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return reps[order], rank[group]
+
+
 def joint_measure(t: CommutingTuple, cluster_tol: float = CLUSTER_TOL) -> JointSpectralMeasure:
     """Joint spectral measure by recursive cluster diagonalization.
 
@@ -238,6 +262,10 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
             atoms.append((prefix, Projection(_normalize_columns(basis, 1e-12))))
             return
         compressed = basis.conj().T @ t.ops[level].matrix @ basis
+        if basis.shape[1] == 1:
+            # a 1x1 compression is its own eigenvalue
+            recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
+            return
         compressed = (compressed + compressed.conj().T) / 2.0
         w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
         for cluster in _split_clusters(w, thresholds[level]):
@@ -248,16 +276,6 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
     atoms.sort(key=lambda a: a[0])
     return JointSpectralMeasure(kappa=t.kappa, dim=t.dim, atoms=tuple(atoms),
                                 cluster_tol=cluster_tol)
-
-
-def marginal(e: JointSpectralMeasure, axis: int, intervals) -> Projection:
-    """Module-level alias for the axis-marginal over an interval union."""
-    return e.marginal_interval(axis, intervals)
-
-
-def distribution(e: JointSpectralMeasure, x, atol: float = 0.0) -> Projection:
-    """Module-level alias for the joint distribution function F(x)."""
-    return e.distribution(x, atol=atol)
 
 
 def _evaluate(phi, point) -> float:
@@ -290,17 +308,10 @@ def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:
     """
     phis = list(phis)
     mapped = np.array([[_evaluate(phi, pt) for phi in phis] for pt, _ in e.atoms],
-                      dtype=np.float64)
-    merged: list[tuple[np.ndarray, list[int]]] = []
-    for i in range(mapped.shape[0]):
-        for rep, members in merged:
-            if np.max(np.abs(mapped[i] - rep)) <= e.cluster_tol:
-                members.append(i)
-                break
-        else:
-            merged.append((mapped[i], [i]))
-    atoms = [(tuple(float(v) for v in rep), e.join(members)) for rep, members in merged]
-    atoms.sort(key=lambda a: a[0])
+                      dtype=np.float64).reshape(e.n_atoms(), len(phis))
+    reps, group = _merge_points(mapped, e.cluster_tol)
+    atoms = [(tuple(float(v) for v in rep), e.join(np.flatnonzero(group == g)))
+             for g, rep in enumerate(reps)]
     return JointSpectralMeasure(kappa=len(phis), dim=e.dim, atoms=tuple(atoms),
                                 cluster_tol=e.cluster_tol)
 

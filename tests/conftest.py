@@ -10,7 +10,7 @@ import os
 from pathlib import Path
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from specorder.spectral import validate_tuple
 
@@ -119,6 +119,42 @@ def distinct_integer_points(rng, count: int, kappa: int, side: int = 5):
     flat = rng.choice(total, size=count, replace=False)
     pts = np.stack(np.unravel_index(flat, (side,) * kappa), axis=1)
     return pts.astype(np.float64)
+
+
+def merge_first_occurrence(points, tol: float):
+    """Reference atom merge: an explicit first-occurrence loop.
+
+    A point joins the first earlier representative within tol in the sup
+    norm, else it becomes one. Returns the representatives sorted by their
+    coordinate tuples and each one's member indices in input order.
+    """
+    reps, members = [], []
+    for i, p in enumerate(np.asarray(points, dtype=np.float64)):
+        for k, rep in enumerate(reps):
+            if np.max(np.abs(p - rep), initial=0.0) <= tol:
+                members[k].append(i)
+                break
+        else:
+            reps.append(p)
+            members.append([i])
+    order = sorted(range(len(reps)), key=lambda k: tuple(reps[k]))
+    return [reps[k] for k in order], [members[k] for k in order]
+
+
+@st.composite
+def near_duplicate_points(draw, tol: float, max_points: int = 10):
+    """Points in R^kappa, kappa 1-3, on a small integer grid, with
+    coordinates shifted off the grid by 0.5, 1 or 2 times tol; no points
+    and exact duplicates included."""
+    kappa = draw(st.integers(1, 3))
+    m = draw(st.integers(0, max_points))
+    pts = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=kappa, max_size=kappa),
+                                 min_size=m, max_size=m)),
+                   dtype=np.float64).reshape(m, kappa)
+    for i in range(m):
+        for j in range(kappa):
+            pts[i, j] += draw(st.sampled_from((0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0))) * tol
+    return pts
 
 
 def n_ideals_by_deletion(points, iota: int) -> int:

@@ -215,6 +215,12 @@ def test_measure_check_iota_flag(tmp_path, capsys):
     assert main(["measure-check", m1, m2, "--iota", "1"]) == 0
     out = capsys.readouterr().out
     assert "--iota 1" in out
+    # out of range is an error even when there are no atoms to compare
+    empty = write_measure(tmp_path / "e.json", np.zeros((0, 2)), [])
+    assert main(["measure-check", empty, empty, "--iota", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "iota must be an integer in 1..2, got 7" in captured.err
+    assert "holds" not in captured.out
 
 
 def test_examples_and_selftest(capsys):
@@ -273,3 +279,12 @@ def test_non_finite_measure_exits_two_with_location(tmp_path, atom, entry):
     assert "Traceback" not in proc.stderr
     assert "holds" not in proc.stdout
     assert f"{bad}.atoms[0].{entry}" in proc.stderr
+
+
+def test_unwritable_out_path_exits_two(tmp_path):
+    t = write_tuple(tmp_path / "t.json", [1.0, 2.0])
+    out = tmp_path / "missing" / "out.json"
+    proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{out}: cannot write" in proc.stderr

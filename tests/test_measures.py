@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import fresh_rng, n_ideals_by_deletion
+from conftest import (
+    fresh_rng,
+    merge_first_occurrence,
+    n_ideals_by_deletion,
+    near_duplicate_points,
+)
 from specorder.errors import (
     CapExceededError,
     EmptyGeneratorError,
@@ -12,8 +17,10 @@ from specorder.errors import (
 from specorder.functions import indicator_fn
 from specorder.gallery import crossed_dirac_pair
 from specorder.measures import (
+    PREMERGE_TOL,
     AtomicMeasure,
     LowerSetGen,
+    _merged_support,
     audit_iota_increasing,
     cdf_leq,
     enumerate_downward_closed,
@@ -45,6 +52,45 @@ def test_atomic_measure_premerges_and_sorts():
     assert [tuple(p) for p in mu.points] == [(0.0, 0.0), (1.0, 0.0)]
     assert np.array_equal(mu.weights, [0.5, 0.5])
     assert mu.total_mass() == 1.0
+
+
+def running_sum(values) -> float:
+    """Left-to-right float sum, the order merged weights must be added in."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+@given(pts=near_duplicate_points(PREMERGE_TOL), data=st.data())
+@settings(max_examples=150)
+def test_premerge_matches_first_occurrence_loop(pts, data):
+    w = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(pts),
+                                    max_size=len(pts))), dtype=np.float64)
+    split = data.draw(st.integers(0, len(pts)))
+    reps, members = merge_first_occurrence(pts, PREMERGE_TOL)
+    expected_points = np.array(reps, dtype=np.float64).reshape(len(reps), pts.shape[1])
+
+    mu = AtomicMeasure.from_atoms(pts, w)
+    assert mu.points.tobytes() == expected_points.tobytes()
+    assert mu.points.shape == expected_points.shape
+    assert mu.weights.dtype == np.float64
+    assert mu.weights.tobytes() == np.array(
+        [running_sum(w[ms]) for ms in members], dtype=np.float64).tobytes()
+
+    # the pair's common support merges mu1's atoms first, then mu2's
+    mu1 = AtomicMeasure.from_atoms(pts[:split], w[:split])
+    mu2 = AtomicMeasure.from_atoms(pts[split:], w[split:])
+    both = np.vstack([mu1.points, mu2.points])
+    reps, members = merge_first_occurrence(both, PREMERGE_TOL)
+    points, w1, w2 = _merged_support(mu1, mu2)
+    assert points.tobytes() == np.array(reps, dtype=np.float64).tobytes()
+    assert points.shape == (len(reps), pts.shape[1])
+    for got, side, offset in ((w1, mu1, 0), (w2, mu2, mu1.n_atoms)):
+        sums = [running_sum(side.weights[i - offset] for i in ms
+                            if offset <= i < offset + side.n_atoms)
+                for ms in members]
+        assert got.tobytes() == np.array(sums, dtype=np.float64).tobytes()
 
 
 def test_atomic_measure_rejects_negative_weight():
@@ -131,6 +177,52 @@ def test_audit_catches_decrease():
     res = audit_iota_increasing(lambda x: -x[0], pts, iota=2)
     assert not res.ok
     assert res.counterexample == ((0.0, 0.0), (1.0, 0.0))
+
+
+def audit_double_loop(values, pts, iota, tol):
+    """Reference audit: first comparable pair (a, b) in row-major order with
+    f(a) > f(b) + tol, or None."""
+    for a in range(len(pts)):
+        for b in range(len(pts)):
+            if a != b and leq_iota(pts[a], pts[b], iota) and values[a] > values[b] + tol:
+                return tuple(map(float, pts[a])), tuple(map(float, pts[b]))
+    return None
+
+
+def audit_sublevel_sets(values, pts, iota, tol) -> bool:
+    """Reference audit: every sublevel set of f on the points is downward closed."""
+    for level in sorted(set(values)):
+        for i in (i for i, v in enumerate(values) if v <= level):
+            for j in range(len(pts)):
+                if values[j] > level + tol and leq_iota(pts[j], pts[i], iota):
+                    return False
+    return True
+
+
+@given(pts=near_duplicate_points(0.25, max_points=8), data=st.data())
+@settings(max_examples=150)
+def test_audit_matches_double_loop_and_sublevel_routes(pts, data):
+    kappa = pts.shape[1]
+    iota = data.draw(st.integers(1, kappa))
+    tol = data.draw(st.sampled_from((0.0, 0.5)))
+    levels = data.draw(st.lists(st.integers(-2, 2), min_size=len(pts), max_size=len(pts)))
+    table = {tuple(p): float(v) for p, v in zip(pts, levels)}  # f is a function of the point
+    res = audit_iota_increasing(lambda x: table[tuple(x)], pts, iota=iota, tol=tol)
+    values = [table[tuple(p)] for p in pts]
+    witness = audit_double_loop(values, pts, iota, tol)
+    assert res.counterexample == witness
+    assert res.ok == (witness is None) == audit_sublevel_sets(values, pts, iota, tol)
+
+
+def test_iota_checked_on_empty_point_sets():
+    empty = np.zeros((0, 2))
+    assert audit_iota_increasing(lambda x: 0.0, empty, iota=2).ok
+    assert len(enumerate_downward_closed(empty, iota=2)) == 1
+    for bad in (0, 3, 7):
+        with pytest.raises(ParameterError, match="iota must be an integer in 1..2"):
+            audit_iota_increasing(lambda x: 0.0, empty, iota=bad)
+        with pytest.raises(ParameterError, match="iota must be an integer in 1..2"):
+            enumerate_downward_closed(empty, iota=bad)
 
 
 def test_audit_passes_projection_and_complement_indicator():

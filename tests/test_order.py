@@ -174,6 +174,8 @@ def test_transport_requires_order():
     with pytest.raises(PreconditionError) as info:
         monotone_transport_check(a, b, sum_fn(2))
     assert "spectral_leq" in str(info.value)
+    with pytest.raises(ParameterError, match="tuples of different lengths: 2 vs 1"):
+        monotone_transport_check(a, validate_tuple([a.ops[0].matrix]), sum_fn(2))
 
 
 def test_transport_requires_monotone():

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import fresh_rng, random_commuting
+from conftest import (
+    fresh_rng,
+    merge_first_occurrence,
+    near_duplicate_points,
+    random_commuting,
+    random_projection_split,
+)
 from specorder.errors import CommutationError, DimensionError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
 from specorder.gallery import projection_pair_no_infimum
-from specorder.linalg import proj_leq
+from specorder.linalg import Projection, proj_leq
 from specorder.spectral import (
+    CLUSTER_TOL,
+    JointSpectralMeasure,
     calculus_scalar,
     calculus_vector,
     fractional_power,
     is_positive_tuple,
     joint_measure,
-    marginal,
     monomial,
     parts_decompose,
     pushforward,
@@ -101,11 +108,11 @@ def test_cluster_tol_merges_near_degenerate_values():
 def test_marginal_projection():
     a, _ = projection_pair_no_infimum()
     e = joint_measure(a)
-    p = marginal(e, 0, [(-INF, 0.0)])
+    p = e.marginal_interval(0, [(-INF, 0.0)])
     assert p.rank == 1
     assert np.allclose(np.abs(p.range_basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
-    assert marginal(e, 0, [(-INF, INF)]).rank == 3
-    assert marginal(e, 1, []).rank == 0
+    assert e.marginal_interval(0, [(-INF, INF)]).rank == 3
+    assert e.marginal_interval(1, []).rank == 0
 
 
 def test_distribution_steps():
@@ -150,7 +157,7 @@ def test_box_product_property():
         box = e.join(inside).matrix
         prod = np.eye(n, dtype=complex)
         for j in range(kappa):
-            prod = prod @ marginal(e, j, [(lo[j], hi[j])]).matrix
+            prod = prod @ e.marginal_interval(j, [(lo[j], hi[j])]).matrix
         assert np.allclose(box, prod, atol=1e-9)
 
 
@@ -255,6 +262,24 @@ def test_pushforward_constant_map_merges_everything():
     assert squashed.atoms[0][1].rank == 4
 
 
+@given(mapped=near_duplicate_points(CLUSTER_TOL, max_points=7), salt=st.integers(0, 50))
+@settings(max_examples=100)
+def test_pushforward_matches_first_occurrence_loop(mapped, salt):
+    # atom i of a kappa=1 measure sits at i and is sent to mapped[i]
+    m = len(mapped)
+    bases = random_projection_split(fresh_rng(500 + salt), m + 2, m) if m else []
+    e = JointSpectralMeasure(kappa=1, dim=m + 2, cluster_tol=CLUSTER_TOL,
+                             atoms=tuple(((float(i),), Projection(b))
+                                         for i, b in enumerate(bases)))
+    phis = [lambda x, j=j: mapped[int(x[0]), j] for j in range(mapped.shape[1])]
+    image = pushforward(e, phis)
+    reps, members = merge_first_occurrence(mapped, CLUSTER_TOL)
+    assert image.points().tobytes() == np.array(reps).tobytes()
+    assert [p.range_basis.tobytes() for p in image.projections()] == [
+        np.hstack([bases[i] for i in ms]).astype(np.complex128).tobytes()
+        for ms in members]
+
+
 def test_is_positive_tuple():
     a, _ = projection_pair_no_infimum()
     assert is_positive_tuple(a)
@@ -277,10 +302,13 @@ def test_joint_measure_diagonalizes_each_tuple_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "hermitian_eig", counting)
-    t = random_commuting(fresh_rng(77), 5, 2)
+    t = random_commuting(fresh_rng(77), 5, 3)
     first = joint_measure(t)
     n_first = len(calls)
-    assert n_first > 0
+    # A_1 has a simple spectrum, so every later compression is 1x1 and
+    # needs no eigendecomposition
+    assert first.n_atoms() == 5
+    assert n_first == 1
     assert joint_measure(t) is first
     assert len(calls) == n_first
     # a non-default tolerance bypasses the memo and does not replace it
