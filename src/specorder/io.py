@@ -8,8 +8,9 @@ Parsing is strict: anything off-schema raises InputError with a location.
 from __future__ import annotations
 
 import json
-import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,20 +28,52 @@ def _require(cond: bool, location: str, reason: str):
         raise InputError(location, reason)
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_number(value, location: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              location, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int literal past the float range
+        raise InputError(location, "expected a finite number") from None
+
+
+def _parse_matrix(flat: list, dim: int, where: str) -> np.ndarray:
+    """dim² row-major [re, im] pairs as a dim×dim complex matrix.
+
+    Pairs of plain ints and floats take one numpy conversion. Anything else
+    (a bool or string would convert silently, an int past the float range
+    would overflow) is converted entry by entry, which raises at the first
+    malformed entry, re before im. Non-finite values are located after that.
+    """
+    pairs = None
+    if set(map(type, flat)) == {list} and set(map(len, flat)) == {2}:
+        parts = list(chain.from_iterable(flat))
+        if set(map(type, parts)) <= {int, float}:
+            with suppress(OverflowError):
+                pairs = np.array(parts, dtype=np.float64).reshape(-1, 2)
+    if pairs is None:
+        pairs = np.empty((len(flat), 2))
+        for k, entry in enumerate(flat):
+            _require(isinstance(entry, list) and len(entry) == 2,
+                     f"{where}[{k}]", "expected an [re, im] pair")
+            pairs[k] = [_as_number(v, f"{where}[{k}][{part}]")
+                        for part, v in enumerate(entry)]
+    bad = ~np.isfinite(pairs)
+    if bad.any():
+        k, part = divmod(int(np.argmax(bad)), 2)
+        raise InputError(f"{where}[{k}][{part}]", "expected a finite number")
+    # not a complex view: re + 1j * im turns some -0.0 parts into +0.0, and
+    # matrices have always been built that way
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim)
 
 
 def tuple_to_dict(t: CommutingTuple) -> dict:
-    matrices = []
-    for op in t.ops:
-        flat = []
-        for row in op.matrix:
-            for entry in row:
-                flat.append([float(entry.real), float(entry.imag)])
-        matrices.append(flat)
+    matrices = [np.ascontiguousarray(op.matrix, dtype=np.complex128)
+                .view(np.float64).reshape(-1, 2).tolist() for op in t.ops]
     return {"schema": TUPLE_SCHEMA, "kappa": t.kappa, "dim": t.dim,
             "matrices": matrices}
 
@@ -51,9 +84,9 @@ def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float | None = Non
              f"expected {TUPLE_SCHEMA!r}, got {doc.get('schema')!r}")
     kappa = doc.get("kappa")
     dim = doc.get("dim")
-    _require(isinstance(kappa, int) and kappa >= 1, f"{location}.kappa",
+    _require(_is_positive_int(kappa), f"{location}.kappa",
              "expected a positive integer")
-    _require(isinstance(dim, int) and dim >= 1, f"{location}.dim",
+    _require(_is_positive_int(dim), f"{location}.dim",
              "expected a positive integer")
     matrices = doc.get("matrices")
     _require(isinstance(matrices, list) and len(matrices) == kappa,
@@ -63,19 +96,7 @@ def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float | None = Non
         where = f"{location}.matrices[{mi}]"
         _require(isinstance(flat, list) and len(flat) == dim * dim, where,
                  f"expected {dim * dim} row-major entries")
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for k, entry in enumerate(flat):
-            _require(isinstance(entry, list) and len(entry) == 2,
-                     f"{where}[{k}]", "expected an [re, im] pair")
-            re = _as_number(entry[0], f"{where}[{k}][0]")
-            im = _as_number(entry[1], f"{where}[{k}][1]")
-            m[k // dim, k % dim] = re + 1j * im
-        if not np.isfinite(m.view(np.float64)).all():
-            # re + 1j * inf has a NaN real part, so locate on the parsed entries
-            k, part = next((k, part) for k, entry in enumerate(flat)
-                           for part in (0, 1) if not math.isfinite(entry[part]))
-            raise InputError(f"{where}[{k}][{part}]", "expected a finite number")
-        mats.append(m)
+        mats.append(_parse_matrix(flat, dim, where))
     kwargs = {} if tol_comm is None else {"tol_comm": tol_comm}
     return validate_tuple(mats, **kwargs)
 
@@ -91,7 +112,7 @@ def measure_from_dict(doc, location: str = "<measure>") -> AtomicMeasure:
     _require(doc.get("schema") == MEASURE_SCHEMA, f"{location}.schema",
              f"expected {MEASURE_SCHEMA!r}, got {doc.get('schema')!r}")
     kappa = doc.get("kappa")
-    _require(isinstance(kappa, int) and kappa >= 1, f"{location}.kappa",
+    _require(_is_positive_int(kappa), f"{location}.kappa",
              "expected a positive integer")
     atoms = doc.get("atoms")
     _require(isinstance(atoms, list), f"{location}.atoms", "expected a list")
@@ -125,6 +146,11 @@ def load_json(path: str):
         raise InputError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so start is a file offset
+        raise InputError(path, f"not UTF-8: invalid byte at offset {exc.start}") from exc
+    except RecursionError:
+        raise InputError(path, "nested too deeply to parse") from None
 
 
 def load_tuple(path: str, tol_comm: float | None = None) -> CommutingTuple:
@@ -138,8 +164,7 @@ def load_measure(path: str) -> AtomicMeasure:
 def save_json(path: str, doc: dict):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     except OSError as exc:
         raise InputError(path, f"cannot write: {exc}") from exc
 

@@ -430,6 +430,8 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL_ORDER,
         raise ParameterError(f"bound has shape {bound.shape}, expected ({ta.kappa},)")
     if np.any(bound < 0):
         raise ParameterError("bound must be in the nonnegative orthant")
+    if alpha_max < 1:
+        raise ParameterError(f"alpha_max must be >= 1, got {alpha_max}")
     h = np.asarray(h, dtype=np.complex128)
     norm_h = float(np.linalg.norm(h))
     e = joint_measure(ta)

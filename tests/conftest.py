@@ -6,12 +6,14 @@ ordered exactly when the per-eigenvector eigenvalue vectors are ordered,
 which gives generators with known ground truth.
 """
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings, strategies as st
 
+from specorder.errors import InputError
 from specorder.spectral import validate_tuple
 
 settings.register_profile("suite", max_examples=40, deadline=None,
@@ -139,6 +141,43 @@ def merge_first_occurrence(points, tol: float):
             members.append([i])
     order = sorted(range(len(reps)), key=lambda k: tuple(reps[k]))
     return [reps[k] for k in order], [members[k] for k in order]
+
+
+def parse_matrix_per_entry(flat, dim: int, where: str) -> np.ndarray:
+    """Reference matrix parse: an explicit loop over the [re, im] pairs.
+
+    Raises InputError at the first entry that is not a pair, or whose part
+    (re before im) is not an int or float or overflows a float; only then at
+    the first non-finite part. Builds each entry as re + 1j * im.
+    """
+    def number(value, location):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(location, f"expected a number, got {type(value).__name__}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise InputError(location, "expected a finite number") from None
+
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for k, entry in enumerate(flat):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise InputError(f"{where}[{k}]", "expected an [re, im] pair")
+        re = number(entry[0], f"{where}[{k}][0]")
+        im = number(entry[1], f"{where}[{k}][1]")
+        m[k // dim, k % dim] = re + 1j * im
+    for k, entry in enumerate(flat):
+        for part in (0, 1):
+            if not math.isfinite(entry[part]):
+                raise InputError(f"{where}[{k}][{part}]", "expected a finite number")
+    return m
+
+
+def tuple_to_dict_per_entry(t) -> dict:
+    """Reference tuple writer: one [float(re), float(im)] pair per entry."""
+    matrices = [[[float(z.real), float(z.imag)] for row in op.matrix for z in row]
+                for op in t.ops]
+    return {"schema": "specorder/1", "kappa": t.kappa, "dim": t.dim,
+            "matrices": matrices}
 
 
 @st.composite

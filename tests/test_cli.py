@@ -266,6 +266,33 @@ def test_non_finite_tuple_exits_two_with_location(tmp_path):
     assert f"{bad}.matrices[0][3][0]" in proc.stderr
 
 
+def _tuple_text(entries: str) -> bytes:
+    return ('{"schema": "specorder/1", "kappa": 1, "dim": 2, "matrices": [[%s]]}'
+            % entries).encode()
+
+
+@pytest.mark.parametrize("name, raw, where, reason", [
+    ("huge-int", _tuple_text("[1, 0], [0, 0], [0, 0], [1%s, 0]" % ("0" * 400)),
+     ".matrices[0][3][0]", "expected a finite number"),
+    ("invalid-utf8", b"\xff\xfe{}", "", "not UTF-8: invalid byte at offset 0"),
+    ("deep", b"[" * 100000, "", "nested too deeply to parse"),
+    ("nan", _tuple_text("[1, 0], [0, NaN], [0, 0], [1, 0]"),
+     ".matrices[0][1][1]", "expected a finite number"),
+    ("bool", _tuple_text("[1, 0], [0, 0], [true, 0], [1, 0]"),
+     ".matrices[0][2][0]", "expected a number, got bool"),
+    ("string", _tuple_text('[1, 0], [0, 0], [0, 0], [1, "2.5"]'),
+     ".matrices[0][3][1]", "expected a number, got str"),
+])
+def test_malformed_tuple_file_exits_two_with_location(tmp_path, name, raw, where, reason):
+    bad = tmp_path / f"{name}.json"
+    bad.write_bytes(raw)
+    other = write_tuple(tmp_path / "o.json", [0.0, 1.0])
+    proc = run_cli("check-order", str(bad), other)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {bad}{where}: {reason}" in proc.stderr
+
+
 @pytest.mark.parametrize("atom, entry", [({"point": [float("nan"), 0.0], "weight": 1.0},
                                           "point[0]"),
                                          ({"point": [0.0, 0.0], "weight": float("inf")},

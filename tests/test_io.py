@@ -2,15 +2,24 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import fresh_rng, random_commuting
+from conftest import (
+    fresh_rng,
+    parse_matrix_per_entry,
+    random_commuting,
+    tuple_to_dict_per_entry,
+)
+from specorder.cli import main
 from specorder.errors import InputError
+from specorder.functions import sum_fn
 from specorder.io import (
     MEASURE_SCHEMA,
     REPORT_SCHEMA,
     TUPLE_SCHEMA,
     Report,
+    _parse_matrix,
+    load_json,
     load_measure,
     load_tuple,
     measure_from_dict,
@@ -20,7 +29,7 @@ from specorder.io import (
     tuple_to_dict,
 )
 from specorder.measures import AtomicMeasure
-from specorder.spectral import validate_tuple
+from specorder.spectral import calculus_scalar, joint_measure, validate_tuple
 
 
 @given(salt=st.integers(0, 20))
@@ -73,6 +82,12 @@ def test_tuple_schema_errors():
         tuple_from_dict(doc)
     assert loc(err) == "<tuple>.kappa"
 
+    # JSON true is not the integer 1
+    for key in ("kappa", "dim"):
+        with pytest.raises(InputError) as err:
+            tuple_from_dict(dict(good, **{key: True}))
+        assert loc(err) == f"<tuple>.{key}"
+
     doc = dict(good, matrices=good["matrices"] + [good["matrices"][0]])
     with pytest.raises(InputError) as err:
         tuple_from_dict(doc)
@@ -114,6 +129,10 @@ def test_measure_schema_errors():
     assert loc(err) == "<measure>.schema"
 
     with pytest.raises(InputError) as err:
+        measure_from_dict(dict(good, kappa=True))
+    assert loc(err) == "<measure>.kappa"
+
+    with pytest.raises(InputError) as err:
         measure_from_dict(dict(good, atoms={"point": []}))
     assert loc(err) == "<measure>.atoms"
 
@@ -148,6 +167,36 @@ def test_load_errors(tmp_path):
     with pytest.raises(InputError) as err:
         load_measure(str(garbled))
     assert loc(err).startswith(str(garbled) + ":2")
+
+    # the offset counts bytes from the start of the file, past any read buffer
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"schema": "' + b"x" * 20000 + b'\xe9"}')
+    with pytest.raises(InputError) as err:
+        load_json(str(latin))
+    assert (loc(err), err.value.reason) == (str(latin), "not UTF-8: invalid byte at offset 20012")
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    with pytest.raises(InputError) as err:
+        load_json(str(deep))
+    assert (loc(err), err.value.reason) == (str(deep), "nested too deeply to parse")
+
+
+def test_huge_int_literals_are_located():
+    huge = 10 ** 400
+    doc = tuple_to_dict_from_diag([1.0, 2.0])
+    doc["matrices"][0][3][0] = huge
+    with pytest.raises(InputError) as err:
+        tuple_from_dict(doc, location="t.json")
+    assert (loc(err), err.value.reason) == ("t.json.matrices[0][3][0]", "expected a finite number")
+
+    for atom, entry in [({"point": [0.0, -huge], "weight": 1.0}, "point[1]"),
+                        ({"point": [0.0, 1.0], "weight": huge}, "weight")]:
+        with pytest.raises(InputError) as err:
+            measure_from_dict({"schema": MEASURE_SCHEMA, "kappa": 2, "atoms": [atom]},
+                              location="m.json")
+        assert (loc(err), err.value.reason) == (f"m.json.atoms[0].{entry}",
+                                                "expected a finite number")
 
 
 def test_save_json_is_stable(tmp_path):
@@ -216,3 +265,90 @@ def test_non_finite_measure_entries_are_located():
             measure_from_dict(dict(good, atoms=atoms), location="m.json")
         assert loc(err) == f"m.json.atoms[{ai}].{entry}"
         assert "finite" in str(err.value)
+
+
+FINITE_PARTS = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2 ** 80 - 1]))
+PAIRS = st.lists(FINITE_PARTS, min_size=2, max_size=2)
+BAD_ENTRIES = [1.5, "x", None, {"re": 1.0}, [], [1.0], [1.0, 2.0, 3.0]]
+MISTYPED_PARTS = ["1.5", True, False, None, {}]
+NON_FINITE_PARTS = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400)]
+
+
+@st.composite
+def well_formed_matrices(draw):
+    dim = draw(st.integers(1, 4))
+    return dim, draw(st.lists(PAIRS, min_size=dim * dim, max_size=dim * dim))
+
+
+@st.composite
+def malformed_tuple_docs(draw):
+    """Tuple documents with one to four defective entries or parts."""
+    kappa, dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrices = [draw(st.lists(PAIRS, min_size=dim * dim, max_size=dim * dim))
+                for _ in range(kappa)]
+    for _ in range(draw(st.integers(1, 4))):
+        flat = matrices[draw(st.integers(0, kappa - 1))]
+        k = draw(st.integers(0, dim * dim - 1))
+        bad = draw(st.sampled_from([BAD_ENTRIES, MISTYPED_PARTS, NON_FINITE_PARTS]))
+        if bad is BAD_ENTRIES:
+            flat[k] = draw(st.sampled_from(BAD_ENTRIES))
+        else:
+            entry = list(flat[k]) if isinstance(flat[k], list) and len(flat[k]) == 2 else [0, 0]
+            entry[draw(st.integers(0, 1))] = draw(st.sampled_from(bad))
+            flat[k] = entry
+    return {"schema": TUPLE_SCHEMA, "kappa": kappa, "dim": dim, "matrices": matrices}
+
+
+@settings(max_examples=200)
+@given(case=well_formed_matrices())
+def test_parse_matrix_matches_per_entry_loop_bitwise(case):
+    dim, flat = case
+    got = _parse_matrix(flat, dim, "m")
+    want = parse_matrix_per_entry(flat, dim, "m")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_parse_matrix_accepts_number_subclasses():
+    # in-process documents may hold numpy floats; they take the per-entry route
+    flat = [[np.float64(1.5), 2], [-0.0, np.float64(-3.0)], [0, 0], [np.float64(4.0), -0.0]]
+    assert _parse_matrix(flat, 2, "m").tobytes() == parse_matrix_per_entry(flat, 2, "m").tobytes()
+
+
+@settings(max_examples=200)
+@given(doc=malformed_tuple_docs())
+def test_tuple_from_dict_locates_like_per_entry_loop(doc):
+    with pytest.raises(InputError) as want:
+        for mi, flat in enumerate(doc["matrices"]):
+            parse_matrix_per_entry(flat, doc["dim"], f"t.json.matrices[{mi}]")
+    with pytest.raises(InputError) as got:
+        tuple_from_dict(doc, location="t.json")
+    assert (got.value.location, got.value.reason) == (want.value.location, want.value.reason)
+
+
+@given(salt=st.integers(0, 20))
+def test_tuple_to_dict_matches_per_entry_writer(salt):
+    rng = fresh_rng(2600 + salt)
+    t = random_commuting(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+    signed_zero = validate_tuple([np.diag([-0.0, 1.0])])
+    for tup in (t, signed_zero):
+        # float repr is exact, so equal text means bitwise-equal entries
+        assert json.dumps(tuple_to_dict(tup)) == json.dumps(tuple_to_dict_per_entry(tup))
+
+
+def test_calculus_out_file_is_compact_and_reloads_bitwise(tmp_path, capsys):
+    src, out = tmp_path / "t.json", tmp_path / "out.json"
+    save_json(str(src), tuple_to_dict(random_commuting(fresh_rng(7), 6, 2)))
+    assert main(["calculus", str(src), "--fn", "sum", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    written = validate_tuple([calculus_scalar(joint_measure(load_tuple(str(src))),
+                                              sum_fn(2)).matrix])
+    back = load_tuple(str(out))
+    assert back.kappa == written.kappa == 1
+    assert back.ops[0].matrix.tobytes() == written.ops[0].matrix.tobytes()

@@ -428,6 +428,17 @@ def test_bounded_vector_zero_and_errors():
         bounded_vector_membership(t, np.ones(2), (-1.0,))
 
 
+@pytest.mark.parametrize("alpha_max", [0, -1])
+def test_bounded_vector_rejects_alpha_max_below_one(alpha_max):
+    t = validate_tuple([np.diag([1.0, 2.0])])
+    message = f"alpha_max must be >= 1, got {alpha_max}"
+    for h in (np.ones(2), np.zeros(2)):
+        with pytest.raises(ParameterError, match=message):
+            bounded_vector_membership(t, h, (1.0,), alpha_max=alpha_max)
+    with pytest.raises(ParameterError, match=message):
+        growth_ratio(t, t, np.ones(2), alpha_max=alpha_max)
+
+
 def test_normal_operator_gate_and_parts():
     with pytest.raises(NormalityError):
         NormalOperator.from_matrix([[0.0, 1.0], [0.0, 0.0]])
