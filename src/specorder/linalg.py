@@ -80,15 +80,20 @@ def _coerce_hermitian(op) -> np.ndarray:
 
 
 def _normalize_columns(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Phase-normalize: first entry of magnitude > tol in each column made real positive."""
+    """Phase-normalize: first entry of magnitude > tol in each column made real positive.
+
+    Works on stacks (..., n, k); a column with no entry above tol is left as is.
+    """
     v = np.array(vectors)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size:
-            pivot = col[idx[0]]
-            v[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return v
+    if v.shape[-2] == 0:
+        return v
+    big = np.abs(v) > tol
+    first = np.argmax(big, axis=-2)[..., None, :]
+    found = np.take_along_axis(big, first, axis=-2)
+    pivot = np.where(found, np.take_along_axis(v, first, axis=-2), 1.0)
+    # hypot, not abs: it rounds like the scalar abs of one complex entry
+    phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    return np.where(found, v * phase, v)
 
 
 def hermitian_eig(op, tol_cluster: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -14,12 +14,12 @@ distribution functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
-from .linalg import HermitianOperator, Projection, hermitian_eig
+from .linalg import HermitianOperator, Projection, _normalize_columns
 from .spectral import JointSpectralMeasure
 
 TOL_RESOLUTION = 1e-7
@@ -59,10 +59,15 @@ class ProjValuedStepFunction:
         pts = e.points()
         axes = tuple(np.unique(pts[:, j]) for j in range(e.kappa))
         shape = tuple(a.size for a in axes)
+        # atom a lies below grid point g exactly when its axis positions are <= g's
+        pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
+        grid = np.indices(shape).reshape(e.kappa, -1).T
+        below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
+        owner = np.repeat(np.arange(e.n_atoms()), [p.rank for p in e.projections()])
+        basis = e.join(range(e.n_atoms())).range_basis
         values = np.empty(shape, dtype=object)
-        for idx in itertools.product(*[range(s) for s in shape]):
-            x = np.array([axes[j][idx[j]] for j in range(e.kappa)])
-            values[idx] = e.distribution(x)
+        for idx, cols in zip(np.ndindex(shape), below[:, owner]):
+            values[idx] = Projection(basis[:, cols])
         return cls(axes=axes, values=values, dim=e.dim)
 
     def at_index(self, idx) -> Projection:
@@ -144,6 +149,8 @@ class ResolutionReport:
     axiom_b: bool
     axiom_c: bool
     identity_defect: float
+    # (top corner, projection at eigenvalue one) of each nonzero cell, row-major
+    _atoms: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -159,40 +166,64 @@ class ResolutionReport:
         return ", ".join(bits)
 
 
-def _cell_boxes(f: ProjValuedStepFunction):
-    """Yield (lo_idx, hi_idx, float box) for every grid cell, lo entries may be -1."""
-    shape = tuple(a.size for a in f.axes)
-    for idx in itertools.product(*[range(s) for s in shape]):
-        lo = tuple(i - 1 for i in idx)
-        lo_pt = tuple(float(f.axes[j][lo[j]]) if lo[j] >= 0 else float("-inf")
-                      for j in range(f.kappa))
-        hi_pt = tuple(float(f.axes[j][idx[j]]) for j in range(f.kappa))
-        yield lo, idx, (lo_pt, hi_pt)
+def _cell_box(f: ProjValuedStepFunction, idx) -> tuple:
+    """Float box (lo, hi) of the grid cell whose top corner has indices idx."""
+    lo = tuple(float(a[i - 1]) if i > 0 else float("-inf") for a, i in zip(f.axes, idx))
+    hi = tuple(float(a[i]) for a, i in zip(f.axes, idx))
+    return lo, hi
 
 
 def validate_resolution(f: ProjValuedStepFunction,
                         tol: float = TOL_RESOLUTION) -> ResolutionReport:
-    """Check the resolution axioms, locating every violating cell box."""
-    cell_violations = []
-    nonzero: list[tuple[tuple, np.ndarray]] = []
-    for lo, hi, box in _cell_boxes(f):
-        d = _corner_sum_index(f, lo, hi)
-        herm_defect = float(np.max(np.abs(d - d.conj().T)))
-        d = (d + d.conj().T) / 2.0
-        w = np.linalg.eigvalsh(d)
-        dist = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) if w.size else 0.0
-        if herm_defect > tol or dist > tol:
-            cell_violations.append((box, f"eigenvalues off {{0,1}} by {max(dist, herm_defect):.3e}"))
-        elif float(np.max(np.abs(w))) > tol:
-            nonzero.append((box, d))
+    """Check the resolution axioms, locating every violating cell box.
+
+    Walks the first axis one slab of grid values at a time, so memory stays
+    at a few slabs. Zero-prepended differences along the other axes, minus
+    the previous slab's, give every cell's 2^kappa corner sum. Cells with
+    Frobenius norm above tol/4 go to one batched eigh per slab; the rest are
+    zero cells. Orthogonality takes one batched product per nonzero cell.
+    """
+    n = f.dim
+    rest = f.values.shape[1:]
+    rows = f.values.reshape(f.values.shape[0], -1)
+    cell_violations, nonzero, atoms = [], [], []
+    prev = 0.0
+    for i, row in enumerate(rows):
+        diff = np.stack([p.matrix for p in row]).reshape(rest + (n, n))
+        for axis in range(len(rest)):
+            diff = np.diff(diff, axis=axis, prepend=0.0)
+        d = (diff - prev).reshape(-1, n, n)
+        prev = diff
+        # ||d||_F <= tol/4 bounds the Hermitian defect by tol/2 and every
+        # eigenvalue of (d + d*)/2 by tol/4: such a cell is zero
+        parts = d.reshape(d.shape[0], -1).view(np.float64)
+        live = np.flatnonzero(np.einsum("ij,ij->i", parts, parts) > (tol / 4.0) ** 2)
+        if not live.size:
+            continue
+        d = d[live]
+        adj = d.conj().swapaxes(1, 2)
+        herm_defect = np.max(np.abs(d - adj), axis=(1, 2))
+        d = (d + adj) / 2.0
+        w, v = np.linalg.eigh(d)
+        v = _normalize_columns(v, 1e-12)
+        dist = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
+        for k, c in enumerate(live):
+            box = _cell_box(f, (i,) + np.unravel_index(c, rest))
+            defect = float(herm_defect[k])
+            if defect > tol or dist[k] > tol:
+                cell_violations.append(
+                    (box, f"eigenvalues off {{0,1}} by {max(float(dist[k]), defect):.3e}"))
+            elif np.max(np.abs(w[k])) > tol:
+                nonzero.append((box, d[k].copy()))
+                atoms.append((box[1], Projection(v[k][:, w[k] > 0.5])))
 
     orthogonality_violations = []
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            cross = float(np.linalg.norm(nonzero[i][1] @ nonzero[j][1]))
-            if cross > tol:
-                orthogonality_violations.append(
-                    (nonzero[i][0], nonzero[j][0], cross))
+    stack = np.array([m for _, m in nonzero])
+    for i in range(len(nonzero) - 1):
+        cross = np.linalg.norm(stack[i] @ stack[i + 1:], axis=(1, 2))
+        for j in np.flatnonzero(cross > tol):
+            orthogonality_violations.append(
+                (nonzero[i][0], nonzero[i + 1 + j][0], float(cross[j])))
 
     top = f.top_corner().matrix
     identity_defect = float(np.max(np.abs(top - np.eye(f.dim))))
@@ -203,6 +234,7 @@ def validate_resolution(f: ProjValuedStepFunction,
         axiom_b=True,
         axiom_c=identity_defect <= tol,
         identity_defect=identity_defect,
+        _atoms=tuple(atoms),
     )
 
 
@@ -211,21 +243,13 @@ def reconstruct_measure(f: ProjValuedStepFunction, tol: float = TOL_RESOLUTION,
     """Atoms from nonzero cell differences; inverse of taking distributions.
 
     Each surviving cell contributes an atom at its top corner whose
-    projection comes from the difference's eigenvectors at eigenvalue one.
-    Raises ValidationError (carrying the report) when the axioms fail.
+    projection comes from the difference's eigenvectors at eigenvalue one,
+    as the validation found them; row-major cells come in lexicographic order
+    of their top corners. Raises ValidationError (carrying the report) when
+    the axioms fail.
     """
     report = validate_resolution(f, tol=tol)
     if not report.passed:
         raise ValidationError(report)
-    atoms = []
-    for lo, hi, box in _cell_boxes(f):
-        d = _corner_sum_index(f, lo, hi)
-        d = (d + d.conj().T) / 2.0
-        w, v = hermitian_eig(HermitianOperator(d, 0.0))
-        cols = v[:, w > 0.5]
-        if cols.shape[1] == 0:
-            continue
-        atoms.append((box[1], Projection(cols)))
-    atoms.sort(key=lambda a: a[0])
-    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=tuple(atoms),
+    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=report._atoms,
                                 cluster_tol=cluster_tol)

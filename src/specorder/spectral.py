@@ -82,14 +82,24 @@ def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
     dims = {h.dim for h in herms}
     if len(dims) != 1:
         raise DimensionError(f"components have mixed dimensions: {sorted(dims)}")
+    # Compare A_i / 2^e_i with e_i the binary exponent of max|A_i|, so nothing
+    # overflows; power-of-two scaling is exact, so the decision and the
+    # reported numbers are the unscaled ones wherever those are finite.
+    parts = [h.matrix.view(np.float64) for h in herms]
+    exps = [int(np.frexp(np.max(np.abs(m), initial=0.0))[1]) for m in parts]
+    scaled = [np.ldexp(m, -e).view(np.complex128) for m, e in zip(parts, exps)]
+    norms = [float(np.linalg.norm(m)) for m in scaled]
     worst = 0.0
-    for i in range(len(herms)):
-        for j in range(i + 1, len(herms)):
-            defect = commutator_norm(herms[i], herms[j])
-            threshold = tol_comm * (1.0 + herms[i].norm() * herms[j].norm())
-            if defect > threshold:
-                raise CommutationError(i, j, defect, threshold)
-            worst = max(worst, defect)
+    with np.errstate(over="ignore"):
+        for i in range(len(herms)):
+            for j in range(i + 1, len(herms)):
+                e = exps[i] + exps[j]
+                a, b = scaled[i], scaled[j]
+                defect = float(np.linalg.norm(a @ b - b @ a))
+                threshold = tol_comm * (float(np.ldexp(1.0, -e)) + norms[i] * norms[j])
+                if defect > threshold:
+                    raise CommutationError(i, j, np.ldexp(defect, e), np.ldexp(threshold, e))
+                worst = max(worst, float(np.ldexp(defect, e)))
     return CommutingTuple(ops=tuple(herms), max_commutator_defect=worst)
 
 
@@ -254,12 +264,11 @@ def joint_measure(t: CommutingTuple, cluster_tol: float = CLUSTER_TOL) -> JointS
 
 def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
     thresholds = [cluster_tol * (1.0 + op.norm()) for op in t.ops]
-    atoms: list[tuple[tuple[float, ...], Projection]] = []
+    leaves: list[tuple[tuple[float, ...], np.ndarray]] = []
 
     def recurse(level: int, basis: np.ndarray, prefix: tuple[float, ...]):
         if level == t.kappa:
-            # re-fix column phases lost while composing cluster bases
-            atoms.append((prefix, Projection(_normalize_columns(basis, 1e-12))))
+            leaves.append((prefix, basis))
             return
         compressed = basis.conj().T @ t.ops[level].matrix @ basis
         if basis.shape[1] == 1:
@@ -273,6 +282,12 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
             recurse(level + 1, sub, prefix + (float(np.mean(w[cluster])),))
 
     recurse(0, np.eye(t.dim, dtype=np.complex128), ())
+    # re-fix column phases lost while composing cluster bases, all atoms in one call
+    atoms = []
+    if leaves:
+        fixed = _normalize_columns(np.hstack([b for _, b in leaves]), 1e-12)
+        cuts = np.cumsum([b.shape[1] for _, b in leaves])[:-1]
+        atoms = [(pt, Projection(b)) for (pt, _), b in zip(leaves, np.split(fixed, cuts, axis=1))]
     atoms.sort(key=lambda a: a[0])
     return JointSpectralMeasure(kappa=t.kappa, dim=t.dim, atoms=tuple(atoms),
                                 cluster_tol=cluster_tol)

@@ -6,6 +6,7 @@ ordered exactly when the per-eigenvector eigenvalue vectors are ordered,
 which gives generators with known ground truth.
 """
 
+import itertools
 import math
 import os
 from pathlib import Path
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from specorder.errors import InputError
-from specorder.spectral import validate_tuple
+from specorder.errors import InputError, ValidationError
+from specorder.linalg import HermitianOperator, Projection, hermitian_eig
+from specorder.resolution import ResolutionReport, _corner_sum_index
+from specorder.spectral import JointSpectralMeasure, validate_tuple
 
 settings.register_profile("suite", max_examples=40, deadline=None,
                           derandomize=True)
@@ -178,6 +181,79 @@ def tuple_to_dict_per_entry(t) -> dict:
                 for op in t.ops]
     return {"schema": "specorder/1", "kappa": t.kappa, "dim": t.dim,
             "matrices": matrices}
+
+
+def normalize_columns_loop(vectors, tol: float) -> np.ndarray:
+    """Reference phase normalization: one column at a time, scalar abs."""
+    v = np.array(vectors)
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        idx = np.flatnonzero(np.abs(col) > tol)
+        if idx.size:
+            pivot = col[idx[0]]
+            v[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return v
+
+
+def _cell_boxes(f):
+    """(lo_idx, hi_idx, float box) for every grid cell in row-major order."""
+    for idx in itertools.product(*[range(a.size) for a in f.axes]):
+        lo = tuple(i - 1 for i in idx)
+        lo_pt = tuple(float(f.axes[j][lo[j]]) if lo[j] >= 0 else float("-inf")
+                      for j in range(f.kappa))
+        hi_pt = tuple(float(f.axes[j][idx[j]]) for j in range(f.kappa))
+        yield lo, idx, (lo_pt, hi_pt)
+
+
+def corner_sum_validate_resolution(f, tol: float = 1e-7) -> ResolutionReport:
+    """Reference resolution check: per cell one 2^kappa corner sum and one
+    eigvalsh, then one product per pair of nonzero cells."""
+    cell_violations = []
+    nonzero = []
+    for lo, hi, box in _cell_boxes(f):
+        d = _corner_sum_index(f, lo, hi)
+        herm_defect = float(np.max(np.abs(d - d.conj().T)))
+        d = (d + d.conj().T) / 2.0
+        w = np.linalg.eigvalsh(d)
+        dist = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) if w.size else 0.0
+        if herm_defect > tol or dist > tol:
+            cell_violations.append((box, f"eigenvalues off {{0,1}} by {max(dist, herm_defect):.3e}"))
+        elif float(np.max(np.abs(w))) > tol:
+            nonzero.append((box, d))
+    orthogonality_violations = []
+    for i in range(len(nonzero)):
+        for j in range(i + 1, len(nonzero)):
+            cross = float(np.linalg.norm(nonzero[i][1] @ nonzero[j][1]))
+            if cross > tol:
+                orthogonality_violations.append((nonzero[i][0], nonzero[j][0], cross))
+    identity_defect = float(np.max(np.abs(f.top_corner().matrix - np.eye(f.dim))))
+    return ResolutionReport(
+        axiom_a=not cell_violations and not orthogonality_violations,
+        cell_violations=tuple(cell_violations),
+        orthogonality_violations=tuple(orthogonality_violations),
+        axiom_b=True,
+        axiom_c=identity_defect <= tol,
+        identity_defect=identity_defect,
+    )
+
+
+def corner_sum_reconstruct_measure(f, tol: float = 1e-7, cluster_tol: float = 1e-8):
+    """Reference reconstruction: validate, then one corner sum and one
+    hermitian_eig per cell, eigenvectors at eigenvalue one."""
+    report = corner_sum_validate_resolution(f, tol=tol)
+    if not report.passed:
+        raise ValidationError(report)
+    atoms = []
+    for lo, hi, box in _cell_boxes(f):
+        d = _corner_sum_index(f, lo, hi)
+        d = (d + d.conj().T) / 2.0
+        w, v = hermitian_eig(HermitianOperator(d, 0.0))
+        cols = v[:, w > 0.5]
+        if cols.shape[1]:
+            atoms.append((box[1], Projection(cols)))
+    atoms.sort(key=lambda a: a[0])
+    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=tuple(atoms),
+                                cluster_tol=cluster_tol)
 
 
 @st.composite

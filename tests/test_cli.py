@@ -315,3 +315,16 @@ def test_unwritable_out_path_exits_two(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{out}: cannot write" in proc.stderr
+
+
+def test_overflowing_noncommuting_tuple_exits_two(tmp_path):
+    # unscaled, the commutator check overflows at entries near 1e300 and lets the tuple pass
+    ops = [1e300 * np.array([[1.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0])]
+    bad = tmp_path / "big.json"
+    save_json(str(bad), {"schema": "specorder/1", "kappa": 2, "dim": 2,
+                         "matrices": [[[float(x), 0.0] for x in m.ravel()] for m in ops]})
+    proc = run_cli("check-order", str(bad), str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "holds" not in proc.stdout
+    assert "components 0 and 1 do not commute" in proc.stderr

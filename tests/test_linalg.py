@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fresh_rng, random_unitary
+from conftest import fresh_rng, normalize_columns_loop, random_unitary
 from specorder.errors import DimensionError, HermiticityError
 from specorder.linalg import (
     HermitianOperator,
     Projection,
+    _normalize_columns,
     commutator_norm,
     hermitian_eig,
     is_psd,
@@ -152,3 +153,19 @@ def test_commutator_norm():
     assert commutator_norm(a, a) == 0.0
     assert commutator_norm(a, b) > 1.0
     assert abs(commutator_norm(a, b) - commutator_norm(b, a)) <= 1e-15
+
+
+@given(n=st.integers(0, 7), k=st.integers(0, 7), stack=st.integers(1, 3),
+       salt=st.integers(0, 10_000), tol=st.sampled_from((1e-12, 1e-10, 1e-3)))
+def test_normalize_columns_matches_column_loop_bitwise(n, k, stack, salt, tol):
+    rng = fresh_rng(salt)
+    shape = (stack, n, k)
+    v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.integers(-14, 3, size=shape)
+    v[rng.random(shape) < 0.3] = 0.0  # leading zeros and all-below-tol columns
+    got = _normalize_columns(v, tol)
+    for i in range(stack):
+        assert got[i].tobytes() == normalize_columns_loop(v[i], tol).tobytes()
+        assert _normalize_columns(v[i], tol).tobytes() == got[i].tobytes()
+        assert (_normalize_columns(v[i].real, tol).tobytes()
+                == normalize_columns_loop(v[i].real, tol).tobytes())

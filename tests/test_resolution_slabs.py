@@ -1,0 +1,138 @@
+"""The slab-wise resolution pass against the per-cell corner-sum references.
+
+``validate_resolution`` forms each cell's corner sum as a mixed difference of
+one slab of grid values and decomposes only the cells that are not zero, in
+one batched eigh per slab; ``reconstruct_measure`` reuses that pass's
+eigenvectors. The references in conftest form every corner sum separately
+and decompose every cell, as the module did before; both must reach the same
+verdicts, boxes and messages, and rebuild the same atoms.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    corner_sum_reconstruct_measure,
+    corner_sum_validate_resolution,
+    fresh_rng,
+    random_unitary,
+    tuple_from_eigs,
+)
+from specorder.errors import ValidationError
+from specorder.linalg import Projection
+from specorder.resolution import (
+    ProjValuedStepFunction,
+    reconstruct_measure,
+    validate_resolution,
+)
+from specorder.spectral import joint_measure
+
+
+def random_measure(rng, kappa: int, n: int, levels: int):
+    """Joint measure of a random tuple; integer eigenvalues below ``levels``
+    tie, 0 draws a continuous spectrum."""
+    q = random_unitary(rng, n)
+    if levels:
+        eigs = rng.integers(0, levels, size=(kappa, n)).astype(np.float64)
+    else:
+        eigs = rng.uniform(-1.0, 1.0, size=(kappa, n))
+    return joint_measure(tuple_from_eigs(q, eigs))
+
+
+def random_step_function(rng, kappa: int, n: int, levels: int) -> ProjValuedStepFunction:
+    return ProjValuedStepFunction.from_measure(random_measure(rng, kappa, n, levels))
+
+
+def corrupted(rng, f: ProjValuedStepFunction, swaps: int) -> ProjValuedStepFunction:
+    """Swap grid values for random projections of rank 0..n."""
+    for _ in range(swaps):
+        idx = tuple(int(rng.integers(0, a.size)) for a in f.axes)
+        rank = int(rng.integers(0, f.dim + 1))
+        f = f.replace_value(idx, Projection(random_unitary(rng, f.dim)[:, :rank]))
+    return f
+
+
+def overlapping_cells(rng, n: int, steps: int) -> ProjValuedStepFunction:
+    """1-D function whose cells are rank-one projections u_g u_g* (or zero on
+    repeated steps) along unit vectors that need not be orthogonal."""
+    eye = np.eye(n, dtype=np.complex128)
+    columns, values = [], np.empty((steps,), dtype=object)
+    for g in range(steps):
+        if not columns or rng.random() < 0.8:
+            if rng.random() < 0.5:
+                u = eye[:, int(rng.integers(0, n))]
+            else:
+                u = rng.normal(size=n) + 1j * rng.normal(size=n)
+                u = u / np.linalg.norm(u)
+            columns.append(u)
+        values[g] = Projection(np.stack(columns, axis=1))
+    return ProjValuedStepFunction(axes=(np.arange(steps, dtype=np.float64),),
+                                  values=values, dim=n)
+
+
+@st.composite
+def step_functions(draw):
+    rng = fresh_rng(7000 + draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(("measure", "corrupted", "overlapping")))
+    n = draw(st.integers(1, 7))
+    if kind == "overlapping":
+        return overlapping_cells(rng, n, draw(st.integers(1, 6)))
+    f = random_step_function(rng, draw(st.integers(1, 3)), n, draw(st.integers(0, 3)))
+    if kind == "corrupted":
+        f = corrupted(rng, f, draw(st.integers(1, 2)))
+    return f
+
+
+@given(salt=st.integers(0, 10_000), kappa=st.integers(1, 3), n=st.integers(1, 7),
+       levels=st.integers(0, 3))
+def test_from_measure_matches_distribution_bitwise(salt, kappa, n, levels):
+    e = random_measure(fresh_rng(salt), kappa, n, levels)
+    f = ProjValuedStepFunction.from_measure(e)
+    for idx in np.ndindex(f.values.shape):
+        want = e.distribution([a[i] for a, i in zip(f.axes, idx)])
+        assert f.values[idx].range_basis.shape == want.range_basis.shape
+        assert f.values[idx].range_basis.tobytes() == want.range_basis.tobytes()
+
+
+@settings(max_examples=150)
+@given(f=step_functions())
+def test_slab_pass_matches_corner_sum_reference(f):
+    got, ref = validate_resolution(f), corner_sum_validate_resolution(f)
+    assert got.axiom_a == ref.axiom_a
+    assert got.axiom_c == ref.axiom_c
+    assert got.identity_defect == ref.identity_defect
+    assert got.cell_violations == ref.cell_violations
+    assert ([v[:2] for v in got.orthogonality_violations]
+            == [v[:2] for v in ref.orthogonality_violations])
+    for (_, _, cross), (_, _, want) in zip(got.orthogonality_violations,
+                                           ref.orthogonality_violations):
+        assert abs(cross - want) <= 1e-12
+
+    if not ref.passed:
+        with pytest.raises(ValidationError) as info:
+            reconstruct_measure(f)
+        assert info.value.report == got
+        return
+    back, want = reconstruct_measure(f), corner_sum_reconstruct_measure(f)
+    assert back.points().tobytes() == want.points().tobytes()
+    for (_, p), (_, q) in zip(back.atoms, want.atoms):
+        assert p.rank == q.rank
+        assert np.linalg.norm(p.matrix - q.matrix) <= 1e-12
+
+
+def test_round_trip_memory_stays_within_a_few_slabs():
+    # kappa=2, n=40: a stack of every cell would take G * n^2 * 16 bytes
+    rng = fresh_rng(4242)
+    f = random_step_function(rng, 2, 40, 0)
+    full_stack = f.values.size * f.dim ** 2 * 16
+    tracemalloc.start()
+    try:
+        back = reconstruct_measure(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n_atoms() == 40
+    assert peak < full_stack / 4

@@ -12,7 +12,7 @@ from conftest import (
 from specorder.errors import CommutationError, DimensionError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
 from specorder.gallery import projection_pair_no_infimum
-from specorder.linalg import Projection, proj_leq
+from specorder.linalg import Projection, commutator_norm, proj_leq
 from specorder.spectral import (
     CLUSTER_TOL,
     JointSpectralMeasure,
@@ -41,6 +41,37 @@ def test_validate_rejects_noncommuting():
         validate_tuple([np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]]])
     assert info.value.indices == (0, 1)
     assert info.value.defect > 1.0
+
+
+def test_validate_rejects_noncommuting_near_float_limit():
+    # unscaled, both the defect and its threshold overflow to inf, and inf > inf is false
+    with np.errstate(over="raise"):
+        with pytest.raises(CommutationError) as info:
+            validate_tuple([1e300 * np.array([[1.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0])])
+    assert info.value.indices == (0, 1)
+    assert info.value.defect == pytest.approx(np.sqrt(2.0) * 1e300)
+    assert np.isfinite(info.value.tol) and info.value.tol < info.value.defect
+
+
+@given(salt=st.integers(0, 10_000), scale=st.integers(-40, 40), noise=st.integers(-14, 0),
+       tol_exp=st.integers(-12, -4))
+def test_commutation_check_matches_unscaled_rule(salt, scale, noise, tol_exp):
+    # power-of-two scaling inside validate_tuple changes no bit of the decision
+    rng = fresh_rng(salt)
+    t = random_commuting(rng, int(rng.integers(1, 6)), 2)
+    h = rng.normal(size=(t.dim, t.dim))
+    ops = [op.matrix * 10.0 ** scale for op in t.ops]
+    ops[1] = ops[1] + (h + h.T) * 10.0 ** (scale + noise)
+    tol = 10.0 ** tol_exp
+    a, b = (validate_tuple([m]).ops[0] for m in ops)
+    defect = commutator_norm(a, b)
+    threshold = tol * (1.0 + a.norm() * b.norm())
+    if defect > threshold:
+        with pytest.raises(CommutationError) as info:
+            validate_tuple(ops, tol_comm=tol)
+        assert (info.value.defect, info.value.tol) == (defect, threshold)
+    else:
+        assert validate_tuple(ops, tol_comm=tol).max_commutator_defect == defect
 
 
 def test_validate_rejects_dimension_mismatch():
