@@ -43,7 +43,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """A Hermitian matrix together with the symmetry defect it was built from.
 
-    The stored matrix is the symmetrization (M + M*)/2 of the input, so its
+    The stored matrix is the symmetrization M/2 + M*/2 of the input, so its
     eigenvalues are real by construction; ``hermiticity_defect`` records how
     far the raw input was from Hermitian.
     """
@@ -59,15 +59,28 @@ class HermitianOperator:
         threshold = (TOL_HERM if tol is None else tol) * (1.0 + scale)
         if defect > threshold:
             raise HermiticityError(defect, threshold)
-        return cls(matrix=_read_only((m + m.conj().T) / 2.0), hermiticity_defect=defect)
+        # halve before adding, so entries near the float limit do not overflow
+        return cls(matrix=_read_only(m / 2.0 + m.conj().T / 2.0), hermiticity_defect=defect)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def norm(self) -> float:
-        """Frobenius norm of the symmetrized matrix."""
-        return float(np.linalg.norm(self.matrix))
+        """Frobenius norm of the symmetrized matrix.
+
+        When squaring the entries overflows, the norm is taken on M/2^e, e the
+        binary exponent of max|M|, and scaled back; power-of-two scaling is
+        exact, so only a norm beyond the float range stays infinite.
+        """
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.matrix))
+            if norm == np.inf:
+                parts = self.matrix.view(np.float64)
+                e = int(np.frexp(np.max(np.abs(parts)))[1])
+                scaled = np.ldexp(parts, -e).view(self.matrix.dtype)
+                norm = float(np.ldexp(np.linalg.norm(scaled), e))
+        return norm
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, defect={self.hermiticity_defect:.2e})"

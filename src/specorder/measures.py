@@ -5,11 +5,14 @@ require the rest to agree exactly. Lower sets, l1 distances to them,
 monotonicity audits, CDF comparisons on merged grids, and enumeration of
 downward-closed atom subsets all live here; they are the scalar shadow of the
 projection-valued checks in the order module, and the two are tied together
-through vector-state measures of commuting tuples.
+through vector-state measures of commuting tuples. Mass comparisons are
+exact: the weights of a pair of measures are read as integer multiples of
+one power of two and added as Python integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +49,45 @@ def leq_iota(x, y, iota: int) -> bool:
     return bool(np.all(x[:iota] <= y[:iota]) and np.all(x[iota:] == y[iota:]))
 
 
+def _leq_matrix(x: np.ndarray, y: np.ndarray, iota: int) -> np.ndarray:
+    """leq[a, b] = x[a] <=_iota y[b], for point arrays of shape (., kappa)."""
+    leq = np.ones((x.shape[0], y.shape[0]), dtype=bool)
+    for j in range(x.shape[1]):
+        a, b = x[:, j, None], y[None, :, j]
+        leq &= (a <= b) if j < iota else (a == b)
+    return leq
+
+
 def _group_sums(group: np.ndarray, w: np.ndarray, n_groups: int) -> np.ndarray:
     # bincount adds in input order, as a running sum per group would; it
     # returns integers for empty input, hence the cast
     return np.bincount(group, weights=w, minlength=n_groups).astype(np.float64)
+
+
+def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", at1, at2, size: int):
+    """mu2 - mu1 binned into ``size`` cells, exactly.
+
+    Every weight is an integer times a power of two (``np.frexp``); with e
+    the least such exponent over both measures, capped at 0, each weight is
+    an exact integer multiple of 2**e. Returns (cells, e): an object array of
+    Python ints whose cell c holds (mass of mu2 - mass of mu1 at c) / 2**e,
+    the atoms of mu1 going to cells ``at1`` and those of mu2 to ``at2``.
+    """
+    mant, exps = np.frexp(np.concatenate([mu1.weights, mu2.weights]))
+    ints = (mant * 2.0 ** 53).astype(np.int64)  # a double's significand has 53 bits
+    exps -= 53
+    e = int(exps[ints != 0].min(initial=0))
+    units = ints.astype(object) << np.maximum(exps - e, 0).astype(object)
+    cells = np.zeros(size, dtype=object)
+    np.add.at(cells, at2, units[mu1.n_atoms:])
+    np.subtract.at(cells, at1, units[:mu1.n_atoms])
+    return cells, e
+
+
+def _units_floor(tol: float, e: int) -> int:
+    """floor(tol / 2**e) for e <= 0: an integer n exceeds it exactly when n * 2**e > tol."""
+    p, q = float(tol).as_integer_ratio()
+    return (p << -e) // q
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +110,11 @@ class AtomicMeasure:
             raise DimensionError(f"points must be (k, kappa), got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise DimensionError(f"{pts.shape[0]} points but {w.shape} weights")
+        bad = ~(np.isfinite(pts).all(axis=1) & np.isfinite(w))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(f"atom {i} is not finite: point "
+                                 f"{tuple(map(float, pts[i]))}, weight {float(w[i])}")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
         out_p, group = _merge_points(pts, PREMERGE_TOL)
@@ -164,10 +207,13 @@ def lower_distance(gen: LowerSetGen, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (gen.kappa,):
         raise DimensionError(f"point has shape {x.shape}, expected ({gen.kappa},)")
-    i = gen.iota
-    head = np.maximum(x[:i] - gen.generators[:, :i], 0.0).sum(axis=1)
-    tail = np.abs(x[i:] - gen.generators[:, i:]).sum(axis=1)
-    return float(np.min(head + tail))
+    return float(np.min(_downset_distances(x[None, :], gen.generators, gen.iota)))
+
+
+def _downset_distances(x: np.ndarray, y: np.ndarray, iota: int) -> np.ndarray:
+    """(len(x), len(y)) l1 distances from each x[a] to the iota-down-set of y[b]."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.maximum(diff[..., :iota], 0.0).sum(axis=2) + np.abs(diff[..., iota:]).sum(axis=2)
 
 
 def epsilon_fatten(gen: LowerSetGen, eps: float):
@@ -217,10 +263,7 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
     iota = _check_iota(iota, pts.shape[1])
     values = np.array([float(f(p)) for p in pts], dtype=np.float64)
-    bad = values[:, None] > values[None, :] + tol
-    for j in range(pts.shape[1]):
-        x, y = pts[:, j, None], pts[None, :, j]
-        bad &= (x <= y) if j < iota else (x == y)
+    bad = (values[:, None] > values[None, :] + tol) & _leq_matrix(pts, pts, iota)
     np.fill_diagonal(bad, False)
     if not bad.any():
         return AuditResult(ok=True, counterexample=None)
@@ -230,37 +273,48 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
 
 
 def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
-    """Common atom list (pre-merged across the pair) with both weight vectors."""
+    """Common atom list (pre-merged across the pair) with both weight vectors
+    and, for each atom of mu1 then of mu2, its index in the list."""
     if mu1.kappa != mu2.kappa:
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
     points, group = _merge_points(np.vstack([mu1.points, mu2.points]), PREMERGE_TOL)
     split = mu1.n_atoms
     return (points,
             _group_sums(group[:split], mu1.weights, len(points)),
-            _group_sums(group[split:], mu2.weights, len(points)))
+            _group_sums(group[split:], mu2.weights, len(points)),
+            group)
 
 
 def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     """mu2(lower orthant at x) <= mu1(lower orthant at x) on the merged grid.
 
     Atomic CDFs are constant between consecutive atom coordinates, so checking
-    every grid point of the per-axis coordinate union is exact. Returns
+    every grid point of the per-axis coordinate union is exact. The
+    difference mu2 - mu1 is binned on the grid in exact integer units and
+    summed cumulatively along each axis, so masses compare exactly. Returns
     (holds, witness point or None), witness lexicographically first.
     """
     if mu1.kappa != mu2.kappa:
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
-    axes = []
-    for j in range(mu1.kappa):
-        vals = np.concatenate([mu1.points[:, j], mu2.points[:, j]])
-        axes.append(np.unique(vals))
+    axes = [np.unique(np.concatenate([mu1.points[:, j], mu2.points[:, j]]))
+            for j in range(mu1.kappa)]
     if any(a.size == 0 for a in axes):
         return True, None
-    import itertools
-    for x in itertools.product(*axes):
-        x = np.array(x)
-        if mu2.cdf(x) > mu1.cdf(x) + tol:
-            return False, tuple(float(v) for v in x)
-    return True, None
+    shape = tuple(a.size for a in axes)
+
+    def cells(mu):
+        return np.ravel_multi_index([np.searchsorted(a, mu.points[:, j])
+                                     for j, a in enumerate(axes)], shape)
+
+    diff, e = _unit_difference(mu1, mu2, cells(mu1), cells(mu2), math.prod(shape))
+    diff = diff.reshape(shape)
+    for axis in range(diff.ndim):
+        np.cumsum(diff, axis=axis, out=diff)
+    fails = diff > _units_floor(tol, e)
+    if not fails.any():
+        return True, None
+    first = np.unravel_index(int(np.argmax(fails)), shape)
+    return False, tuple(float(a[i]) for a, i in zip(axes, first))
 
 
 @dataclass(frozen=True)
@@ -307,11 +361,10 @@ def enumerate_downward_closed(points, iota: int, cap: int = IDEAL_CAP) -> list[D
         raise CapExceededError(m, cap)
     iota = _check_iota(iota, pts.shape[1])
     order = sorted(range(m), key=lambda i: tuple(pts[i]))
-    below = [0] * m  # bitmask in original indexing
-    for i in range(m):
-        for j in range(m):
-            if i != j and leq_iota(pts[j], pts[i], iota):
-                below[i] |= 1 << j
+    leq = _leq_matrix(pts, pts, iota)
+    np.fill_diagonal(leq, False)
+    # bitmask in original indexing of the points strictly below each point
+    below = [sum(1 << int(j) for j in np.flatnonzero(column)) for column in leq.T]
 
     masks: list[int] = []
 
@@ -335,10 +388,36 @@ def enumerate_downward_closed(points, iota: int, cap: int = IDEAL_CAP) -> list[D
 class DominanceResult:
     holds: bool
     witness: DownwardClosedAtomSubset | None
-    gap: float  # mu2 - mu1 on the witness, 0 when holds
+    gap: float  # mu2 - mu1 on the witness, correctly rounded; 0 when holds
 
     def __bool__(self):
         return self.holds
+
+
+def _ideal_mask(ideals: list[DownwardClosedAtomSubset], m: int) -> np.ndarray:
+    """(ideals, m) bool array: row k marks the points in ideals[k]."""
+    nbytes = m // 8 + 1
+    raw = b"".join(ideal.mask.to_bytes(nbytes, "little") for ideal in ideals)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(ideals), nbytes),
+                         axis=1, bitorder="little")
+    return bits[:, :m].view(bool)
+
+
+def _first_excess(mu1: AtomicMeasure, mu2: AtomicMeasure, group: np.ndarray,
+                  mask: np.ndarray, tol: float) -> tuple[int | None, float]:
+    """First mask row on which mu2 - mu1 exceeds tol, decided exactly, with
+    that difference correctly rounded; (None, 0.0) when there is none."""
+    split = mu1.n_atoms
+    cells, e = _unit_difference(mu1, mu2, group[:split], group[split:], mask.shape[1])
+    gaps = mask @ cells
+    fails = gaps > _units_floor(tol, e)
+    if not fails.any():
+        return None, 0.0
+    k = int(np.argmax(fails))
+    try:
+        return k, gaps[k] / (1 << -e)  # int / int is correctly rounded
+    except OverflowError:
+        return k, math.inf
 
 
 def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
@@ -347,17 +426,15 @@ def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
 
     Checking downward-closed subsets of the merged atoms decides the
     inequality for all iota-lower sets, since a lower set picks up exactly a
-    downward-closed subfamily. Witness is the first violating ideal in
-    (cardinality, bitmask) order.
+    downward-closed subfamily. Masses compare exactly. Witness is the first
+    violating ideal in (cardinality, bitmask) order.
     """
-    points, w1, w2 = _merged_support(mu1, mu2)
-    for ideal in enumerate_downward_closed(points, iota, cap=cap):
-        idx = list(ideal.indices)
-        m1 = float(np.sum(w1[idx])) if idx else 0.0
-        m2 = float(np.sum(w2[idx])) if idx else 0.0
-        if m2 > m1 + tol:
-            return DominanceResult(holds=False, witness=ideal, gap=m2 - m1)
-    return DominanceResult(holds=True, witness=None, gap=0.0)
+    points, _, _, group = _merged_support(mu1, mu2)
+    ideals = enumerate_downward_closed(points, iota, cap=cap)
+    first, gap = _first_excess(mu1, mu2, group, _ideal_mask(ideals, len(points)), tol)
+    if first is None:
+        return DominanceResult(holds=True, witness=None, gap=0.0)
+    return DominanceResult(holds=False, witness=ideals[first], gap=gap)
 
 
 @dataclass(frozen=True)
@@ -392,8 +469,10 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
 
     The integral side is probed with indicator-complements of every
     enumerated ideal and with the continuous surrogates min(1, n*distance)
-    at the configured levels. Unequal total mass raises MassMismatchError
-    carrying the one-sided conclusions that survive.
+    at the configured levels. The lower-set verdict compares exact masses,
+    as lowerset_dominance does, at ``tol``; the integral routes sum float
+    weights. Unequal total mass raises MassMismatchError carrying the
+    one-sided conclusions that survive.
     """
     m1, m2 = mu1.total_mass(), mu2.total_mass()
     if abs(m1 - m2) > tol_mass:
@@ -405,47 +484,47 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                             "increasing f >= 0 may still imply the lower-set inequality")
         raise MassMismatchError(m1, m2, implications)
 
-    dom = lowerset_dominance(mu1, mu2, iota, cap=cap, tol=tol)
-    points, w1, w2 = _merged_support(mu1, mu2)
+    points, w1, w2, group = _merged_support(mu1, mu2)
     ideals = enumerate_downward_closed(points, iota, cap=cap)
+    mask = _ideal_mask(ideals, len(points))
+    lowerset_first, _ = _first_excess(mu1, mu2, group, mask, tol)
 
-    indicator_holds, indicator_witness = True, None
-    for ideal in ideals:
-        idx = list(ideal.indices)
-        if idx:
-            gen = LowerSetGen.from_points(points[idx], iota)
-            f = lower_indicator_complement(gen)
-        else:
-            f = indicator_fn(lambda x: True, tag="co-lower[empty]", monotone_iota=iota)
-        lhs = float(np.sum(w1 * f.on_points(points))) if points.size else 0.0
-        rhs = float(np.sum(w2 * f.on_points(points))) if points.size else 0.0
-        if lhs > rhs + tol:
-            indicator_holds, indicator_witness = False, ideal
-            break
+    def failing(f: np.ndarray) -> np.ndarray:
+        # f[k, x] is the test function of ideal k at point x; rows are
+        # contiguous, so each row sum adds as np.sum of that row alone would
+        return (w1 * f).sum(axis=1) > (w2 * f).sum(axis=1) + tol
 
-    mollifier_holds, mollifier_witness = True, None
-    for ideal in ideals:
-        idx = list(ideal.indices)
-        if not idx:
-            continue
-        gen = LowerSetGen.from_points(points[idx], iota)
-        for level in mollifier_levels:
-            f = lower_mollifier(gen, level)
-            lhs = float(np.sum(w1 * f.on_points(points)))
-            rhs = float(np.sum(w2 * f.on_points(points)))
-            if lhs > rhs + tol:
-                mollifier_holds, mollifier_witness = False, (ideal, level)
-                break
-        if not mollifier_holds:
-            break
+    def first(fails: np.ndarray) -> int | None:
+        return int(np.argmax(fails)) if fails.any() else None
+
+    # indicator route: membership in each generated lower set, from <=_iota
+    member = mask @ _leq_matrix(points, points, iota).T
+    indicator_first = first(failing(np.where(member, 0.0, 1.0)))
+
+    # mollifier route: distance to each ideal's lower set as a running
+    # minimum over its generators, O(ideals * points) memory
+    to_downset = _downset_distances(points, points, iota)
+    dist = np.full(mask.shape, np.inf)
+    for g in range(len(points)):
+        np.minimum(dist, to_downset[:, g], out=dist, where=mask[:, g, None])
+    levels = tuple(mollifier_levels)
+    nonempty = mask.any(axis=1)
+    fails = np.zeros((len(ideals), len(levels)), dtype=bool)
+    for j, level in enumerate(levels):
+        if level <= 0:
+            raise ParameterError(f"mollifier level must be positive, got {level!r}")
+        fails[:, j] = nonempty & failing(np.minimum(1.0, level * dist))
+    ideal_first = first(fails.any(axis=1))
+    mollifier_witness = (None if ideal_first is None
+                         else (ideals[ideal_first], levels[first(fails[ideal_first])]))
 
     return EquivalenceReport(
         iota=iota,
         masses=(m1, m2),
-        lowerset_holds=dom.holds,
-        lowerset_witness=dom.witness,
-        indicator_holds=indicator_holds,
-        indicator_witness=indicator_witness,
-        mollifier_holds=mollifier_holds,
+        lowerset_holds=lowerset_first is None,
+        lowerset_witness=None if lowerset_first is None else ideals[lowerset_first],
+        indicator_holds=indicator_first is None,
+        indicator_witness=None if indicator_first is None else ideals[indicator_first],
+        mollifier_holds=ideal_first is None,
         mollifier_witness=mollifier_witness,
     )

@@ -74,6 +74,8 @@ def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
     CommutationError
         Carrying the offending pair (i, j) and its Frobenius defect when it
         exceeds tol_comm * (1 + ||A_i|| * ||A_j||).
+    ParameterError
+        If a component's Frobenius norm exceeds the float range.
     """
     herms = [op if isinstance(op, HermitianOperator) else HermitianOperator.from_matrix(op)
              for op in ops]
@@ -91,6 +93,10 @@ def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
     norms = [float(np.linalg.norm(m)) for m in scaled]
     worst = 0.0
     with np.errstate(over="ignore"):
+        for i, (norm, e) in enumerate(zip(norms, exps)):
+            if not np.isfinite(np.ldexp(norm, e)):
+                raise ParameterError(f"component {i} is too large: its Frobenius "
+                                     f"norm exceeds the float range")
         for i in range(len(herms)):
             for j in range(i + 1, len(herms)):
                 e = exps[i] + exps[j]
@@ -275,7 +281,7 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
             # a 1x1 compression is its own eigenvalue
             recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
             return
-        compressed = (compressed + compressed.conj().T) / 2.0
+        compressed = compressed / 2.0 + compressed.conj().T / 2.0
         w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
         for cluster in _split_clusters(w, thresholds[level]):
             sub = basis @ v[:, np.sort(cluster)]

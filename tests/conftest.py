@@ -9,13 +9,22 @@ which gives generators with known ground truth.
 import itertools
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings, strategies as st
 
 from specorder.errors import InputError, ValidationError
+from specorder.functions import indicator_fn
 from specorder.linalg import HermitianOperator, Projection, hermitian_eig
+from specorder.measures import (
+    LowerSetGen,
+    _merged_support,
+    enumerate_downward_closed,
+    lower_indicator_complement,
+    lower_mollifier,
+)
 from specorder.resolution import ResolutionReport, _corner_sum_index
 from specorder.spectral import JointSpectralMeasure, validate_tuple
 
@@ -292,3 +301,106 @@ def n_ideals_by_deletion(points, iota: int) -> int:
         return count(alive - up) + count(alive - down)
 
     return count(frozenset(range(pts.shape[0])))
+
+
+def cdf_leq_loop(mu1, mu2, tol: float = 0.0):
+    """Reference CDF comparison: one pair of float CDF evaluations per grid
+    point, in lexicographic order."""
+    axes = [np.unique(np.concatenate([mu1.points[:, j], mu2.points[:, j]]))
+            for j in range(mu1.kappa)]
+    if any(a.size == 0 for a in axes):
+        return True, None
+    for x in itertools.product(*axes):
+        x = np.array(x)
+        if mu2.cdf(x) > mu1.cdf(x) + tol:
+            return False, tuple(float(v) for v in x)
+    return True, None
+
+
+def lowerset_dominance_loop(mu1, mu2, iota: int, tol: float = 0.0):
+    """Reference lower-set check: float masses, one ideal at a time.
+
+    Returns (holds, witness mask or None, gap)."""
+    points, w1, w2, _ = _merged_support(mu1, mu2)
+    for ideal in enumerate_downward_closed(points, iota):
+        idx = list(ideal.indices)
+        m1 = float(np.sum(w1[idx])) if idx else 0.0
+        m2 = float(np.sum(w2[idx])) if idx else 0.0
+        if m2 > m1 + tol:
+            return False, ideal.mask, m2 - m1
+    return True, None, 0.0
+
+
+def equivalence_loop(mu1, mu2, iota: int, mollifier_levels=(1, 2, 4, 8), tol: float = 1e-12):
+    """Reference equivalence routes: one BorelFunction per ideal (and level),
+    evaluated point by point. Returns the EquivalenceReport fields after
+    ``masses``, witnesses as bitmasks and (bitmask, level)."""
+    lower = lowerset_dominance_loop(mu1, mu2, iota, tol=tol)
+    points, w1, w2, _ = _merged_support(mu1, mu2)
+    ideals = enumerate_downward_closed(points, iota)
+
+    indicator = (True, None)
+    for ideal in ideals:
+        idx = list(ideal.indices)
+        if idx:
+            f = lower_indicator_complement(LowerSetGen.from_points(points[idx], iota))
+        else:
+            f = indicator_fn(lambda x: True, tag="co-lower[empty]", monotone_iota=iota)
+        lhs = float(np.sum(w1 * f.on_points(points))) if points.size else 0.0
+        rhs = float(np.sum(w2 * f.on_points(points))) if points.size else 0.0
+        if lhs > rhs + tol:
+            indicator = (False, ideal.mask)
+            break
+
+    mollifier = (True, None)
+    for ideal in ideals:
+        idx = list(ideal.indices)
+        if not idx:
+            continue
+        gen = LowerSetGen.from_points(points[idx], iota)
+        for level in mollifier_levels:
+            f = lower_mollifier(gen, level)
+            lhs = float(np.sum(w1 * f.on_points(points)))
+            rhs = float(np.sum(w2 * f.on_points(points)))
+            if lhs > rhs + tol:
+                mollifier = (False, (ideal.mask, level))
+                break
+        if not mollifier[0]:
+            break
+    return (lower[0], lower[1]) + indicator + mollifier
+
+
+def fraction_masses(mu1, mu2):
+    """Merged points and both measures' exact weights on them, as Fractions."""
+    points, _, _, group = _merged_support(mu1, mu2)
+    exact = [[Fraction(0)] * len(points) for _ in range(2)]
+    for side, (mu, at) in enumerate(((mu1, group[:mu1.n_atoms]), (mu2, group[mu1.n_atoms:]))):
+        for w, g in zip(mu.weights, at):
+            exact[side][g] += Fraction(float(w))
+    return points, exact[0], exact[1]
+
+
+def fraction_cdf_leq(mu1, mu2, tol: float = 0.0):
+    """Oracle CDF comparison in exact rational arithmetic."""
+    axes = [np.unique(np.concatenate([mu1.points[:, j], mu2.points[:, j]]))
+            for j in range(mu1.kappa)]
+    if any(a.size == 0 for a in axes):
+        return True, None
+    points, e1, e2 = fraction_masses(mu1, mu2)
+    for x in itertools.product(*axes):
+        below = np.all(points <= np.array(x), axis=1)
+        gap = sum((e2[i] - e1[i] for i in np.flatnonzero(below)), Fraction(0))
+        if gap > Fraction(tol):
+            return False, tuple(float(v) for v in x)
+    return True, None
+
+
+def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
+    """Oracle lower-set check in exact rational arithmetic: (holds, witness
+    mask or None, exact gap)."""
+    points, e1, e2 = fraction_masses(mu1, mu2)
+    for ideal in enumerate_downward_closed(points, iota):
+        gap = sum((e2[i] - e1[i] for i in ideal.indices), Fraction(0))
+        if gap > Fraction(tol):
+            return False, ideal.mask, gap
+    return True, None, Fraction(0)

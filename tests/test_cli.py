@@ -328,3 +328,37 @@ def test_overflowing_noncommuting_tuple_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "holds" not in proc.stdout
     assert "components 0 and 1 do not commute" in proc.stderr
+
+
+def _tuple_file(path, ops):
+    save_json(str(path), {"schema": "specorder/1", "kappa": len(ops), "dim": len(ops[0]),
+                          "matrices": [[[float(x), 0.0] for x in np.ravel(m)] for m in ops]})
+    return str(path)
+
+
+@pytest.mark.parametrize("ops", [
+    [np.full((2, 2), 1.5e308)],
+    [np.full((2, 2), 1.5e308), np.diag([1.0, 2.0])],
+])
+def test_tuple_beyond_float_range_exits_two(tmp_path, ops):
+    # (M + M*)/2 overflowed these finite entries into inf and nan, and every
+    # verdict then read "holds"
+    f = _tuple_file(tmp_path / "big.json", ops)
+    proc = run_cli("check-order", f, f)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in proc.stdout + proc.stderr
+    assert "holds" not in proc.stdout
+    assert "component 0 is too large" in proc.stderr
+
+
+def test_order_near_float_limit_is_decided(tmp_path):
+    # the first components swap their eigenvectors, so the pair is not ordered
+    a = _tuple_file(tmp_path / "a.json", [np.diag([1.5e308, 0.5e308]), np.diag([1.0, 2.0])])
+    b = _tuple_file(tmp_path / "b.json", [np.diag([0.5e308, 1.5e308]), np.diag([1.0, 2.0])])
+    proc = run_cli("check-order", a, b)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in proc.stdout + proc.stderr
+    assert "spectral_leq: FAILS" in proc.stdout
+    assert run_cli("check-order", a, a).returncode == 0

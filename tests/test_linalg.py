@@ -169,3 +169,28 @@ def test_normalize_columns_matches_column_loop_bitwise(n, k, stack, salt, tol):
         assert _normalize_columns(v[i], tol).tobytes() == got[i].tobytes()
         assert (_normalize_columns(v[i].real, tol).tobytes()
                 == normalize_columns_loop(v[i].real, tol).tobytes())
+
+
+def matrices_in_range(low: float, high: float):
+    """Square complex matrices, n 1-5, whose nonzero parts have magnitudes in [low, high]."""
+    part = st.one_of(st.just(0.0),
+                     st.floats(low, high) | st.floats(-high, -low))
+    return st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(part, part), min_size=n * n, max_size=n * n).map(
+            lambda entries: np.array([complex(re, im) for re, im in entries]).reshape(n, n)))
+
+
+@given(m=matrices_in_range(1e-300, 1e300))
+def test_halved_symmetrization_matches_the_sum_form_bitwise(m):
+    # m/2 + m*/2 cannot overflow; on normal-range entries it rounds exactly as
+    # (m + m*)/2, because halving a normal float is exact
+    old = (m + m.conj().T) / 2.0
+    assert HermitianOperator.from_matrix(m, tol=np.inf).matrix.tobytes() == old.tobytes()
+
+
+def test_norm_near_float_limit_is_finite():
+    # squaring 1.5e308 overflows; the norm itself is within the float range
+    op = HermitianOperator.from_matrix(np.diag([1.5e308, 0.5e308]))
+    assert np.array_equal(op.matrix, np.diag([1.5e308, 0.5e308]))
+    assert op.norm() == pytest.approx(np.hypot(1.5e308, 0.5e308), rel=1e-15)
+    assert HermitianOperator.from_matrix(np.full((2, 2), 1.5e308)).norm() == np.inf

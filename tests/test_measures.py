@@ -83,8 +83,9 @@ def test_premerge_matches_first_occurrence_loop(pts, data):
     mu2 = AtomicMeasure.from_atoms(pts[split:], w[split:])
     both = np.vstack([mu1.points, mu2.points])
     reps, members = merge_first_occurrence(both, PREMERGE_TOL)
-    points, w1, w2 = _merged_support(mu1, mu2)
+    points, w1, w2, group = _merged_support(mu1, mu2)
     assert points.tobytes() == np.array(reps, dtype=np.float64).tobytes()
+    assert [sorted(np.flatnonzero(group == k)) for k in range(len(reps))] == members
     assert points.shape == (len(reps), pts.shape[1])
     for got, side, offset in ((w1, mu1, 0), (w2, mu2, mu1.n_atoms)):
         sums = [running_sum(side.weights[i - offset] for i in ms
