@@ -149,21 +149,18 @@ class AtomicMeasure:
         return f"AtomicMeasure(kappa={self.kappa}, atoms={self.n_atoms})"
 
 
-def tuple_scalar_measure(t: CommutingTuple, h, cluster_tol: float | None = None) -> AtomicMeasure:
+def tuple_scalar_measure(t: CommutingTuple, h) -> AtomicMeasure:
     """Vector-state measure of a tuple: atom weights ||P_lambda h||^2.
 
     Integrating x^{2 alpha} against it gives ||A^alpha h||^2, which the growth
     and bounded-vector checks exploit.
     """
-    e = joint_measure(t) if cluster_tol is None else joint_measure(t, cluster_tol)
+    e = joint_measure(t)
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (t.dim,):
         raise DimensionError(f"vector has shape {h.shape}, expected ({t.dim},)")
-    pts, ws = [], []
-    for pt, proj in e.atoms:
-        ws.append(float(np.linalg.norm(proj.apply(h)) ** 2))
-        pts.append(pt)
-    return AtomicMeasure.from_atoms(np.array(pts), np.array(ws))
+    column_mass = np.abs(e.basis.conj().T @ h) ** 2
+    return AtomicMeasure.from_atoms(e.points(), _group_sums(e.owner, column_mass, e.n_atoms()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,9 @@ from .measures import audit_iota_increasing, tuple_scalar_measure
 from .spectral import (
     CommutingTuple,
     JointSpectralMeasure,
+    _monomial_values,
     _tuple_from_shared_basis,
+    calculus_scalar,
     is_positive_tuple,
     joint_measure,
     pushforward,
@@ -120,20 +122,15 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     # projection defect over an O(ulp) coordinate window.
     slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
     incl_b = inclusion(pb).astype(np.float64)
-    ranks_b = np.array([p.rank for p in eb.projections()], dtype=np.float64)
-    rank_fb = ranks_b @ incl_b
+    rank_fb = eb.ranks.astype(np.float64) @ incl_b
 
     # The residual sums nonnegative Gram entries, so nothing cancels; the
     # overlap form rank F_b - ||F_a(x) V_b(x)||^2 would lose half the
-    # mantissa and sit exactly at tol after the sqrt.
-    def atom_columns(e: JointSpectralMeasure) -> np.ndarray:
-        # row a marks the columns of atom a in the stacked atom bases
-        ranks = [p.rank for p in e.projections()]
-        return np.repeat(np.arange(len(ranks)), ranks) == np.arange(len(ranks))[:, None]
-
-    u = np.hstack([p.range_basis for p in ea.projections()])
-    w = np.hstack([p.range_basis for p in eb.projections()])
-    gram = atom_columns(ea) @ (np.abs(u.conj().T @ w) ** 2) @ atom_columns(eb).T
+    # mantissa and sit exactly at tol after the sqrt. Row a of a column
+    # mask marks the basis columns of atom a.
+    cols_a = ea.owner == np.arange(ea.n_atoms())[:, None]
+    cols_b = eb.owner == np.arange(eb.n_atoms())[:, None]
+    gram = cols_a @ (np.abs(ea.basis.conj().T @ eb.basis) ** 2) @ cols_b.T
     outside = gram @ incl_b
     outside *= ~inclusion(pa, slack)
     residual = np.sqrt(outside.sum(axis=0))
@@ -147,16 +144,14 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
 
 
-def spectral_leq(a, b, tol: float = TOL_ORDER,
-                 cluster_tol: float | None = None) -> OrderVerdict:
+def spectral_leq(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
     """a <= b in the spectral order, via joint measures and the merged grid."""
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     if ta.kappa != tb.kappa:
         raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
     if ta.dim != tb.dim:
         raise ParameterError(f"tuples on different spaces: {ta.dim} vs {tb.dim}")
-    kwargs = {} if cluster_tol is None else {"cluster_tol": cluster_tol}
-    return distribution_order(joint_measure(ta, **kwargs), joint_measure(tb, **kwargs), tol=tol)
+    return distribution_order(joint_measure(ta), joint_measure(tb), tol=tol)
 
 
 def spectral_leq_componentwise(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
@@ -266,20 +261,6 @@ def multi_indices(kappa: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _monomial_matrices(e: JointSpectralMeasure, alphas) -> dict:
-    """A^alpha for many alpha at once, summing lambda^alpha over atom blocks."""
-    pts = e.points()
-    mats = [p.matrix for p in e.projections()]
-    out = {}
-    for alpha in alphas:
-        coeff = np.prod(pts ** np.asarray(alpha, dtype=np.float64), axis=1)
-        acc = np.zeros((e.dim, e.dim), dtype=np.complex128)
-        for c, m in zip(coeff, mats):
-            acc += c * m
-        out[tuple(alpha)] = HermitianOperator((acc + acc.conj().T) / 2.0, 0.0)
-    return out
-
-
 def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL_LOEWNER) -> OrderVerdict:
     """Scan A^alpha <= B^alpha (Loewner) over |alpha| <= alpha_max.
 
@@ -298,22 +279,27 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL_LOEWNER) -> 
     ``r`` maps a multi-index tuple to a scale factor (callable or mapping).
     Factors below 1 are rejected with ParameterError since the
     characterization requires r_alpha >= 1 with subexponential growth.
+    A^alpha and B^alpha are built lazily, one product each, up to the first
+    failing alpha. ParameterError names the alpha where lambda^alpha or
+    r_alpha B^alpha - A^alpha is not finite.
     """
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     _require_positive(ta, "a")
     _require_positive(tb, "b")
     lookup = r.__getitem__ if hasattr(r, "__getitem__") else r
     ea, eb = joint_measure(ta), joint_measure(tb)
-    alphas = multi_indices(ta.kappa, alpha_max)
-    pow_a = _monomial_matrices(ea, alphas)
-    pow_b = _monomial_matrices(eb, alphas)
     worst = 0.0
-    for alpha in alphas:
+    for alpha in multi_indices(ta.kappa, alpha_max):
         r_alpha = float(lookup(tuple(alpha)))
         if r_alpha < 1.0:
             raise ParameterError(f"scale r[{alpha}] = {r_alpha} < 1")
-        diff = HermitianOperator(r_alpha * pow_b[alpha].matrix - pow_a[alpha].matrix, 0.0)
-        w = np.linalg.eigvalsh(diff.matrix)
+        pow_a = calculus_scalar(ea, _monomial_values(ea.points(), alpha)).matrix
+        pow_b = calculus_scalar(eb, _monomial_values(eb.points(), alpha)).matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = r_alpha * pow_b - pow_a
+        if not np.all(np.isfinite(diff)):
+            raise ParameterError(f"r_alpha B^alpha - A^alpha at alpha={alpha} is not finite")
+        w = np.linalg.eigvalsh(diff)
         scale = float(np.max(np.abs(w))) if w.size else 0.0
         lo = float(w[0]) if w.size else 0.0
         if lo < -tol * (1.0 + scale):
@@ -328,6 +314,13 @@ def _moment_norm(mu, alpha) -> float:
         return 0.0
     powers = np.prod(mu.points ** (2.0 * np.asarray(alpha, dtype=np.float64)), axis=1)
     return float(np.sqrt(np.sum(mu.weights * powers)))
+
+
+def _root_ratio(num: float, den: float, s: int) -> float:
+    """(num / den)^(1/s) with the conventions 0/0 = 0 and positive/0 = inf."""
+    if num == 0.0:
+        return 0.0
+    return float("inf") if den == 0.0 else (num / den) ** (1.0 / s)
 
 
 @dataclass(frozen=True)
@@ -372,14 +365,7 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
         if lambda_filter is not None and not lambda_filter(alpha):
             continue
         n_tested += 1
-        num = _moment_norm(mu_a, alpha)
-        den = _moment_norm(mu_b, alpha)
-        if num == 0.0:
-            rate = 0.0
-        elif den == 0.0:
-            rate = float("inf")
-        else:
-            rate = (num / den) ** (1.0 / s)
+        rate = _root_ratio(_moment_norm(mu_a, alpha), _moment_norm(mu_b, alpha), s)
         shell_maxima[s] = max(shell_maxima.get(s, 0.0), rate)
 
     if shell_maxima:
@@ -447,15 +433,8 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL_ORDER,
     for alpha in multi_indices(ta.kappa, alpha_max):
         if sum(alpha) != alpha_max:
             continue
-        num = _moment_norm(mu, alpha)
         den = float(np.prod(bound ** np.asarray(alpha, dtype=np.float64)))  # 0^0 = 1
-        if num == 0.0:
-            ratio_rate = 0.0
-        elif den == 0.0:
-            ratio_rate = float("inf")
-        else:
-            ratio_rate = (num / den) ** (1.0 / alpha_max)
-        rate = max(rate, ratio_rate)
+        rate = max(rate, _root_ratio(_moment_norm(mu, alpha), den, alpha_max))
     growth_member = rate <= 1.0 + growth_margin
     return MembershipResult(member=member, growth_member=growth_member,
                             residual=residual, growth_rate=rate)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
 from .linalg import HermitianOperator, Projection, _normalize_columns
-from .spectral import JointSpectralMeasure
+from .spectral import JointSpectralMeasure, _stack
 
 TOL_RESOLUTION = 1e-7
 
@@ -63,11 +63,9 @@ class ProjValuedStepFunction:
         pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
         grid = np.indices(shape).reshape(e.kappa, -1).T
         below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
-        owner = np.repeat(np.arange(e.n_atoms()), [p.rank for p in e.projections()])
-        basis = e.join(range(e.n_atoms())).range_basis
         values = np.empty(shape, dtype=object)
-        for idx, cols in zip(np.ndindex(shape), below[:, owner]):
-            values[idx] = Projection(basis[:, cols])
+        for idx, cols in zip(np.ndindex(shape), below[:, e.owner]):
+            values[idx] = Projection(e.basis[:, cols])
         return cls(axes=axes, values=values, dim=e.dim)
 
     def at_index(self, idx) -> Projection:
@@ -149,7 +147,7 @@ class ResolutionReport:
     axiom_b: bool
     axiom_c: bool
     identity_defect: float
-    # (top corner, projection at eigenvalue one) of each nonzero cell, row-major
+    # (top corner, eigenvectors at eigenvalue one) of each nonzero cell, row-major
     _atoms: tuple = field(default=(), repr=False, compare=False)
 
     @property
@@ -215,7 +213,7 @@ def validate_resolution(f: ProjValuedStepFunction,
                     (box, f"eigenvalues off {{0,1}} by {max(float(dist[k]), defect):.3e}"))
             elif np.max(np.abs(w[k])) > tol:
                 nonzero.append((box, d[k].copy()))
-                atoms.append((box[1], Projection(v[k][:, w[k] > 0.5])))
+                atoms.append((box[1], v[k][:, w[k] > 0.5]))
 
     orthogonality_violations = []
     stack = np.array([m for _, m in nonzero])
@@ -238,8 +236,8 @@ def validate_resolution(f: ProjValuedStepFunction,
     )
 
 
-def reconstruct_measure(f: ProjValuedStepFunction, tol: float = TOL_RESOLUTION,
-                        cluster_tol: float = 1e-8) -> JointSpectralMeasure:
+def reconstruct_measure(f: ProjValuedStepFunction,
+                        tol: float = TOL_RESOLUTION) -> JointSpectralMeasure:
     """Atoms from nonzero cell differences; inverse of taking distributions.
 
     Each surviving cell contributes an atom at its top corner whose
@@ -251,5 +249,4 @@ def reconstruct_measure(f: ProjValuedStepFunction, tol: float = TOL_RESOLUTION,
     report = validate_resolution(f, tol=tol)
     if not report.passed:
         raise ValidationError(report)
-    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=report._atoms,
-                                cluster_tol=cluster_tol)
+    return JointSpectralMeasure.from_arrays(*_stack(f.kappa, f.dim, report._atoms))

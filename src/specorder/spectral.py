@@ -7,8 +7,9 @@ with A_j recovered as the sum of lambda_j-weighted projections. The measure is
 computed by recursive simultaneous diagonalization: diagonalize A_1, split its
 spectrum into clusters, compress A_2 to each cluster's eigenspace, recurse.
 
-All spectral-order and calculus operations reduce to finite sums over these
-atoms.
+The measure is stored as arrays: the atom points, and one unitary whose
+columns are grouped by atom. Every spectral integral, the calculus and the
+monomials included, is then one product with that unitary.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CommutationError, DimensionError, ParameterError
-from .functions import BorelFunction, fractional_fn, monomial_fn, parts_fns
+from .functions import _check_multi_index, fractional_fn, parts_fns
 from .linalg import (
     HermitianOperator,
     Projection,
     _normalize_columns,
+    _read_only,
     commutator_norm,
     hermitian_eig,
 )
@@ -120,51 +122,69 @@ def _tuple_from_shared_basis(herms) -> CommutingTuple:
     return CommutingTuple(ops=herms, max_commutator_defect=worst)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointSpectralMeasure:
-    """Atomic projection-valued measure on R^kappa.
+    """Atomic projection-valued measure on R^kappa, E = sum_a delta_{p_a} P_a.
 
-    ``atoms`` is a tuple of (point, Projection) pairs, points as float
-    kappa-vectors, sorted lexicographically; projections are mutually
-    orthogonal and sum to the identity.
+    ``points()`` is the read-only m x kappa array of atom points, sorted
+    lexicographically. ``basis`` (n x r, orthonormal columns) holds the
+    atoms' range bases side by side in point order: atom a owns ``ranks[a]``
+    columns, and ``owner`` maps each column to its atom. For a tuple's
+    measure r = n. The keyword constructor stacks (point, Projection) pairs
+    in the given order; ``atoms`` and ``projections()`` rebuild them.
     """
 
     kappa: int
     dim: int
-    atoms: tuple[tuple[tuple[float, ...], Projection], ...]
+    basis: np.ndarray
+    ranks: np.ndarray
+    owner: np.ndarray
     cluster_tol: float
+    _points: np.ndarray
+
+    def __init__(self, kappa: int, dim: int, atoms, cluster_tol: float):
+        self._store(*_stack(kappa, dim, [(pt, p.range_basis) for pt, p in atoms]), cluster_tol)
+
+    @classmethod
+    def from_arrays(cls, points, basis, ranks, cluster_tol: float = CLUSTER_TOL):
+        e = cls.__new__(cls)
+        e._store(points, basis, ranks, cluster_tol)
+        return e
+
+    def _store(self, points, basis, ranks, cluster_tol):
+        ranks = np.asarray(ranks, dtype=np.intp)
+        for name, value in (("_points", np.asarray(points, dtype=np.float64)), ("ranks", ranks),
+                            ("basis", np.asarray(basis, dtype=np.complex128)),
+                            ("owner", np.repeat(np.arange(ranks.size), ranks))):
+            object.__setattr__(self, name, _read_only(value))
+        for name, value in (("kappa", self._points.shape[1]), ("dim", self.basis.shape[0]),
+                            ("cluster_tol", cluster_tol)):
+            object.__setattr__(self, name, value)
 
     def points(self) -> np.ndarray:
-        if not self.atoms:
-            return np.zeros((0, self.kappa))
-        return np.array([pt for pt, _ in self.atoms], dtype=np.float64)
+        return self._points
+
+    @property
+    def atoms(self) -> tuple[tuple[tuple[float, ...], Projection], ...]:
+        return tuple(zip(map(tuple, self._points.tolist()), self.projections()))
 
     def projections(self) -> list[Projection]:
-        return [p for _, p in self.atoms]
+        return [Projection(self.basis[:, self.owner == a]) for a in range(self.n_atoms())]
 
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return self._points.shape[0]
 
     def join(self, indices) -> Projection:
-        """Join of the selected atoms' projections.
-
-        Atoms are mutually orthogonal, so stacking their orthonormal bases
-        already gives an orthonormal basis of the joined range.
-        """
-        indices = list(indices)
-        if not indices:
-            return Projection.zero(self.dim)
-        basis = np.hstack([self.atoms[i][1].range_basis for i in indices])
-        return Projection(basis)
+        """Join of the selected atoms' projections: their basis columns, in atom
+        order, orthonormal already because the atoms are mutually orthogonal."""
+        return Projection(self.basis[:, np.isin(self.owner, list(indices))])
 
     def distribution(self, x, atol: float = 0.0) -> Projection:
         """F(x) = measure of the closed lower orthant at x; right-continuous in x."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.kappa,):
             raise DimensionError(f"point has shape {x.shape}, expected ({self.kappa},)")
-        pts = self.points()
-        keep = np.flatnonzero(np.all(pts <= x + atol, axis=1))
-        return self.join(keep)
+        return self.join(np.flatnonzero(np.all(self._points <= x + atol, axis=1)))
 
     def marginal_interval(self, axis: int, intervals) -> Projection:
         """Measure of {lambda : lambda_axis in union of closed intervals}.
@@ -174,44 +194,41 @@ class JointSpectralMeasure:
         """
         if not 0 <= axis < self.kappa:
             raise ParameterError(f"axis {axis} out of range for kappa={self.kappa}")
-        pts = self.points()
-        keep: set[int] = set()
+        coord = self._points[:, axis]
+        keep = np.zeros(self.n_atoms(), dtype=bool)
         for lo, hi in intervals:
             if lo > hi:
                 raise ParameterError(f"empty interval ({lo}, {hi})")
-            sel = np.flatnonzero((pts[:, axis] >= lo) & (pts[:, axis] <= hi))
-            keep.update(int(i) for i in sel)
-        return self.join(sorted(keep))
+            keep |= (coord >= lo) & (coord <= hi)
+        return self.join(np.flatnonzero(keep))
 
     def completeness_defect(self) -> float:
-        total = sum((p.matrix for p in self.projections()),
-                    np.zeros((self.dim, self.dim), dtype=np.complex128))
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        """max |sum_a P_a - I|, entrywise."""
+        u = self.basis
+        return float(np.max(np.abs(u @ u.conj().T - np.eye(self.dim)), initial=0.0))
 
     def orthogonality_defect(self) -> float:
-        worst = 0.0
-        for i in range(self.n_atoms()):
-            for j in range(i + 1, self.n_atoms()):
-                vi = self.atoms[i][1].range_basis
-                vj = self.atoms[j][1].range_basis
-                if vi.shape[1] and vj.shape[1]:
-                    worst = max(worst, float(np.max(np.abs(vi.conj().T @ vj))))
-        return worst
+        """max |V_a^H V_b| over columns of distinct atoms a < b."""
+        u = self.basis
+        cross = np.abs(u.conj().T @ u)[self.owner[:, None] < self.owner[None, :]]
+        return float(np.max(cross, initial=0.0))
 
     def reconstruction_defect(self, t: CommutingTuple) -> float:
         """max_j ||A_j - sum lambda_j P_lambda||_F, the moment-recovery residual."""
-        worst = 0.0
-        pts = self.points()
-        for j, op in enumerate(t.ops):
-            acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            for i, (_, proj) in enumerate(self.atoms):
-                acc += pts[i, j] * proj.matrix
-            worst = max(worst, float(np.linalg.norm(op.matrix - acc)))
-        return worst
+        u = self.basis
+        moments = (u * self._points[self.owner].T[:, None, :]) @ u.conj().T
+        return float(np.max(np.linalg.norm(np.stack(t.matrices()) - moments, axis=(1, 2))))
 
     def __repr__(self):
         return (f"JointSpectralMeasure(kappa={self.kappa}, dim={self.dim}, "
                 f"atoms={self.n_atoms()})")
+
+
+def _stack(kappa: int, dim: int, pairs) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Points, stacked bases and ranks of (point, basis) pairs, in the given order."""
+    points = np.array([pt for pt, _ in pairs], dtype=np.float64).reshape(len(pairs), kappa)
+    bases = [np.zeros((dim, 0), dtype=np.complex128)] + [b for _, b in pairs]
+    return points, np.hstack(bases), [b.shape[1] for b in bases[1:]]
 
 
 def _split_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -288,29 +305,43 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
             recurse(level + 1, sub, prefix + (float(np.mean(w[cluster])),))
 
     recurse(0, np.eye(t.dim, dtype=np.complex128), ())
+    points, basis, ranks = _stack(t.kappa, t.dim, sorted(leaves, key=lambda leaf: leaf[0]))
     # re-fix column phases lost while composing cluster bases, all atoms in one call
-    atoms = []
-    if leaves:
-        fixed = _normalize_columns(np.hstack([b for _, b in leaves]), 1e-12)
-        cuts = np.cumsum([b.shape[1] for _, b in leaves])[:-1]
-        atoms = [(pt, Projection(b)) for (pt, _), b in zip(leaves, np.split(fixed, cuts, axis=1))]
-    atoms.sort(key=lambda a: a[0])
-    return JointSpectralMeasure(kappa=t.kappa, dim=t.dim, atoms=tuple(atoms),
-                                cluster_tol=cluster_tol)
+    return JointSpectralMeasure.from_arrays(points, _normalize_columns(basis, 1e-12), ranks,
+                                            cluster_tol)
 
 
-def _evaluate(phi, point) -> float:
-    if isinstance(phi, BorelFunction):
-        return phi(point)
-    return float(phi(np.asarray(point, dtype=np.float64)))
+def _rule_values(phi, points: np.ndarray) -> np.ndarray:
+    """phi at every point; a non-finite value is raised on later, not warned about here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([float(phi(p)) for p in points], dtype=np.float64)
+
+
+def _monomial_values(points: np.ndarray, alpha) -> np.ndarray:
+    """x^alpha at every point, 0^0 = 1; ParameterError naming alpha where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.prod(points ** np.asarray(alpha, dtype=np.float64), axis=1)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ParameterError(f"x^alpha at alpha={tuple(int(a) for a in alpha)} is not finite "
+                             f"at atom {tuple(points[np.argmax(bad)].tolist())}")
+    return values
 
 
 def calculus_scalar(e: JointSpectralMeasure, phi) -> HermitianOperator:
-    """phi(A) = sum phi(lambda) P_lambda for a scalar rule phi."""
-    acc = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for pt, proj in e.atoms:
-        acc += _evaluate(phi, pt) * proj.matrix
-    return HermitianOperator((acc + acc.conj().T) / 2.0, 0.0)
+    """phi(A) = sum phi(lambda) P_lambda as one product U diag(phi(points)[owner]) U^H.
+
+    ``phi`` is a scalar rule, or an array of its values at ``e.points()``.
+    The product is symmetrized as M/2 + M^H/2, so entries near the float
+    limit do not overflow; ParameterError when the result is not finite.
+    """
+    values = phi if isinstance(phi, np.ndarray) else _rule_values(phi, e.points())
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (e.basis * values[e.owner]) @ e.basis.conj().T
+        m = m / 2.0 + m.conj().T / 2.0
+    if not np.all(np.isfinite(m)):
+        raise ParameterError(f"calculus of {getattr(phi, 'tag', 'the rule')} is not finite")
+    return HermitianOperator(m, 0.0)
 
 
 def calculus_vector(e: JointSpectralMeasure, phis) -> CommutingTuple:
@@ -327,14 +358,12 @@ def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:
     Mapped points within cluster_tol of each other in the sup norm fuse into
     one atom whose projection is the join of the originals.
     """
-    phis = list(phis)
-    mapped = np.array([[_evaluate(phi, pt) for phi in phis] for pt, _ in e.atoms],
-                      dtype=np.float64).reshape(e.n_atoms(), len(phis))
+    mapped = np.stack([_rule_values(phi, e.points()) for phi in phis], axis=1)
     reps, group = _merge_points(mapped, e.cluster_tol)
-    atoms = [(tuple(float(v) for v in rep), e.join(np.flatnonzero(group == g)))
-             for g, rep in enumerate(reps)]
-    return JointSpectralMeasure(kappa=len(phis), dim=e.dim, atoms=tuple(atoms),
-                                cluster_tol=e.cluster_tol)
+    # merged atoms keep their columns in atom order
+    cols = np.argsort(group[e.owner], kind="stable")
+    ranks = np.bincount(group, weights=e.ranks, minlength=len(reps)).astype(np.intp)
+    return JointSpectralMeasure.from_arrays(reps, e.basis[:, cols], ranks, e.cluster_tol)
 
 
 def monomial(t: CommutingTuple, alpha) -> HermitianOperator:
@@ -342,7 +371,9 @@ def monomial(t: CommutingTuple, alpha) -> HermitianOperator:
     alpha = np.asarray(alpha)
     if alpha.shape != (t.kappa,):
         raise ParameterError(f"alpha has shape {alpha.shape}, expected ({t.kappa},)")
-    return calculus_scalar(joint_measure(t), monomial_fn(alpha))
+    _check_multi_index(alpha, integer=True)
+    e = joint_measure(t)
+    return calculus_scalar(e, _monomial_values(e.points(), alpha))
 
 
 def fractional_power(t: CommutingTuple, beta) -> HermitianOperator:
@@ -356,8 +387,7 @@ def fractional_power(t: CommutingTuple, beta) -> HermitianOperator:
     if beta.shape != (t.kappa,):
         raise ParameterError(f"beta has shape {beta.shape}, expected ({t.kappa},)")
     e = joint_measure(t)
-    pts = e.points()
-    scale = float(np.max(np.abs(pts))) if pts.size else 0.0
+    scale = float(np.max(np.abs(e.points()), initial=0.0))
     return calculus_scalar(e, fractional_fn(beta, tol=1e-12 * (1.0 + scale)))
 
 
@@ -375,11 +405,5 @@ def is_positive_tuple(t: CommutingTuple, tol: float = TOL_POSITIVE) -> bool:
     Equivalent to each component being positive semidefinite, up to the
     tolerance convention shared with linalg.is_psd.
     """
-    e = joint_measure(t)
-    pts = e.points()
-    if pts.size == 0:
-        return True
-    for j, op in enumerate(t.ops):
-        if np.min(pts[:, j]) < -tol * (1.0 + op.norm()):
-            return False
-    return True
+    floor = [-tol * (1.0 + op.norm()) for op in t.ops]
+    return bool(np.all(joint_measure(t).points() >= floor))

@@ -17,7 +17,7 @@ from hypothesis import settings, strategies as st
 
 from specorder.errors import InputError, ValidationError
 from specorder.functions import indicator_fn
-from specorder.linalg import HermitianOperator, Projection, hermitian_eig
+from specorder.linalg import HermitianOperator, Projection, _normalize_columns, hermitian_eig
 from specorder.measures import (
     LowerSetGen,
     _merged_support,
@@ -26,7 +26,7 @@ from specorder.measures import (
     lower_mollifier,
 )
 from specorder.resolution import ResolutionReport, _corner_sum_index
-from specorder.spectral import JointSpectralMeasure, validate_tuple
+from specorder.spectral import JointSpectralMeasure, _split_clusters, validate_tuple
 
 settings.register_profile("suite", max_examples=40, deadline=None,
                           derandomize=True)
@@ -404,3 +404,128 @@ def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
         if gap > Fraction(tol):
             return False, ideal.mask, gap
     return True, None, Fraction(0)
+
+
+# --- per-atom references for the array-form joint spectral measure ----------
+
+
+def diagonalize_per_atom(t, cluster_tol: float = 1e-8):
+    """Reference joint measure: (point, basis) pairs sorted by point.
+
+    The recursive cluster diagonalization, with the column phases fixed in
+    one call over the leaves in the order the recursion found them, and
+    only then sorted, each atom's basis split off on its own.
+    """
+    thresholds = [cluster_tol * (1.0 + op.norm()) for op in t.ops]
+    leaves = []
+
+    def recurse(level, basis, prefix):
+        if level == t.kappa:
+            leaves.append((prefix, basis))
+            return
+        compressed = basis.conj().T @ t.ops[level].matrix @ basis
+        if basis.shape[1] == 1:
+            recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
+            return
+        compressed = compressed / 2.0 + compressed.conj().T / 2.0
+        w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
+        for cluster in _split_clusters(w, thresholds[level]):
+            recurse(level + 1, basis @ v[:, np.sort(cluster)],
+                    prefix + (float(np.mean(w[cluster])),))
+
+    recurse(0, np.eye(t.dim, dtype=np.complex128), ())
+    if not leaves:
+        return []
+    fixed = _normalize_columns(np.hstack([b for _, b in leaves]), 1e-12)
+    cuts = np.cumsum([b.shape[1] for _, b in leaves])[:-1]
+    atoms = [(pt, np.array(b)) for (pt, _), b in zip(leaves, np.split(fixed, cuts, axis=1))]
+    return sorted(atoms, key=lambda a: a[0])
+
+
+def distribution_order_stacked(atoms_a, atoms_b, tol: float = 1e-8):
+    """Reference order kernel on (point, basis) lists: the atom bases
+    hstacked, atoms marked by a repeat-built column mask. Returns
+    (holds, witness, defect)."""
+    pa = np.array([pt for pt, _ in atoms_a], dtype=np.float64)
+    pb = np.array([pt for pt, _ in atoms_b], dtype=np.float64)
+    kappa = pa.shape[1]
+    axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]])) for j in range(kappa)]
+    grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
+    idx = [g.reshape(-1) for g in grids]
+
+    def inclusion(points, slack):
+        incl = np.ones((points.shape[0], idx[0].size), dtype=bool)
+        for j in range(kappa):
+            incl &= (points[:, j][:, None] <= (axes[j] + slack[j])[None, :])[:, idx[j]]
+        return incl
+
+    def atom_columns(atoms):
+        ranks = [b.shape[1] for _, b in atoms]
+        return np.repeat(np.arange(len(ranks)), ranks) == np.arange(len(ranks))[:, None]
+
+    slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
+    incl_b = inclusion(pb, np.zeros(kappa)).astype(np.float64)
+    rank_fb = np.array([b.shape[1] for _, b in atoms_b], dtype=np.float64) @ incl_b
+    u = np.hstack([b for _, b in atoms_a])
+    w = np.hstack([b for _, b in atoms_b])
+    gram = atom_columns(atoms_a) @ (np.abs(u.conj().T @ w) ** 2) @ atom_columns(atoms_b).T
+    outside = gram @ incl_b
+    outside *= ~inclusion(pa, slack)
+    residual = np.sqrt(outside.sum(axis=0))
+    bad = residual > tol * np.maximum(1.0, rank_fb)
+    if not bad.any():
+        return True, None, float(residual.max())
+    g = int(np.argmax(bad))
+    return False, tuple(float(axes[j][idx[j][g]]) for j in range(kappa)), float(residual[g])
+
+
+def calculus_per_atom(atoms, values) -> np.ndarray:
+    """Reference spectral integral: one rank-r accumulation per atom."""
+    dim = atoms[0][1].shape[0] if atoms else 0
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for c, (_, b) in zip(values, atoms):
+        acc += c * (b @ b.conj().T)
+    return (acc + acc.conj().T) / 2.0
+
+
+def monomial_matrices_eager(atoms, alphas) -> dict:
+    """Reference monomials: A^alpha for every alpha, built before any is used."""
+    pts = np.array([pt for pt, _ in atoms], dtype=np.float64)
+    return {tuple(alpha): calculus_per_atom(
+        atoms, np.prod(pts ** np.asarray(alpha, dtype=np.float64), axis=1))
+        for alpha in alphas}
+
+
+def monomial_scan_eager(atoms_a, atoms_b, alphas, tol: float = 1e-10):
+    """Reference Loewner scan over eagerly built monomials: (holds, witness, defect)."""
+    pow_a = monomial_matrices_eager(atoms_a, alphas)
+    pow_b = monomial_matrices_eager(atoms_b, alphas)
+    worst = 0.0
+    for alpha in alphas:
+        w = np.linalg.eigvalsh(pow_b[alpha] - pow_a[alpha])
+        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        lo = float(w[0]) if w.size else 0.0
+        if lo < -tol * (1.0 + scale):
+            return False, alpha, -lo
+        worst = max(worst, max(0.0, -lo))
+    return True, None, worst
+
+
+def measure_defects_per_atom(atoms, t) -> tuple[float, float, float]:
+    """Reference completeness, orthogonality and reconstruction defects,
+    one projection or pair of atoms at a time."""
+    n = t.dim
+    total = sum((b @ b.conj().T for _, b in atoms), np.zeros((n, n), dtype=np.complex128))
+    completeness = float(np.max(np.abs(total - np.eye(n))))
+    orthogonality = 0.0
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            orthogonality = max(orthogonality,
+                                float(np.max(np.abs(atoms[i][1].conj().T @ atoms[j][1]))))
+    reconstruction = 0.0
+    for j, op in enumerate(t.ops):
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for pt, b in atoms:
+            acc += pt[j] * (b @ b.conj().T)
+        reconstruction = max(reconstruction, float(np.linalg.norm(op.matrix - acc)))
+    return completeness, orthogonality, reconstruction

@@ -362,3 +362,52 @@ def test_order_near_float_limit_is_decided(tmp_path):
     assert "nan" not in proc.stdout + proc.stderr
     assert "spectral_leq: FAILS" in proc.stdout
     assert run_cli("check-order", a, a).returncode == 0
+
+
+def _near_limit_pair(tmp_path):
+    a = _tuple_file(tmp_path / "a.json", [np.diag([1.5e308, 0.5e308]), np.diag([1.0, 2.0])])
+    b = _tuple_file(tmp_path / "b.json", [np.diag([0.5e308, 1.5e308]), np.diag([1.0, 2.0])])
+    return a, b
+
+
+def _clean(proc):
+    return "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_monomial_scan_near_float_limit(tmp_path):
+    # (A + A*)/2 overflowed lambda^alpha P into inf and nan, and the scan
+    # then read "holds" on both pairs
+    a, b = _near_limit_pair(tmp_path)
+    proc = run_cli("check-order", a, b, "--alpha-max", "2")
+    assert proc.returncode == 1 and _clean(proc)
+    assert "monomial_scan: FAILS  witness=[1, 0]" in proc.stdout
+    # x^(2, 0) itself overflows: exit 2 naming alpha, no verdict
+    proc = run_cli("check-order", a, a, "--alpha-max", "2")
+    assert proc.returncode == 2 and _clean(proc)
+    assert "alpha=(2, 0)" in proc.stderr
+    assert "holds" not in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--fn", "parts", "--signs", "++"],
+    ["--fn", "sum"],
+    ["--fn", "monomial", "--alpha", "1", "0"],
+    ["--fn", "clip", "--coeffs", "1", "1", "--hi", "1e308"],
+])
+def test_calculus_near_float_limit_writes_finite_files(tmp_path, args):
+    a, _ = _near_limit_pair(tmp_path)
+    out = tmp_path / "out.json"
+    proc = run_cli("calculus", a, *args, "--out", str(out))
+    assert proc.returncode == 0 and _clean(proc)
+    text = out.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert np.all(np.isfinite(np.array(load_tuple(str(out)).matrices())))
+
+
+def test_calculus_non_finite_value_exits_two(tmp_path):
+    a, _ = _near_limit_pair(tmp_path)
+    out = tmp_path / "out.json"
+    proc = run_cli("calculus", a, "--fn", "monomial", "--alpha", "2", "0", "--out", str(out))
+    assert proc.returncode == 2 and _clean(proc)
+    assert "alpha=(2, 0)" in proc.stderr
+    assert not out.exists()
