@@ -2,8 +2,9 @@
 
 Subcommands: check-order, calculus, measure-check, examples, selftest.
 Exit codes: 0 when every checked verdict holds, 1 when an order or property
-fails, 2 on input or usage errors. --tol falls back to the SPECORDER_TOL
-environment variable, then to the library default. --format json emits one
+fails, 2 on input or usage errors. --tol, a relative tolerance, falls back
+to the SPECORDER_TOL environment variable, then to the library default
+linalg.TOL. --format json emits one
 deterministic line (timing frozen to 0.0) so outputs diff cleanly.
 """
 
@@ -49,6 +50,7 @@ from .io import (
     save_json,
     tuple_to_dict,
 )
+from .linalg import TOL
 from .measures import (
     audit_iota_increasing,
     cdf_leq,
@@ -72,7 +74,6 @@ from .spectral import (
     validate_tuple,
 )
 
-DEFAULT_TOL = 1e-8
 ALPHA_MAX_CAP = 16
 
 
@@ -267,9 +268,9 @@ def cmd_selftest(job: JobSpec) -> tuple[Report, bool]:
         n, kappa = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         t = random_commuting(n, kappa)
         e = joint_measure(t)
-        measure_ok &= e.completeness_defect() <= 1e-9
-        measure_ok &= e.orthogonality_defect() <= 1e-9
-        measure_ok &= e.reconstruction_defect(t) <= 1e-7 * (1 + max(op.norm() for op in t.ops))
+        measure_ok &= e.completeness_defect() <= TOL
+        measure_ok &= e.orthogonality_defect() <= TOL
+        measure_ok &= e.reconstruction_defect(t) <= TOL * max(op.norm() for op in t.ops)
         t2 = random_commuting(n, kappa)
         joint = spectral_leq(t, t2, tol=job.tol)
         comp = spectral_leq_componentwise(t, t2, tol=job.tol)
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (default: SPECORDER_TOL or 1e-8)")
+                       help="relative comparison tolerance (default: SPECORDER_TOL or 1e-8)")
         p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("check-order", help="decide a <= b in the spectral order")
@@ -348,7 +349,7 @@ def _resolve_tol(args) -> float:
     else:
         env = os.environ.get("SPECORDER_TOL")
         if env is None:
-            return DEFAULT_TOL
+            return TOL
         try:
             tol = float(env)
         except ValueError:

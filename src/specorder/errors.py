@@ -46,11 +46,11 @@ class CommutationError(SpecOrderError):
 
 
 class EvaluationError(SpecOrderError):
-    """A function rule is undefined at a required point."""
+    """A function rule is undefined, or not finite, at a required point."""
 
-    def __init__(self, point):
+    def __init__(self, point, reason: str = "undefined"):
         self.point = point
-        super().__init__(f"function undefined at point {point!r}")
+        super().__init__(f"function {reason} at point {point!r}")
 
 
 class MonotonicityError(SpecOrderError):

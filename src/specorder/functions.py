@@ -33,8 +33,10 @@ class BorelFunction:
     def __call__(self, point) -> float:
         x = np.asarray(point, dtype=np.float64)
         value = self.fn(x)
-        if value is None or not np.isfinite(value):
-            raise EvaluationError(tuple(x))
+        if value is None:
+            raise EvaluationError(tuple(x.tolist()))
+        if not np.isfinite(value):
+            raise EvaluationError(tuple(x.tolist()), "value not finite")
         return float(value)
 
     def on_points(self, points) -> np.ndarray:

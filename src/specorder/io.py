@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError
+from .linalg import TOL
 from .measures import AtomicMeasure
 from .spectral import CommutingTuple, validate_tuple
 
@@ -78,7 +79,7 @@ def tuple_to_dict(t: CommutingTuple) -> dict:
             "matrices": matrices}
 
 
-def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float | None = None) -> CommutingTuple:
+def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float = TOL) -> CommutingTuple:
     _require(isinstance(doc, dict), location, "expected an object")
     _require(doc.get("schema") == TUPLE_SCHEMA, f"{location}.schema",
              f"expected {TUPLE_SCHEMA!r}, got {doc.get('schema')!r}")
@@ -97,8 +98,7 @@ def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float | None = Non
         _require(isinstance(flat, list) and len(flat) == dim * dim, where,
                  f"expected {dim * dim} row-major entries")
         mats.append(_parse_matrix(flat, dim, where))
-    kwargs = {} if tol_comm is None else {"tol_comm": tol_comm}
-    return validate_tuple(mats, **kwargs)
+    return validate_tuple(mats, tol_comm=tol_comm)
 
 
 def measure_to_dict(mu: AtomicMeasure) -> dict:
@@ -153,7 +153,7 @@ def load_json(path: str):
         raise InputError(path, "nested too deeply to parse") from None
 
 
-def load_tuple(path: str, tol_comm: float | None = None) -> CommutingTuple:
+def load_tuple(path: str, tol_comm: float = TOL) -> CommutingTuple:
     return tuple_from_dict(load_json(path), location=path, tol_comm=tol_comm)
 
 

@@ -3,9 +3,12 @@
 Everything downstream (joint spectral measures, order predicates, resolution
 checks) reduces to the primitives here: a deterministic Hermitian
 eigendecomposition, range-basis projections with join/meet, and tolerance-aware
-comparisons. Default tolerances follow one convention: absolute thresholds are
-scaled by (1 + magnitude of the operands) so the same defaults work for tiny
-and large spectra.
+comparisons. Every decision threshold in the package is a tolerance, TOL by
+default, times the size of what it compares (a norm, a largest eigenvalue or
+coordinate), with no absolute floor, so verdicts do not change when all
+operands are scaled by one positive number. eigh's backward error, about
+n * eps * ||A|| (Golub & Van Loan, Matrix Computations 8.1), stays far below
+TOL * ||A||, so no floor is needed.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import numpy as np
 
 from .errors import DimensionError, EigenConvergenceError, HermiticityError
 
-TOL_HERM = 1e-10
-TOL_ORTH = 1e-10
-TOL_PROJ_CMP = 1e-8
-TOL_RANK = 1e-9
-TOL_PSD = 1e-10
+TOL = 1e-8
+# the first entry of each eigenvector above this magnitude is made real positive
+PHASE_PIVOT = 1e-12
 
 
 def as_complex_matrix(obj) -> np.ndarray:
@@ -34,7 +35,8 @@ def as_complex_matrix(obj) -> np.ndarray:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    # a private copy, so freezing it leaves the caller's array writable
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -52,11 +54,10 @@ class HermitianOperator:
     hermiticity_defect: float
 
     @classmethod
-    def from_matrix(cls, m, tol: float | None = None) -> "HermitianOperator":
+    def from_matrix(cls, m, tol: float = TOL) -> "HermitianOperator":
         m = as_complex_matrix(m)
         defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        threshold = (TOL_HERM if tol is None else tol) * (1.0 + scale)
+        threshold = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
         if defect > threshold:
             raise HermiticityError(defect, threshold)
         # halve before adding, so entries near the float limit do not overflow
@@ -92,7 +93,7 @@ def _coerce_hermitian(op) -> np.ndarray:
     return HermitianOperator.from_matrix(op).matrix
 
 
-def _normalize_columns(vectors: np.ndarray, tol: float) -> np.ndarray:
+def _normalize_columns(vectors: np.ndarray, tol: float = PHASE_PIVOT) -> np.ndarray:
     """Phase-normalize: first entry of magnitude > tol in each column made real positive.
 
     Works on stacks (..., n, k); a column with no entry above tol is left as is.
@@ -109,12 +110,12 @@ def _normalize_columns(vectors: np.ndarray, tol: float) -> np.ndarray:
     return np.where(found, v * phase, v)
 
 
-def hermitian_eig(op, tol_cluster: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic eigendecomposition of a Hermitian operator.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and ``V`` unitary,
     ``op = V diag(w) V*``. Each eigenvector's first entry of magnitude above
-    ``tol_cluster`` is made real positive, so repeated runs on the same input
+    PHASE_PIVOT is made real positive, so repeated runs on the same input
     give identical output.
 
     Raises
@@ -128,7 +129,7 @@ def hermitian_eig(op, tol_cluster: float = 1e-12) -> tuple[np.ndarray, np.ndarra
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError:
         raise EigenConvergenceError(float(np.linalg.norm(m))) from None
-    v = _normalize_columns(v, tol_cluster)
+    v = _normalize_columns(v)
     return w.astype(np.float64), v
 
 
@@ -182,7 +183,7 @@ class Projection:
             return Projection.zero(self.dim)
         # full SVD of the basis: trailing left singular vectors span the complement
         u, _, _ = np.linalg.svd(v, full_matrices=True)
-        return Projection(_normalize_columns(u[:, v.shape[1]:], TOL_ORTH))
+        return Projection(_normalize_columns(u[:, v.shape[1]:]))
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         v = self.range_basis
@@ -192,11 +193,11 @@ class Projection:
         return f"Projection(dim={self.dim}, rank={self.rank})"
 
 
-def orthonormalize(columns, tol_rank: float | None = None) -> Projection:
+def orthonormalize(columns, tol: float = TOL) -> Projection:
     """Projection onto the column span, rank decided by a singular-value cutoff.
 
-    The cutoff is ``tol_rank`` if given, else 1e-9 times the largest column
-    norm; a zero input yields the zero projection.
+    The cutoff is tol times the largest column norm; a zero input yields the
+    zero projection.
     """
     c = np.asarray(columns, dtype=np.complex128)
     if c.ndim != 2:
@@ -204,16 +205,15 @@ def orthonormalize(columns, tol_rank: float | None = None) -> Projection:
     n = c.shape[0]
     if c.shape[1] == 0:
         return Projection.zero(n)
-    col_norms = np.linalg.norm(c, axis=0)
-    cutoff = tol_rank if tol_rank is not None else TOL_RANK * float(col_norms.max())
-    if float(col_norms.max()) == 0.0:
+    largest = float(np.linalg.norm(c, axis=0).max())
+    if largest == 0.0:
         return Projection.zero(n)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    r = int(np.sum(s > cutoff))
-    return Projection(_normalize_columns(u[:, :r], TOL_ORTH))
+    r = int(np.sum(s > tol * largest))
+    return Projection(_normalize_columns(u[:, :r]))
 
 
-def proj_leq(p: Projection, q: Projection, tol: float = TOL_PROJ_CMP) -> bool:
+def proj_leq(p: Projection, q: Projection, tol: float = TOL) -> bool:
     """Range inclusion ran(p) <= ran(q), i.e. p <= q in the projection lattice.
 
     Decided by the Frobenius residual of p's basis outside q's range:
@@ -236,8 +236,7 @@ def subspace_join(p: Projection, q: Projection) -> Projection:
     stacked = np.hstack([p.range_basis, q.range_basis])
     if stacked.shape[1] == 0:
         return Projection.zero(p.dim)
-    # columns are unit vectors, so the rank cutoff can be absolute
-    return orthonormalize(stacked, tol_rank=TOL_RANK)
+    return orthonormalize(stacked)
 
 
 def subspace_meet(p: Projection, q: Projection) -> Projection:
@@ -245,14 +244,13 @@ def subspace_meet(p: Projection, q: Projection) -> Projection:
     return subspace_join(p.complement(), q.complement()).complement()
 
 
-def is_psd(op, tol: float = TOL_PSD) -> bool:
-    """True iff the operator's minimum eigenvalue is >= -tol * (1 + spectral norm)."""
+def is_psd(op, tol: float = TOL) -> bool:
+    """True iff the operator's minimum eigenvalue is >= -tol * spectral norm."""
     m = _coerce_hermitian(op)
     if m.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(m)
-    scale = float(np.max(np.abs(w)))
-    return float(w[0]) >= -tol * (1.0 + scale)
+    return float(w[0]) >= -tol * float(np.max(np.abs(w)))
 
 
 def commutator_norm(a, b) -> float:

@@ -25,11 +25,10 @@ from .errors import (
     ParameterError,
 )
 from .functions import BorelFunction, indicator_fn
+from .linalg import TOL
 from .spectral import CommutingTuple, _merge_points, joint_measure
 
-PREMERGE_TOL = 1e-9
 IDEAL_CAP = 20
-MASS_TOL = 1e-9
 MOLLIFIER_LEVELS = (1, 2, 4, 8)
 
 
@@ -94,9 +93,9 @@ def _units_floor(tol: float, e: int) -> int:
 class AtomicMeasure:
     """Nonnegative atomic measure: distinct points with positive-weight atoms.
 
-    Construction pre-merges points within PREMERGE_TOL in the sup norm (first
-    occurrence is the representative, weights add), then sorts
-    lexicographically, so stored points compare exactly.
+    Construction pre-merges points within TOL times the largest |coordinate|
+    in the sup norm (first occurrence is the representative, weights add),
+    then sorts lexicographically, so stored points compare exactly.
     """
 
     points: np.ndarray
@@ -117,7 +116,7 @@ class AtomicMeasure:
                                  f"{tuple(map(float, pts[i]))}, weight {float(w[i])}")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
-        out_p, group = _merge_points(pts, PREMERGE_TOL)
+        out_p, group = _merge_points(pts, TOL)
         out_w = _group_sums(group, w, len(out_p))
         out_p.setflags(write=False)
         out_w.setflags(write=False)
@@ -274,7 +273,7 @@ def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
     and, for each atom of mu1 then of mu2, its index in the list."""
     if mu1.kappa != mu2.kappa:
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
-    points, group = _merge_points(np.vstack([mu1.points, mu2.points]), PREMERGE_TOL)
+    points, group = _merge_points(np.vstack([mu1.points, mu2.points]), TOL)
     split = mu1.n_atoms
     return (points,
             _group_sums(group[:split], mu1.weights, len(points)),
@@ -460,7 +459,7 @@ class EquivalenceReport:
 
 def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                             mollifier_levels=MOLLIFIER_LEVELS, cap: int = IDEAL_CAP,
-                            tol_mass: float = MASS_TOL, tol: float = 1e-12) -> EquivalenceReport:
+                            tol_mass: float = TOL, tol: float = 1e-12) -> EquivalenceReport:
     """Equal-mass equivalence: mu2 <= mu1 on lower sets iff integrals of
     increasing functions satisfy int f dmu1 <= int f dmu2.
 
@@ -468,11 +467,11 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
     enumerated ideal and with the continuous surrogates min(1, n*distance)
     at the configured levels. The lower-set verdict compares exact masses,
     as lowerset_dominance does, at ``tol``; the integral routes sum float
-    weights. Unequal total mass raises MassMismatchError carrying the
-    one-sided conclusions that survive.
+    weights. Total masses further apart than tol_mass times the larger one
+    raise MassMismatchError carrying the one-sided conclusions that survive.
     """
     m1, m2 = mu1.total_mass(), mu2.total_mass()
-    if abs(m1 - m2) > tol_mass:
+    if not math.isclose(m1, m2, rel_tol=tol_mass):
         if m1 < m2:
             implications = ("only mass1 <= mass2: the lower-set inequality may "
                             "still imply integral inequalities for increasing f >= 0")

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
+    TOL,
     HermitianOperator,
     _read_only,
     as_complex_matrix,
@@ -48,9 +49,6 @@ from .spectral import (
     pushforward,
     validate_tuple,
 )
-
-TOL_ORDER = 1e-8
-TOL_LOEWNER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,15 @@ def _coerce_tuple(t) -> CommutingTuple:
 
 
 def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
-                       tol: float = TOL_ORDER) -> OrderVerdict:
+                       tol: float = TOL) -> OrderVerdict:
     """F_b(x) <= F_a(x) for all x, checked on the merged coordinate grid.
 
     The residual at a grid point is ||(I - F_a(x)) V_b(x)||_F for an
     orthonormal basis V_b(x) of ran F_b(x); inclusion holds when it is at
-    most tol * max(1, rank F_b(x)). Atoms of ea within tol * (1 + scale)
-    above a grid coordinate still count toward F_a there, so eigenvalue
-    ties split by roundoff do not report order failures. The witness is
-    the lexicographically first failing grid point.
+    most tol * max(1, rank F_b(x)). Atoms of ea within tol * max|coordinate|
+    on an axis above a grid coordinate still count toward F_a there, so
+    eigenvalue ties split by roundoff do not report order failures. The
+    witness is the lexicographically first failing grid point.
 
     All grid points share one Gram matrix M[a, b] = ||U_a^H W_b||_F^2 of
     the atom bases U_a of ea and W_b of eb. Because the atom projections of
@@ -120,7 +118,7 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     # diagonalization (tied eigenvalues, e.g. the saturated branch of a
     # positive part); without the slack such a tie fails with an O(1)
     # projection defect over an O(ulp) coordinate window.
-    slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
+    slack = np.array([tol * float(np.abs(ax).max()) for ax in axes])
     incl_b = inclusion(pb).astype(np.float64)
     rank_fb = eb.ranks.astype(np.float64) @ incl_b
 
@@ -144,7 +142,7 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
 
 
-def spectral_leq(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
+def spectral_leq(a, b, tol: float = TOL) -> OrderVerdict:
     """a <= b in the spectral order, via joint measures and the merged grid."""
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     if ta.kappa != tb.kappa:
@@ -154,7 +152,7 @@ def spectral_leq(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
     return distribution_order(joint_measure(ta), joint_measure(tb), tol=tol)
 
 
-def spectral_leq_componentwise(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
+def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
     """Product-order reduction: the kappa=1 order per coordinate.
 
     Equivalent to spectral_leq (each coordinate map is increasing, and the
@@ -178,14 +176,14 @@ def spectral_leq_componentwise(a, b, tol: float = TOL_ORDER) -> OrderVerdict:
     return OrderVerdict(holds=True, witness=None, defect=worst)
 
 
-def loewner_leq(a, b, tol: float = TOL_LOEWNER) -> bool:
+def loewner_leq(a, b, tol: float = TOL) -> bool:
     """a <= b in the Loewner order: b - a positive semidefinite."""
     am = a.matrix if isinstance(a, HermitianOperator) else HermitianOperator.from_matrix(a).matrix
     bm = b.matrix if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b).matrix
     return is_psd(HermitianOperator(bm - am, 0.0), tol=tol)
 
 
-def monotone_transport_check(a, b, phi, tol: float = TOL_ORDER) -> OrderVerdict:
+def monotone_transport_check(a, b, phi, tol: float = TOL) -> OrderVerdict:
     """phi(A) <= phi(B) for increasing phi, given A <= B.
 
     Preconditions: spectral_leq(a, b) holds, and phi passes the
@@ -199,7 +197,7 @@ def monotone_transport_check(a, b, phi, tol: float = TOL_ORDER) -> OrderVerdict:
 
 
 def restricted_monotone_check(a, b, phi, iota: int, omega=None,
-                              tol: float = TOL_ORDER) -> OrderVerdict:
+                              tol: float = TOL) -> OrderVerdict:
     """Transport through a phi that is only iota-increasing.
 
     Hypotheses checked, each raising PreconditionError naming itself:
@@ -218,7 +216,7 @@ def restricted_monotone_check(a, b, phi, iota: int, omega=None,
         raise ParameterError(f"iota must be in 1..{ta.kappa}, got {iota}")
     for j in range(iota, ta.kappa):
         gap = float(np.linalg.norm(ta.ops[j].matrix - tb.ops[j].matrix))
-        if gap > tol * (1.0 + ta.ops[j].norm()):
+        if gap > tol * ta.ops[j].norm():
             raise PreconditionError("trailing components equal",
                                     f"component {j} differs by {gap:.3e}")
     ea, eb = joint_measure(ta), joint_measure(tb)
@@ -261,7 +259,7 @@ def multi_indices(kappa: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL_LOEWNER) -> OrderVerdict:
+def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL) -> OrderVerdict:
     """Scan A^alpha <= B^alpha (Loewner) over |alpha| <= alpha_max.
 
     For positive tuples this family of inequalities is necessary for the
@@ -273,14 +271,16 @@ def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL_LOEWNER) -> Orde
     return scaled_monomial_check(a, b, lambda alpha: 1.0, alpha_max, tol=tol)
 
 
-def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL_LOEWNER) -> OrderVerdict:
+def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVerdict:
     """A^alpha <= r_alpha * B^alpha over |alpha| <= alpha_max, r_alpha >= 1.
 
     ``r`` maps a multi-index tuple to a scale factor (callable or mapping).
     Factors below 1 are rejected with ParameterError since the
     characterization requires r_alpha >= 1 with subexponential growth.
     A^alpha and B^alpha are built lazily, one product each, up to the first
-    failing alpha. ParameterError names the alpha where lambda^alpha or
+    failing alpha. An alpha fails when the least eigenvalue of
+    r_alpha B^alpha - A^alpha is below -tol * max(||A^alpha||, r_alpha ||B^alpha||).
+    ParameterError names the alpha where lambda^alpha or
     r_alpha B^alpha - A^alpha is not finite.
     """
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
@@ -293,16 +293,17 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL_LOEWNER) -> 
         r_alpha = float(lookup(tuple(alpha)))
         if r_alpha < 1.0:
             raise ParameterError(f"scale r[{alpha}] = {r_alpha} < 1")
-        pow_a = calculus_scalar(ea, _monomial_values(ea.points(), alpha)).matrix
-        pow_b = calculus_scalar(eb, _monomial_values(eb.points(), alpha)).matrix
+        va, vb = (_monomial_values(e.points(), alpha) for e in (ea, eb))
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = r_alpha * pow_b - pow_a
+            diff = r_alpha * calculus_scalar(eb, vb).matrix - calculus_scalar(ea, va).matrix
         if not np.all(np.isfinite(diff)):
             raise ParameterError(f"r_alpha B^alpha - A^alpha at alpha={alpha} is not finite")
+        # ||X^alpha|| is the largest |lambda^alpha| over X's atoms
+        scale = max(float(np.max(np.abs(va), initial=0.0)),
+                    r_alpha * float(np.max(np.abs(vb), initial=0.0)))
         w = np.linalg.eigvalsh(diff)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
         lo = float(w[0]) if w.size else 0.0
-        if lo < -tol * (1.0 + scale):
+        if lo < -tol * scale:
             return OrderVerdict(holds=False, witness=tuple(alpha), defect=-lo)
         worst = max(worst, max(0.0, -lo))
     return OrderVerdict(holds=True, witness=None, defect=worst)
@@ -399,7 +400,7 @@ class MembershipResult:
         return self.member
 
 
-def bounded_vector_membership(a, h, bound, tol: float = TOL_ORDER,
+def bounded_vector_membership(a, h, bound, tol: float = TOL,
                               alpha_max: int = 12,
                               growth_margin: float = 0.05) -> MembershipResult:
     """Is h in the joint bounded-vector space of a positive tuple at ``bound``?
@@ -448,11 +449,11 @@ class NormalOperator:
     normality_defect: float
 
     @classmethod
-    def from_matrix(cls, m, tol: float = TOL_ORDER) -> "NormalOperator":
+    def from_matrix(cls, m, tol: float = TOL) -> "NormalOperator":
         m = as_complex_matrix(m)
         defect = float(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
         scale = float(np.linalg.norm(m))
-        threshold = tol * (1.0 + scale * scale)
+        threshold = tol * scale * scale
         if defect > threshold:
             raise NormalityError(defect, threshold)
         return cls(matrix=_read_only(m), normality_defect=defect)
@@ -468,13 +469,13 @@ class NormalOperator:
         return validate_tuple([re, im])
 
     @classmethod
-    def from_parts(cls, t: CommutingTuple, tol: float = TOL_ORDER) -> "NormalOperator":
+    def from_parts(cls, t: CommutingTuple, tol: float = TOL) -> "NormalOperator":
         if t.kappa != 2:
             raise ParameterError(f"need a pair, got kappa={t.kappa}")
         return cls.from_matrix(t.ops[0].matrix + 1j * t.ops[1].matrix, tol=tol)
 
 
-def normal_leq(s, t, tol: float = TOL_ORDER) -> OrderVerdict:
+def normal_leq(s, t, tol: float = TOL) -> OrderVerdict:
     """Spectral order of normal operators through their Hermitian pairs.
 
     s <= t iff (Re s, Im s) <= (Re t, Im t) as commuting pairs; the map is an
@@ -501,7 +502,7 @@ class InfimumProbeReport:
     lower_bound_ok: bool | None
 
 
-def infimum_probe(a, b, tol: float = TOL_ORDER) -> InfimumProbeReport:
+def infimum_probe(a, b, tol: float = TOL) -> InfimumProbeReport:
     """Test the natural infimum candidate of two projection tuples.
 
     Componentwise the candidate is the projection onto the intersection of
@@ -515,7 +516,7 @@ def infimum_probe(a, b, tol: float = TOL_ORDER) -> InfimumProbeReport:
     for name, tt in (("a", ta), ("b", tb)):
         for j, op in enumerate(tt.ops):
             idem = float(np.linalg.norm(op.matrix @ op.matrix - op.matrix))
-            if idem > tol * (1.0 + op.norm()):
+            if idem > tol * op.norm():
                 raise ParameterError(
                     f"component {j} of {name!r} is not a projection "
                     f"(idempotency defect {idem:.3e})")
@@ -529,9 +530,8 @@ def infimum_probe(a, b, tol: float = TOL_ORDER) -> InfimumProbeReport:
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             defect = max(defect, commutator_norm(candidates[i], candidates[j]))
-    scale = max((1.0 + ci.norm() * cj.norm())
-                for i, ci in enumerate(candidates)
-                for j, cj in enumerate(candidates) if i < j) if len(candidates) > 1 else 1.0
+    scale = max((ci.norm() * cj.norm() for i, ci in enumerate(candidates)
+                 for cj in candidates[i + 1:]), default=0.0)
     commutes = defect <= tol * scale
     lower_bound_ok = None
     if commutes:

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
-from .linalg import HermitianOperator, Projection, _normalize_columns
+from .linalg import TOL, HermitianOperator, Projection, _normalize_columns
 from .spectral import JointSpectralMeasure, _stack
-
-TOL_RESOLUTION = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +170,7 @@ def _cell_box(f: ProjValuedStepFunction, idx) -> tuple:
 
 
 def validate_resolution(f: ProjValuedStepFunction,
-                        tol: float = TOL_RESOLUTION) -> ResolutionReport:
+                        tol: float = TOL) -> ResolutionReport:
     """Check the resolution axioms, locating every violating cell box.
 
     Walks the first axis one slab of grid values at a time, so memory stays
@@ -203,7 +201,7 @@ def validate_resolution(f: ProjValuedStepFunction,
         herm_defect = np.max(np.abs(d - adj), axis=(1, 2))
         d = (d + adj) / 2.0
         w, v = np.linalg.eigh(d)
-        v = _normalize_columns(v, 1e-12)
+        v = _normalize_columns(v)
         dist = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
         for k, c in enumerate(live):
             box = _cell_box(f, (i,) + np.unravel_index(c, rest))
@@ -237,7 +235,7 @@ def validate_resolution(f: ProjValuedStepFunction,
 
 
 def reconstruct_measure(f: ProjValuedStepFunction,
-                        tol: float = TOL_RESOLUTION) -> JointSpectralMeasure:
+                        tol: float = TOL) -> JointSpectralMeasure:
     """Atoms from nonzero cell differences; inverse of taking distributions.
 
     Each surviving cell contributes an atom at its top corner whose

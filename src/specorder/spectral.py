@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CommutationError, DimensionError, ParameterError
 from .functions import _check_multi_index, fractional_fn, parts_fns
 from .linalg import (
+    TOL,
     HermitianOperator,
     Projection,
     _normalize_columns,
@@ -29,10 +30,6 @@ from .linalg import (
     hermitian_eig,
 )
 
-TOL_COMM = 1e-8
-CLUSTER_TOL = 1e-8
-TOL_POSITIVE = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class CommutingTuple:
@@ -40,9 +37,9 @@ class CommutingTuple:
 
     Build instances through :func:`validate_tuple`; the calculus constructs
     its own instances directly because a shared eigenbasis certifies
-    commutation without a numerical test. The instance keeps its
-    default-tolerance joint measure once :func:`joint_measure` has computed
-    it; both are immutable, so every caller can share it.
+    commutation without a numerical test. The instance keeps its joint
+    measure once :func:`joint_measure` has computed it; both are immutable,
+    so every caller can share it.
     """
 
     ops: tuple[HermitianOperator, ...]
@@ -66,7 +63,7 @@ class CommutingTuple:
                 f"defect={self.max_commutator_defect:.2e})")
 
 
-def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
+def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
     """Check shapes and pairwise commutation, returning a CommutingTuple.
 
     Raises
@@ -75,7 +72,7 @@ def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
         If the tuple is empty or components have mismatched dimensions.
     CommutationError
         Carrying the offending pair (i, j) and its Frobenius defect when it
-        exceeds tol_comm * (1 + ||A_i|| * ||A_j||).
+        exceeds tol_comm * ||A_i|| * ||A_j||.
     ParameterError
         If a component's Frobenius norm exceeds the float range.
     """
@@ -104,7 +101,7 @@ def validate_tuple(ops, tol_comm: float = TOL_COMM) -> CommutingTuple:
                 e = exps[i] + exps[j]
                 a, b = scaled[i], scaled[j]
                 defect = float(np.linalg.norm(a @ b - b @ a))
-                threshold = tol_comm * (float(np.ldexp(1.0, -e)) + norms[i] * norms[j])
+                threshold = tol_comm * norms[i] * norms[j]
                 if defect > threshold:
                     raise CommutationError(i, j, np.ldexp(defect, e), np.ldexp(threshold, e))
                 worst = max(worst, float(np.ldexp(defect, e)))
@@ -131,7 +128,8 @@ class JointSpectralMeasure:
     atoms' range bases side by side in point order: atom a owns ``ranks[a]``
     columns, and ``owner`` maps each column to its atom. For a tuple's
     measure r = n. The keyword constructor stacks (point, Projection) pairs
-    in the given order; ``atoms`` and ``projections()`` rebuild them.
+    in the given order; ``atoms`` and ``projections()`` rebuild them. The
+    arrays are stored as read-only copies.
     """
 
     kappa: int
@@ -139,27 +137,25 @@ class JointSpectralMeasure:
     basis: np.ndarray
     ranks: np.ndarray
     owner: np.ndarray
-    cluster_tol: float
     _points: np.ndarray
 
-    def __init__(self, kappa: int, dim: int, atoms, cluster_tol: float):
-        self._store(*_stack(kappa, dim, [(pt, p.range_basis) for pt, p in atoms]), cluster_tol)
+    def __init__(self, kappa: int, dim: int, atoms):
+        self._store(*_stack(kappa, dim, [(pt, p.range_basis) for pt, p in atoms]))
 
     @classmethod
-    def from_arrays(cls, points, basis, ranks, cluster_tol: float = CLUSTER_TOL):
+    def from_arrays(cls, points, basis, ranks):
         e = cls.__new__(cls)
-        e._store(points, basis, ranks, cluster_tol)
+        e._store(points, basis, ranks)
         return e
 
-    def _store(self, points, basis, ranks, cluster_tol):
+    def _store(self, points, basis, ranks):
         ranks = np.asarray(ranks, dtype=np.intp)
         for name, value in (("_points", np.asarray(points, dtype=np.float64)), ("ranks", ranks),
                             ("basis", np.asarray(basis, dtype=np.complex128)),
                             ("owner", np.repeat(np.arange(ranks.size), ranks))):
             object.__setattr__(self, name, _read_only(value))
-        for name, value in (("kappa", self._points.shape[1]), ("dim", self.basis.shape[0]),
-                            ("cluster_tol", cluster_tol)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "kappa", self._points.shape[1])
+        object.__setattr__(self, "dim", self.basis.shape[0])
 
     def points(self) -> np.ndarray:
         return self._points
@@ -242,14 +238,16 @@ def _split_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
 
 
 def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge points within tol of each other in the sup norm.
+    """Merge points within tol * (largest finite |coordinate|) of each other
+    in the sup norm.
 
     The first point in input order represents its group; a later point
-    joins the first representative within tol. Returns the representatives
-    sorted lexicographically and, for each input point, the index of its
-    group's representative in that sorted array.
+    joins the first representative within that distance. Returns the
+    representatives sorted lexicographically and, for each input point, the
+    index of its group's representative in that sorted array.
     """
     pts = np.asarray(points, dtype=np.float64)
+    tol = tol * float(np.max(np.abs(pts), initial=0.0, where=np.isfinite(pts)))
     group = np.full(pts.shape[0], -1)
     first: list[int] = []
     for i in range(pts.shape[0]):
@@ -265,28 +263,26 @@ def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return reps[order], rank[group]
 
 
-def joint_measure(t: CommutingTuple, cluster_tol: float = CLUSTER_TOL) -> JointSpectralMeasure:
+def joint_measure(t: CommutingTuple) -> JointSpectralMeasure:
     """Joint spectral measure by recursive cluster diagonalization.
 
     Level j diagonalizes the compression of A_j to the current invariant
-    subspace, splits the spectrum at gaps exceeding
-    cluster_tol * (1 + ||A_j||), and recurses into each cluster with the
-    cluster mean as the j-th atom coordinate. Distinct atoms are separated by
-    more than the threshold in at least one coordinate, so points are
-    pairwise distinct in the sup norm.
+    subspace, splits the spectrum at gaps exceeding TOL * ||A_j||, and
+    recurses into each cluster with the cluster mean as the j-th atom
+    coordinate. Distinct atoms are separated by more than the threshold in
+    at least one coordinate, so points are pairwise distinct in the sup
+    norm. The threshold scales with A_j, so c * A has the atoms of A
+    scaled by c for every c > 0.
 
-    The default-tolerance measure is computed once per tuple and kept on
-    it; any other cluster_tol diagonalizes afresh.
+    The measure is computed once per tuple and kept on it.
     """
-    if cluster_tol != CLUSTER_TOL:
-        return _diagonalize(t, cluster_tol)
     if t._measure is None:
-        object.__setattr__(t, "_measure", _diagonalize(t, cluster_tol))
+        object.__setattr__(t, "_measure", _diagonalize(t))
     return t._measure
 
 
-def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
-    thresholds = [cluster_tol * (1.0 + op.norm()) for op in t.ops]
+def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
+    thresholds = [TOL * op.norm() for op in t.ops]
     leaves: list[tuple[tuple[float, ...], np.ndarray]] = []
 
     def recurse(level: int, basis: np.ndarray, prefix: tuple[float, ...]):
@@ -307,8 +303,7 @@ def _diagonalize(t: CommutingTuple, cluster_tol: float) -> JointSpectralMeasure:
     recurse(0, np.eye(t.dim, dtype=np.complex128), ())
     points, basis, ranks = _stack(t.kappa, t.dim, sorted(leaves, key=lambda leaf: leaf[0]))
     # re-fix column phases lost while composing cluster bases, all atoms in one call
-    return JointSpectralMeasure.from_arrays(points, _normalize_columns(basis, 1e-12), ranks,
-                                            cluster_tol)
+    return JointSpectralMeasure.from_arrays(points, _normalize_columns(basis), ranks)
 
 
 def _rule_values(phi, points: np.ndarray) -> np.ndarray:
@@ -355,15 +350,16 @@ def calculus_vector(e: JointSpectralMeasure, phis) -> CommutingTuple:
 def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:
     """Image measure under the vector rule: atoms mapped, then merged.
 
-    Mapped points within cluster_tol of each other in the sup norm fuse into
-    one atom whose projection is the join of the originals.
+    Mapped points within TOL times the largest mapped coordinate of each
+    other in the sup norm fuse into one atom whose projection is the join of
+    the originals.
     """
     mapped = np.stack([_rule_values(phi, e.points()) for phi in phis], axis=1)
-    reps, group = _merge_points(mapped, e.cluster_tol)
+    reps, group = _merge_points(mapped, TOL)
     # merged atoms keep their columns in atom order
     cols = np.argsort(group[e.owner], kind="stable")
     ranks = np.bincount(group, weights=e.ranks, minlength=len(reps)).astype(np.intp)
-    return JointSpectralMeasure.from_arrays(reps, e.basis[:, cols], ranks, e.cluster_tol)
+    return JointSpectralMeasure.from_arrays(reps, e.basis[:, cols], ranks)
 
 
 def monomial(t: CommutingTuple, alpha) -> HermitianOperator:
@@ -380,15 +376,15 @@ def fractional_power(t: CommutingTuple, beta) -> HermitianOperator:
     """Orthant powers: prod |A_j|^{beta_j} cut to the nonnegative joint spectrum.
 
     Atoms with any negative coordinate contribute zero. Roundoff-negative
-    coordinates of numerically positive tuples are absorbed by a small
-    relative tolerance.
+    coordinates of numerically positive tuples, down to -TOL times the
+    largest |coordinate|, count as zero.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (t.kappa,):
         raise ParameterError(f"beta has shape {beta.shape}, expected ({t.kappa},)")
     e = joint_measure(t)
     scale = float(np.max(np.abs(e.points()), initial=0.0))
-    return calculus_scalar(e, fractional_fn(beta, tol=1e-12 * (1.0 + scale)))
+    return calculus_scalar(e, fractional_fn(beta, tol=TOL * scale))
 
 
 def parts_decompose(t: CommutingTuple, signs) -> CommutingTuple:
@@ -399,11 +395,11 @@ def parts_decompose(t: CommutingTuple, signs) -> CommutingTuple:
     return calculus_vector(joint_measure(t), phis)
 
 
-def is_positive_tuple(t: CommutingTuple, tol: float = TOL_POSITIVE) -> bool:
-    """True iff every atom coordinate is >= -tol * (1 + ||A_j||).
+def is_positive_tuple(t: CommutingTuple, tol: float = TOL) -> bool:
+    """True iff every atom coordinate is >= -tol * ||A_j||.
 
     Equivalent to each component being positive semidefinite, up to the
-    tolerance convention shared with linalg.is_psd.
+    tolerance rule shared with linalg.is_psd.
     """
-    floor = [-tol * (1.0 + op.norm()) for op in t.ops]
+    floor = [-tol * op.norm() for op in t.ops]
     return bool(np.all(joint_measure(t).points() >= floor))

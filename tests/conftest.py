@@ -17,7 +17,7 @@ from hypothesis import settings, strategies as st
 
 from specorder.errors import InputError, ValidationError
 from specorder.functions import indicator_fn
-from specorder.linalg import HermitianOperator, Projection, _normalize_columns, hermitian_eig
+from specorder.linalg import TOL, HermitianOperator, Projection, _normalize_columns, hermitian_eig
 from specorder.measures import (
     LowerSetGen,
     _merged_support,
@@ -135,6 +135,11 @@ def distinct_integer_points(rng, count: int, kappa: int, side: int = 5):
     return pts.astype(np.float64)
 
 
+def merge_radius(points) -> float:
+    """The package's merge distance for these points: TOL times the largest |coordinate|."""
+    return TOL * float(np.max(np.abs(points), initial=0.0))
+
+
 def merge_first_occurrence(points, tol: float):
     """Reference atom merge: an explicit first-occurrence loop.
 
@@ -214,7 +219,7 @@ def _cell_boxes(f):
         yield lo, idx, (lo_pt, hi_pt)
 
 
-def corner_sum_validate_resolution(f, tol: float = 1e-7) -> ResolutionReport:
+def corner_sum_validate_resolution(f, tol: float = TOL) -> ResolutionReport:
     """Reference resolution check: per cell one 2^kappa corner sum and one
     eigvalsh, then one product per pair of nonzero cells."""
     cell_violations = []
@@ -246,7 +251,7 @@ def corner_sum_validate_resolution(f, tol: float = 1e-7) -> ResolutionReport:
     )
 
 
-def corner_sum_reconstruct_measure(f, tol: float = 1e-7, cluster_tol: float = 1e-8):
+def corner_sum_reconstruct_measure(f, tol: float = TOL):
     """Reference reconstruction: validate, then one corner sum and one
     hermitian_eig per cell, eigenvectors at eigenvalue one."""
     report = corner_sum_validate_resolution(f, tol=tol)
@@ -261,8 +266,7 @@ def corner_sum_reconstruct_measure(f, tol: float = 1e-7, cluster_tol: float = 1e
         if cols.shape[1]:
             atoms.append((box[1], Projection(cols)))
     atoms.sort(key=lambda a: a[0])
-    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=tuple(atoms),
-                                cluster_tol=cluster_tol)
+    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=tuple(atoms))
 
 
 @st.composite
@@ -409,14 +413,14 @@ def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
 # --- per-atom references for the array-form joint spectral measure ----------
 
 
-def diagonalize_per_atom(t, cluster_tol: float = 1e-8):
+def diagonalize_per_atom(t):
     """Reference joint measure: (point, basis) pairs sorted by point.
 
     The recursive cluster diagonalization, with the column phases fixed in
     one call over the leaves in the order the recursion found them, and
     only then sorted, each atom's basis split off on its own.
     """
-    thresholds = [cluster_tol * (1.0 + op.norm()) for op in t.ops]
+    thresholds = [TOL * op.norm() for op in t.ops]
     leaves = []
 
     def recurse(level, basis, prefix):
@@ -436,13 +440,13 @@ def diagonalize_per_atom(t, cluster_tol: float = 1e-8):
     recurse(0, np.eye(t.dim, dtype=np.complex128), ())
     if not leaves:
         return []
-    fixed = _normalize_columns(np.hstack([b for _, b in leaves]), 1e-12)
+    fixed = _normalize_columns(np.hstack([b for _, b in leaves]))
     cuts = np.cumsum([b.shape[1] for _, b in leaves])[:-1]
     atoms = [(pt, np.array(b)) for (pt, _), b in zip(leaves, np.split(fixed, cuts, axis=1))]
     return sorted(atoms, key=lambda a: a[0])
 
 
-def distribution_order_stacked(atoms_a, atoms_b, tol: float = 1e-8):
+def distribution_order_stacked(atoms_a, atoms_b, tol: float = TOL):
     """Reference order kernel on (point, basis) lists: the atom bases
     hstacked, atoms marked by a repeat-built column mask. Returns
     (holds, witness, defect)."""
@@ -463,7 +467,7 @@ def distribution_order_stacked(atoms_a, atoms_b, tol: float = 1e-8):
         ranks = [b.shape[1] for _, b in atoms]
         return np.repeat(np.arange(len(ranks)), ranks) == np.arange(len(ranks))[:, None]
 
-    slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
+    slack = np.array([tol * float(np.abs(ax).max()) for ax in axes])
     incl_b = inclusion(pb, np.zeros(kappa)).astype(np.float64)
     rank_fb = np.array([b.shape[1] for _, b in atoms_b], dtype=np.float64) @ incl_b
     u = np.hstack([b for _, b in atoms_a])
@@ -496,16 +500,26 @@ def monomial_matrices_eager(atoms, alphas) -> dict:
         for alpha in alphas}
 
 
-def monomial_scan_eager(atoms_a, atoms_b, alphas, tol: float = 1e-10):
-    """Reference Loewner scan over eagerly built monomials: (holds, witness, defect)."""
+def monomial_norm(atoms, alpha) -> float:
+    """||X^alpha||: the largest |lambda^alpha| over the atoms."""
+    pts = np.array([pt for pt, _ in atoms], dtype=np.float64)
+    return float(np.max(np.abs(np.prod(pts ** np.asarray(alpha, dtype=np.float64), axis=1))))
+
+
+def monomial_scan_eager(atoms_a, atoms_b, alphas, tol: float = TOL):
+    """Reference Loewner scan over eagerly built monomials: (holds, witness, defect).
+
+    alpha fails when the least eigenvalue of B^alpha - A^alpha is below
+    -tol * max(||A^alpha||, ||B^alpha||).
+    """
     pow_a = monomial_matrices_eager(atoms_a, alphas)
     pow_b = monomial_matrices_eager(atoms_b, alphas)
     worst = 0.0
     for alpha in alphas:
         w = np.linalg.eigvalsh(pow_b[alpha] - pow_a[alpha])
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        scale = max(monomial_norm(atoms_a, alpha), monomial_norm(atoms_b, alpha))
         lo = float(w[0]) if w.size else 0.0
-        if lo < -tol * (1.0 + scale):
+        if lo < -tol * scale:
             return False, alpha, -lo
         worst = max(worst, max(0.0, -lo))
     return True, None, worst

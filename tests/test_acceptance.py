@@ -309,8 +309,7 @@ def test_criterion_10_resolution_round_trip():
         atoms = tuple(
             (tuple(float(v) for v in pts[i]), Projection(bases[i]))
             for i in np.lexsort(pts.T[::-1]))
-        e = JointSpectralMeasure(kappa=kappa, dim=n, atoms=atoms,
-                                 cluster_tol=1e-8)
+        e = JointSpectralMeasure(kappa=kappa, dim=n, atoms=atoms)
         back = reconstruct_measure(ProjValuedStepFunction.from_measure(e))
         exact_points += np.array_equal(back.points(), e.points())
         proj_ok += all(

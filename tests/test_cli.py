@@ -411,3 +411,34 @@ def test_calculus_non_finite_value_exits_two(tmp_path):
     assert proc.returncode == 2 and _clean(proc)
     assert "alpha=(2, 0)" in proc.stderr
     assert not out.exists()
+
+
+def test_tiny_scale_reversed_pair_fails(tmp_path):
+    # scaled by 1e-9, an absolute floor in the cluster threshold merged every
+    # eigenvalue into one atom and the reversed pair read "holds"
+    a = write_tuple(tmp_path / "a.json", [0.0, 1e-9], [0.5e-9, 2e-9])
+    b = write_tuple(tmp_path / "b.json", [1e-9, 2e-9], [1e-9, 3e-9])
+    proc = run_cli("check-order", b, a, "--alpha-max", "2")
+    assert proc.returncode == 1 and _clean(proc)
+    assert "spectral_leq: FAILS" in proc.stdout
+    assert run_cli("check-order", a, b, "--alpha-max", "2").returncode == 0
+
+
+def test_tiny_scale_noncommuting_tuple_exits_two(tmp_path):
+    # the commutator defect 1.4e-18 passed a threshold with an absolute 1e-8 floor
+    f = _tuple_file(tmp_path / "t.json", [1e-9 * np.array([[1.0, 1.0], [1.0, 0.0]]),
+                                          1e-9 * np.diag([1.0, 2.0])])
+    proc = run_cli("check-order", f, f)
+    assert proc.returncode == 2 and _clean(proc)
+    assert "components 0 and 1 do not commute" in proc.stderr
+    assert "holds" not in proc.stdout
+
+
+def test_calculus_overflowing_value_is_reported_not_finite(tmp_path):
+    t = _tuple_file(tmp_path / "t.json", [np.diag([1.5e308, 1.0]), np.diag([1.5e308, 2.0])])
+    out = tmp_path / "out.json"
+    proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
+    assert proc.returncode == 2 and _clean(proc)
+    assert "function value not finite at point (1.5e+308, 1.5e+308)" in proc.stderr
+    assert "np.float64" not in proc.stderr
+    assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 
 from specorder.errors import EvaluationError, ParameterError
 from specorder.functions import (
+    BorelFunction,
     clipped_affine_fn,
     coordinate_fn,
     fractional_fn,
@@ -92,3 +93,11 @@ def test_on_points_vectorizes():
     f = sum_fn(2)
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     assert np.array_equal(f.on_points(pts), [1.0, 5.0])
+
+
+def test_evaluation_error_names_the_cause_with_plain_floats():
+    with pytest.raises(EvaluationError, match=r"value not finite at point \(1e\+300,\)$"):
+        monomial_fn((400,))((1e300,))
+    undefined = BorelFunction(tag="nothing", fn=lambda x: None)
+    with pytest.raises(EvaluationError, match=r"undefined at point \(1\.5, -2\.0\)$"):
+        undefined(np.array([1.5, -2.0]))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     fresh_rng,
     merge_first_occurrence,
+    merge_radius,
     n_ideals_by_deletion,
     near_duplicate_points,
 )
@@ -16,8 +17,8 @@ from specorder.errors import (
 )
 from specorder.functions import indicator_fn
 from specorder.gallery import crossed_dirac_pair
+from specorder.linalg import TOL
 from specorder.measures import (
-    PREMERGE_TOL,
     AtomicMeasure,
     LowerSetGen,
     _merged_support,
@@ -62,13 +63,13 @@ def running_sum(values) -> float:
     return total
 
 
-@given(pts=near_duplicate_points(PREMERGE_TOL), data=st.data())
+@given(pts=near_duplicate_points(TOL), data=st.data())
 @settings(max_examples=150)
 def test_premerge_matches_first_occurrence_loop(pts, data):
     w = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(pts),
                                     max_size=len(pts))), dtype=np.float64)
     split = data.draw(st.integers(0, len(pts)))
-    reps, members = merge_first_occurrence(pts, PREMERGE_TOL)
+    reps, members = merge_first_occurrence(pts, merge_radius(pts))
     expected_points = np.array(reps, dtype=np.float64).reshape(len(reps), pts.shape[1])
 
     mu = AtomicMeasure.from_atoms(pts, w)
@@ -82,7 +83,7 @@ def test_premerge_matches_first_occurrence_loop(pts, data):
     mu1 = AtomicMeasure.from_atoms(pts[:split], w[:split])
     mu2 = AtomicMeasure.from_atoms(pts[split:], w[split:])
     both = np.vstack([mu1.points, mu2.points])
-    reps, members = merge_first_occurrence(both, PREMERGE_TOL)
+    reps, members = merge_first_occurrence(both, merge_radius(both))
     points, w1, w2, group = _merged_support(mu1, mu2)
     assert points.tobytes() == np.array(reps, dtype=np.float64).tobytes()
     assert [sorted(np.flatnonzero(group == k)) for k in range(len(reps))] == members

@@ -30,8 +30,8 @@ from conftest import (
 from specorder.errors import MassMismatchError, ParameterError
 from specorder.gallery import crossed_dirac_pair
 from specorder.io import measure_to_dict, save_json
+from specorder.linalg import TOL
 from specorder.measures import (
-    MASS_TOL,
     AtomicMeasure,
     _merged_support,
     cdf_leq,
@@ -96,7 +96,7 @@ def test_exact_checks_match_fraction_oracle_and_float_loops(case):
         scale = max(w1[idx].sum(), w2[idx].sum())
         assert abs(old_dom[2] - dom.gap) <= 2 * len(idx) * math.ulp(scale)
 
-    if abs(mu1.total_mass() - mu2.total_mass()) > MASS_TOL:
+    if not math.isclose(mu1.total_mass(), mu2.total_mass(), rel_tol=TOL):
         with pytest.raises(MassMismatchError):
             thm31_equivalence_check(mu1, mu2, iota, tol=tol)
         return

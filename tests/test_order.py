@@ -34,9 +34,9 @@ from specorder.gallery import (
     crossed_dirac_diagonal_pair,
     projection_pair_no_infimum,
 )
+from specorder.linalg import TOL
 from specorder.measures import lower_indicator_complement, LowerSetGen
 from specorder.order import (
-    TOL_ORDER,
     NormalOperator,
     OrderVerdict,
     bounded_vector_membership,
@@ -499,7 +499,7 @@ def test_infimum_probe_rejects_nonprojections():
         infimum_probe(t, p)
 
 
-def _reference_order(ea, eb, tol=TOL_ORDER):
+def _reference_order(ea, eb, tol=TOL):
     """The order check by explicit subtraction, one grid point at a time.
 
     Residual ||(I - F_a(x + slack)) V_b(x)||_F with V_b(x) an orthonormal
@@ -509,7 +509,7 @@ def _reference_order(ea, eb, tol=TOL_ORDER):
     """
     pa, pb = ea.points(), eb.points()
     axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]])) for j in range(ea.kappa)]
-    slack = np.array([tol * (1.0 + float(np.abs(ax).max())) for ax in axes])
+    slack = np.array([tol * float(np.abs(ax).max()) for ax in axes])
     worst = 0.0
     for x in itertools.product(*axes):
         x = np.array(x)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     fresh_rng,
     merge_first_occurrence,
+    merge_radius,
     near_duplicate_points,
     random_commuting,
     random_projection_split,
@@ -12,9 +13,8 @@ from conftest import (
 from specorder.errors import CommutationError, DimensionError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
 from specorder.gallery import projection_pair_no_infimum
-from specorder.linalg import Projection, commutator_norm, proj_leq
+from specorder.linalg import TOL, Projection, commutator_norm, proj_leq
 from specorder.spectral import (
-    CLUSTER_TOL,
     JointSpectralMeasure,
     calculus_scalar,
     calculus_vector,
@@ -65,7 +65,7 @@ def test_commutation_check_matches_unscaled_rule(salt, scale, noise, tol_exp):
     tol = 10.0 ** tol_exp
     a, b = (validate_tuple([m]).ops[0] for m in ops)
     defect = commutator_norm(a, b)
-    threshold = tol * (1.0 + a.norm() * b.norm())
+    threshold = tol * a.norm() * b.norm()
     if defect > threshold:
         with pytest.raises(CommutationError) as info:
             validate_tuple(ops, tol_comm=tol)
@@ -129,11 +129,12 @@ def test_cluster_splitting_inside_degenerate_eigenspace():
     assert [tuple(p) for p in e.points()] == [(1.0, -1.0), (1.0, 1.0), (2.0, 5.0)]
 
 
-def test_cluster_tol_merges_near_degenerate_values():
+def test_near_degenerate_values_split_like_their_rescaling():
+    # diag(0, 1e-12) is 1e-12 * diag(0, 1): two atoms, like diag(0, 1)
     t = validate_tuple([np.diag([0.0, 1e-12])])
     e = joint_measure(t)
-    assert e.n_atoms() == 1
-    assert abs(e.points()[0, 0]) <= 1e-12
+    assert e.n_atoms() == 2
+    assert e.points()[:, 0].tolist() == [0.0, 1e-12]
 
 
 def test_marginal_projection():
@@ -293,18 +294,18 @@ def test_pushforward_constant_map_merges_everything():
     assert squashed.atoms[0][1].rank == 4
 
 
-@given(mapped=near_duplicate_points(CLUSTER_TOL, max_points=7), salt=st.integers(0, 50))
+@given(mapped=near_duplicate_points(TOL, max_points=7), salt=st.integers(0, 50))
 @settings(max_examples=100)
 def test_pushforward_matches_first_occurrence_loop(mapped, salt):
     # atom i of a kappa=1 measure sits at i and is sent to mapped[i]
     m = len(mapped)
     bases = random_projection_split(fresh_rng(500 + salt), m + 2, m) if m else []
-    e = JointSpectralMeasure(kappa=1, dim=m + 2, cluster_tol=CLUSTER_TOL,
+    e = JointSpectralMeasure(kappa=1, dim=m + 2,
                              atoms=tuple(((float(i),), Projection(b))
                                          for i, b in enumerate(bases)))
     phis = [lambda x, j=j: mapped[int(x[0]), j] for j in range(mapped.shape[1])]
     image = pushforward(e, phis)
-    reps, members = merge_first_occurrence(mapped, CLUSTER_TOL)
+    reps, members = merge_first_occurrence(mapped, merge_radius(mapped))
     assert image.points().tobytes() == np.array(reps).tobytes()
     assert [p.range_basis.tobytes() for p in image.projections()] == [
         np.hstack([bases[i] for i in ms]).astype(np.complex128).tobytes()
@@ -342,10 +343,6 @@ def test_joint_measure_diagonalizes_each_tuple_once(monkeypatch):
     assert n_first == 1
     assert joint_measure(t) is first
     assert len(calls) == n_first
-    # a non-default tolerance bypasses the memo and does not replace it
-    coarse = joint_measure(t, cluster_tol=1e-6)
-    assert coarse is not first and len(calls) > n_first
-    assert joint_measure(t) is first
     # the memo lives on the instance: an equal tuple diagonalizes afresh
     n_before = len(calls)
     joint_measure(validate_tuple(t.matrices()))
