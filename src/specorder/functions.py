@@ -68,12 +68,12 @@ def monomial_fn(alpha) -> BorelFunction:
                          monotone_iota=monotone)
 
 
-def fractional_fn(beta, tol: float = 0.0) -> BorelFunction:
+def fractional_fn(beta, tol=0.0) -> BorelFunction:
     """x -> prod |x_j|^{beta_j} on the nonnegative orthant, 0 elsewhere; 0^0 = 1.
 
-    ``tol`` absorbs roundoff: coordinates in [-tol, 0) count as 0 so that
-    spectra of numerically positive operators are not annihilated by sign
-    noise.
+    ``tol`` (one number, or one per coordinate) absorbs roundoff:
+    coordinates in [-tol, 0) count as 0 so that spectra of numerically
+    positive operators are not annihilated by sign noise.
     """
     b = _check_multi_index(beta, integer=False)
 

@@ -3,12 +3,10 @@
 Everything downstream (joint spectral measures, order predicates, resolution
 checks) reduces to the primitives here: a deterministic Hermitian
 eigendecomposition, range-basis projections with join/meet, and tolerance-aware
-comparisons. Every decision threshold in the package is a tolerance, TOL by
-default, times the size of what it compares (a norm, a largest eigenvalue or
-coordinate), with no absolute floor, so verdicts do not change when all
-operands are scaled by one positive number. eigh's backward error, about
-n * eps * ||A|| (Golub & Van Loan, Matrix Computations 8.1), stays far below
-TOL * ||A||, so no floor is needed.
+comparisons. Every decision threshold in the package is a tolerance (TOL by
+default) times the size of what it compares, with no absolute floor, so
+verdicts do not change when all operands are scaled by one positive number;
+eigh's backward error, n * eps * ||A|| (Golub & Van Loan 8.1), is far below.
 """
 
 from __future__ import annotations
@@ -193,10 +191,10 @@ class Projection:
         return f"Projection(dim={self.dim}, rank={self.rank})"
 
 
-def orthonormalize(columns, tol: float = TOL) -> Projection:
+def orthonormalize(columns) -> Projection:
     """Projection onto the column span, rank decided by a singular-value cutoff.
 
-    The cutoff is tol times the largest column norm; a zero input yields the
+    The cutoff is TOL times the largest column norm; a zero input yields the
     zero projection.
     """
     c = np.asarray(columns, dtype=np.complex128)
@@ -209,7 +207,7 @@ def orthonormalize(columns, tol: float = TOL) -> Projection:
     if largest == 0.0:
         return Projection.zero(n)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    r = int(np.sum(s > tol * largest))
+    r = int(np.sum(s > TOL * largest))
     return Projection(_normalize_columns(u[:, :r]))
 
 

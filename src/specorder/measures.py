@@ -459,7 +459,7 @@ class EquivalenceReport:
 
 def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                             mollifier_levels=MOLLIFIER_LEVELS, cap: int = IDEAL_CAP,
-                            tol_mass: float = TOL, tol: float = 1e-12) -> EquivalenceReport:
+                            tol: float = 1e-12) -> EquivalenceReport:
     """Equal-mass equivalence: mu2 <= mu1 on lower sets iff integrals of
     increasing functions satisfy int f dmu1 <= int f dmu2.
 
@@ -467,11 +467,11 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
     enumerated ideal and with the continuous surrogates min(1, n*distance)
     at the configured levels. The lower-set verdict compares exact masses,
     as lowerset_dominance does, at ``tol``; the integral routes sum float
-    weights. Total masses further apart than tol_mass times the larger one
+    weights. Total masses further apart than TOL times the larger one
     raise MassMismatchError carrying the one-sided conclusions that survive.
     """
     m1, m2 = mu1.total_mass(), mu2.total_mass()
-    if not math.isclose(m1, m2, rel_tol=tol_mass):
+    if not math.isclose(m1, m2, rel_tol=TOL):
         if m1 < m2:
             implications = ("only mass1 <= mass2: the lower-set inequality may "
                             "still imply integral inequalities for increasing f >= 0")

@@ -33,7 +33,6 @@ from .linalg import (
     _read_only,
     as_complex_matrix,
     commutator_norm,
-    is_psd,
     orthonormalize,
     subspace_meet,
 )
@@ -177,10 +176,11 @@ def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
 
 
 def loewner_leq(a, b, tol: float = TOL) -> bool:
-    """a <= b in the Loewner order: b - a positive semidefinite."""
-    am = a.matrix if isinstance(a, HermitianOperator) else HermitianOperator.from_matrix(a).matrix
-    bm = b.matrix if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b).matrix
-    return is_psd(HermitianOperator(bm - am, 0.0), tol=tol)
+    """a <= b in the Loewner order: b - a PSD within tol * max(||a||_F, ||b||_F)."""
+    ha = a if isinstance(a, HermitianOperator) else HermitianOperator.from_matrix(a)
+    hb = b if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b)
+    w = np.linalg.eigvalsh(hb.matrix - ha.matrix)
+    return w.size == 0 or float(w[0]) >= -tol * max(ha.norm(), hb.norm())
 
 
 def monotone_transport_check(a, b, phi, tol: float = TOL) -> OrderVerdict:
@@ -463,10 +463,13 @@ class NormalOperator:
         return self.matrix.shape[0]
 
     def parts(self) -> CommutingTuple:
-        """The commuting pair ((T + T*)/2, (T - T*)/(2i)); inverts via re + i im."""
-        re = (self.matrix + self.matrix.conj().T) / 2.0
-        im = (self.matrix - self.matrix.conj().T) / (2.0j)
-        return validate_tuple([re, im])
+        """The commuting pair ((T + T*)/2, (T - T*)/(2i)); inverts via re + i im.
+
+        A part within TOL * max|T_ij| of zero is T's roundoff and becomes 0."""
+        t, size = self.matrix, TOL * float(np.max(np.abs(self.matrix), initial=0.0))
+        parts = [(t + t.conj().T) / 2.0, (t - t.conj().T) / (2.0j)]
+        return validate_tuple([p if np.max(np.abs(p), initial=0.0) > size
+                               else np.zeros_like(p) for p in parts])
 
     @classmethod
     def from_parts(cls, t: CommutingTuple, tol: float = TOL) -> "NormalOperator":

@@ -376,14 +376,14 @@ def fractional_power(t: CommutingTuple, beta) -> HermitianOperator:
     """Orthant powers: prod |A_j|^{beta_j} cut to the nonnegative joint spectrum.
 
     Atoms with any negative coordinate contribute zero. Roundoff-negative
-    coordinates of numerically positive tuples, down to -TOL times the
-    largest |coordinate|, count as zero.
+    coordinates of numerically positive tuples, down to -TOL times that
+    axis's largest |coordinate|, count as zero.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (t.kappa,):
         raise ParameterError(f"beta has shape {beta.shape}, expected ({t.kappa},)")
     e = joint_measure(t)
-    scale = float(np.max(np.abs(e.points()), initial=0.0))
+    scale = np.max(np.abs(e.points()), axis=0, initial=0.0)
     return calculus_scalar(e, fractional_fn(beta, tol=TOL * scale))
 
 

@@ -23,6 +23,7 @@ from specorder.errors import (
 from specorder.functions import (
     clipped_affine_fn,
     coordinate_fn,
+    monomial_fn,
     product_fn,
     sum_fn,
 )
@@ -167,6 +168,23 @@ def test_loewner_basics():
     assert loewner_leq(np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
     assert loewner_leq([[2.0, 1.0], [1.0, 2.0]], [[3.0, 1.0], [1.0, 3.0]])
     assert not loewner_leq(np.eye(2), np.zeros((2, 2)))
+
+
+def test_loewner_leq_one_operator_from_two_bases():
+    # computed two ways, one operator differs from itself by roundoff only;
+    # that roundoff is judged against the operands, not against itself
+    from specorder.spectral import calculus_scalar
+    d = np.array([1.0, 2.0, 3.0, 1e6])
+    for salt in range(10):
+        rng = fresh_rng(salt)
+        q1, q2 = random_unitary(rng, 4), random_unitary(rng, 4)
+        e1, e2 = (joint_measure(validate_tuple([(q * d) @ q.conj().T])) for q in (q1, q2))
+        one1, one2 = (calculus_scalar(e, monomial_fn((0,))) for e in (e1, e2))
+        assert loewner_leq(one1, one2) and loewner_leq(one2, one1)
+        x = (q1 * d) @ q1.conj().T
+        back = calculus_scalar(e1, monomial_fn((1,)))
+        assert loewner_leq(x, back) and loewner_leq(back, x)
+        assert not loewner_leq(2.0 * one1.matrix, one2)
 
 
 def test_transport_requires_order():
@@ -461,6 +479,24 @@ def test_normal_leq_hermitian_reduces_to_scalar_order():
     s = NormalOperator.from_matrix(np.diag([0.0, 1.0]))
     t = NormalOperator.from_matrix(np.diag([1.0, 2.0]))
     assert normal_leq(s, t).holds
+
+
+def test_normal_leq_in_a_random_basis():
+    # parts formed from T that are its roundoff become exact zero, so a
+    # Hermitian (or skew-Hermitian) T off the diagonal is decided as on it
+    for salt in range(10):
+        q = random_unitary(fresh_rng(salt), 3)
+        for phase in (1.0, 1j):
+            s = (q * (phase * np.array([0.0, 1.0, 2.0]))) @ q.conj().T
+            t = (q * (phase * np.array([1.0, 2.0, 2.0]))) @ q.conj().T
+            assert normal_leq(s, t).holds
+            assert not normal_leq(t, s).holds
+            zero = 1 if phase == 1.0 else 0
+            assert not NormalOperator.from_matrix(s).parts().ops[zero].matrix.any()
+        s = (q * np.array([1j, 1.0, 2.0])) @ q.conj().T
+        t = (q * np.array([1.0 + 1j, 2.0 + 1j, 2.0])) @ q.conj().T
+        assert normal_leq(s, t).holds
+        assert not normal_leq(t, s).holds
 
 
 def test_infimum_probe_identical():

@@ -254,6 +254,14 @@ def test_fractional_power():
     assert np.allclose(fractional_power(neg, (0.5, 0.5)).matrix, [[0.0]])
 
 
+def test_fractional_power_absorbs_roundoff_per_axis():
+    # the second axis's -1e-3 c is a real negative coordinate at any scale c,
+    # however large the first axis is, so its atom contributes zero
+    for c in (1e-6, 1.0, 1e6):
+        t = validate_tuple([np.diag([1e6, 2e6]), np.diag([-1e-3 * c, c])])
+        assert np.diag(fractional_power(t, (1.0, 0.0)).matrix).real.tolist() == [0.0, 2e6]
+
+
 def test_parts_decompose():
     t = validate_tuple([np.diag([-2.0, 3.0])])
     plus = parts_decompose(t, "+")

@@ -41,8 +41,11 @@ def integer_pairs(draw, low: int = 1):
 def both_ways(q_a, q_b, eigs_a, eigs_b, c=1.0, shift=0.0, u=None):
     """The pair u (c (A + shift I)) u^H, u (c (B + shift I)) u^H, and its reverse.
 
-    The map is applied to the eigenvalues and eigenbases, so a shift that
-    zeroes a spectrum leaves exact zeros and not the roundoff of A - I.
+    The map is applied to the eigenvalues and eigenbases, so the shifted
+    operators are exact: a shift that zeroes a spectrum leaves exact zeros.
+    A computed A - cI with A's spectrum all c would be pure roundoff, which
+    a rule without an absolute floor cannot tell from a small operator that
+    does not commute with the other components.
     """
     u = np.eye(q_a.shape[0]) if u is None else u
     a = tuple_from_eigs(u @ q_a, c * (eigs_a + shift))
