@@ -11,6 +11,7 @@ deterministic line (timing frozen to 0.0) so outputs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -292,7 +293,9 @@ def cmd_selftest(job: JobSpec) -> tuple[Report, bool]:
     return report, not report.all_hold()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="specorder",
         description="Distribution-function order checks for commuting Hermitian tuples.")

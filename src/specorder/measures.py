@@ -94,7 +94,7 @@ class AtomicMeasure:
     """Nonnegative atomic measure: distinct points with positive-weight atoms.
 
     Construction pre-merges points within TOL times the largest |coordinate|
-    in the sup norm (first occurrence is the representative, weights add),
+    on each axis (first occurrence is the representative, weights add),
     then sorts lexicographically, so stored points compare exactly.
     """
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .spectral import (
     CommutingTuple,
     JointSpectralMeasure,
     _monomial_values,
-    _tuple_from_shared_basis,
     calculus_scalar,
     is_positive_tuple,
     joint_measure,
@@ -52,8 +52,15 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Outcome of an order check: holds, a witness when it does not, and the
-    largest residual seen (diagnostic even when the check passes)."""
+    """Outcome of an order check: holds, a witness when it does not, and a
+    residual as a diagnostic.
+
+    From ``distribution_order`` the witness is the lexicographically first
+    failing grid point and ``defect`` its residual; a holding verdict's
+    ``defect`` is the largest residual on the axis lines (every coordinate
+    but one at the top of its axis), which is within a factor sqrt(kappa)
+    of the largest over the whole grid.
+    """
 
     holds: bool
     witness: object | None
@@ -73,105 +80,170 @@ def _coerce_tuple(t) -> CommutingTuple:
     return validate_tuple(t)
 
 
-def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
-                       tol: float = TOL) -> OrderVerdict:
-    """F_b(x) <= F_a(x) for all x, checked on the merged coordinate grid.
+# Grid points times atoms per step of the witness walk, so its masks stay
+# a few MB however large the grid is.
+_WALK_CELLS = 1 << 18
 
-    The residual at a grid point is ||(I - F_a(x)) V_b(x)||_F for an
+
+class _OrderKernel:
+    """Residuals of the distribution order at any set of merged-grid points.
+
+    The residual at a grid point x is ||(I - F_a(x)) V_b(x)||_F for an
     orthonormal basis V_b(x) of ran F_b(x); inclusion holds when it is at
     most tol * max(1, rank F_b(x)). Atoms of ea within tol * max|coordinate|
     on an axis above a grid coordinate still count toward F_a there, so
-    eigenvalue ties split by roundoff do not report order failures. The
-    witness is the lexicographically first failing grid point.
+    eigenvalue ties split by roundoff do not report order failures.
 
-    All grid points share one Gram matrix M[a, b] = ||U_a^H W_b||_F^2 of
-    the atom bases U_a of ea and W_b of eb. Because the atom projections of
-    ea sum to the identity, the squared residual at x is the sum of M[a, b]
+    Every point shares one Gram matrix M[a, b] = ||U_a^H W_b||_F^2 of the
+    atom bases U_a of ea and W_b of eb. Because the atom projections of ea
+    sum to the identity, the squared residual at x is the sum of M[a, b]
     over atoms a outside F_a(x) and b inside F_b(x).
     """
-    if ea.kappa != eb.kappa or ea.dim != eb.dim:
-        raise ParameterError(
-            f"measures disagree in shape: kappa {ea.kappa}/{eb.kappa}, "
-            f"dim {ea.dim}/{eb.dim}")
-    kappa = ea.kappa
-    pa, pb = ea.points(), eb.points()
-    axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]])) for j in range(kappa)]
-    if any(a.size == 0 for a in axes):
+
+    def __init__(self, ea: JointSpectralMeasure, eb: JointSpectralMeasure, tol: float):
+        if ea.kappa != eb.kappa or ea.dim != eb.dim:
+            raise ParameterError(
+                f"measures disagree in shape: kappa {ea.kappa}/{eb.kappa}, "
+                f"dim {ea.dim}/{eb.dim}")
+        pa, pb = ea.points(), eb.points()
+        self.tol = tol
+        self.axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]]))
+                     for j in range(ea.kappa)]
+        self.empty = any(ax.size == 0 for ax in self.axes)
+        if self.empty:
+            return
+        # One-sided coordinate slack for the dominating side. An atom of ea
+        # that belongs exactly at x can land a few ulps above it after
+        # diagonalization (tied eigenvalues, e.g. the saturated branch of a
+        # positive part); without the slack such a tie fails with an O(1)
+        # projection defect over an O(ulp) coordinate window.
+        slack = [tol * float(np.abs(ax).max()) for ax in self.axes]
+        # atom inside the orthant on axis j at each axis value: atoms x values
+        self.in_a = [pa[:, j][:, None] <= (ax + s)[None, :]
+                     for j, (ax, s) in enumerate(zip(self.axes, slack))]
+        self.in_b = [pb[:, j][:, None] <= ax[None, :] for j, ax in enumerate(self.axes)]
+        self.ranks_b = eb.ranks.astype(np.float64)
+        self.atoms = max(ea.n_atoms(), eb.n_atoms())
+        # The residual sums nonnegative Gram entries, so nothing cancels; the
+        # overlap form rank F_b - ||F_a(x) V_b(x)||^2 would lose half the
+        # mantissa and sit exactly at tol after the sqrt. Row a of a column
+        # mask marks the basis columns of atom a.
+        cols_a = ea.owner == np.arange(ea.n_atoms())[:, None]
+        cols_b = eb.owner == np.arange(eb.n_atoms())[:, None]
+        self.gram = cols_a @ (np.abs(ea.basis.conj().T @ eb.basis) ** 2) @ cols_b.T
+
+    def residuals(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals, and where they fail, at the points with axis indices idx."""
+
+        def inside(per_axis):
+            incl = per_axis[0][:, idx[0]]
+            for mask, i in zip(per_axis[1:], idx[1:]):
+                incl &= mask[:, i]
+            return incl
+
+        incl_b = inside(self.in_b).astype(np.float64)
+        outside = self.gram @ incl_b
+        outside *= ~inside(self.in_a)
+        residual = np.sqrt(outside.sum(axis=0))
+        return residual, residual > self.tol * np.maximum(1.0, self.ranks_b @ incl_b)
+
+    def axis_lines(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Residuals and failures along each axis, the other coordinates at
+        the top of their axes, where every atom is inside: the kappa=1 order
+        of the j-th marginals, one (m_a x m_b)(m_b x G_j) product per axis."""
+        tops = [ax.size - 1 for ax in self.axes]
+        lines = []
+        for j, ax in enumerate(self.axes):
+            idx = [np.full(ax.size, top) for top in tops]
+            idx[j] = np.arange(ax.size)
+            lines.append(self.residuals(idx))
+        return lines
+
+    def first_failure(self) -> OrderVerdict | None:
+        """The lexicographically first failing grid point, or None. The walk
+        starts with one first-axis slice and doubles its step, up to
+        _WALK_CELLS points x atoms."""
+        sizes = [ax.size for ax in self.axes]
+        total = prod(sizes)
+        step, cap = total // sizes[0], max(1, _WALK_CELLS // max(1, self.atoms))
+        start = 0
+        while start < total:
+            stop = min(total, start + min(step, cap))
+            idx = np.unravel_index(np.arange(start, stop), sizes)
+            residual, bad = self.residuals(idx)
+            if bad.any():
+                g = int(np.argmax(bad))  # first True in lex order
+                witness = tuple(float(ax[i[g]]) for ax, i in zip(self.axes, idx))
+                return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
+            start, step = stop, 2 * step
+        return None
+
+
+def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
+                       tol: float = TOL) -> OrderVerdict:
+    """F_b(x) <= F_a(x) for all x on the merged coordinate grid.
+
+    The grid is the product of the per-axis unions of atom coordinates;
+    the residual, slack and threshold at each point are _OrderKernel's.
+    The order is the product of the kappa one-dimensional orders of the
+    marginals, so the verdict is decided on the axis lines alone (every
+    coordinate but one at the top of its axis), one product per axis. Only
+    a failing verdict walks the grid, lazily and in lexicographic order,
+    to its first failing point: the witness, with that point's residual as
+    the defect. A holding verdict's defect is the largest residual on the
+    axis lines.
+
+    Each pair of atoms in a grid point's residual is also in the residual
+    of some axis line at that point's coordinate, so the squared residual
+    is at most the sum of the kappa line residuals squared: with no
+    tolerance the lines fail exactly when some point does. Within the
+    tolerance a point off the lines may exceed its own threshold while
+    every line holds; the verdict is then "holds".
+    """
+    kernel = _OrderKernel(ea, eb, tol)
+    if kernel.empty:
         return OrderVerdict(holds=True, witness=None, defect=0.0)
-
-    # grid index arrays in lexicographic order of coordinate tuples
-    grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
-    idx = [g.reshape(-1) for g in grids]
-    n_grid = idx[0].size
-
-    def inclusion(points: np.ndarray, slack=None) -> np.ndarray:
-        incl = np.ones((points.shape[0], n_grid), dtype=bool)
-        for j in range(kappa):
-            bound = axes[j] + (slack[j] if slack is not None else 0.0)
-            per_axis = points[:, j][:, None] <= bound[None, :]
-            incl &= per_axis[:, idx[j]]
-        return incl
-
-    # One-sided coordinate slack for the dominating side. An atom of ea
-    # that belongs exactly at x can land a few ulps above it after
-    # diagonalization (tied eigenvalues, e.g. the saturated branch of a
-    # positive part); without the slack such a tie fails with an O(1)
-    # projection defect over an O(ulp) coordinate window.
-    slack = np.array([tol * float(np.abs(ax).max()) for ax in axes])
-    incl_b = inclusion(pb).astype(np.float64)
-    rank_fb = eb.ranks.astype(np.float64) @ incl_b
-
-    # The residual sums nonnegative Gram entries, so nothing cancels; the
-    # overlap form rank F_b - ||F_a(x) V_b(x)||^2 would lose half the
-    # mantissa and sit exactly at tol after the sqrt. Row a of a column
-    # mask marks the basis columns of atom a.
-    cols_a = ea.owner == np.arange(ea.n_atoms())[:, None]
-    cols_b = eb.owner == np.arange(eb.n_atoms())[:, None]
-    gram = cols_a @ (np.abs(ea.basis.conj().T @ eb.basis) ** 2) @ cols_b.T
-    outside = gram @ incl_b
-    outside *= ~inclusion(pa, slack)
-    residual = np.sqrt(outside.sum(axis=0))
-    thresholds = tol * np.maximum(1.0, rank_fb)
-    bad = residual > thresholds
-    worst = float(residual.max()) if residual.size else 0.0
-    if not bad.any():
-        return OrderVerdict(holds=True, witness=None, defect=worst)
-    g = int(np.argmax(bad))  # first True in lex order
-    witness = tuple(float(axes[j][idx[j][g]]) for j in range(kappa))
-    return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
+    lines = kernel.axis_lines()
+    if any(bad.any() for _, bad in lines):
+        failure = kernel.first_failure()  # an axis point is a grid point
+        if failure is not None:
+            return failure
+    return OrderVerdict(holds=True, witness=None,
+                        defect=max(float(residual.max()) for residual, _ in lines))
 
 
-def spectral_leq(a, b, tol: float = TOL) -> OrderVerdict:
-    """a <= b in the spectral order, via joint measures and the merged grid."""
+def _joint_measures(a, b) -> tuple[JointSpectralMeasure, JointSpectralMeasure]:
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     if ta.kappa != tb.kappa:
         raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
     if ta.dim != tb.dim:
         raise ParameterError(f"tuples on different spaces: {ta.dim} vs {tb.dim}")
-    return distribution_order(joint_measure(ta), joint_measure(tb), tol=tol)
+    return joint_measure(ta), joint_measure(tb)
+
+
+def spectral_leq(a, b, tol: float = TOL) -> OrderVerdict:
+    """a <= b in the spectral order, via joint measures and the merged grid."""
+    return distribution_order(*_joint_measures(a, b), tol=tol)
 
 
 def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
     """Product-order reduction: the kappa=1 order per coordinate.
 
-    Equivalent to spectral_leq (each coordinate map is increasing, and the
-    joint grid is the product of the per-axis grids); the witness is
-    (axis, grid point) for the first failing coordinate.
+    The axis lines of distribution_order on the two joint measures, read
+    per axis: the witness is (axis, (t,)) for the first failing value t of
+    the first failing axis, and the defect is that residual (the largest
+    on the axis lines when the order holds).
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
-    if ta.kappa != tb.kappa:
-        raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
+    kernel = _OrderKernel(*_joint_measures(a, b), tol)
+    if kernel.empty:
+        return OrderVerdict(holds=True, witness=None, defect=0.0)
     worst = 0.0
-    for j in range(ta.kappa):
-        verdict = distribution_order(
-            joint_measure(_tuple_from_shared_basis([ta.ops[j]])),
-            joint_measure(_tuple_from_shared_basis([tb.ops[j]])),
-            tol=tol,
-        )
-        worst = max(worst, verdict.defect)
-        if not verdict.holds:
-            return OrderVerdict(holds=False, witness=(j, verdict.witness),
-                                defect=verdict.defect)
+    for j, (residual, bad) in enumerate(kernel.axis_lines()):
+        if bad.any():
+            i = int(np.argmax(bad))
+            return OrderVerdict(holds=False, witness=(j, (float(kernel.axes[j][i]),)),
+                                defect=float(residual[i]))
+        worst = max(worst, float(residual.max()))
     return OrderVerdict(holds=True, witness=None, defect=worst)
 
 

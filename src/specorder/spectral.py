@@ -238,21 +238,23 @@ def _split_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
 
 
 def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge points within tol * (largest finite |coordinate|) of each other
-    in the sup norm.
+    """Merge points that are within tol * (largest finite |coordinate| on
+    that axis) of each other on every axis.
 
-    The first point in input order represents its group; a later point
-    joins the first representative within that distance. Returns the
-    representatives sorted lexicographically and, for each input point, the
-    index of its group's representative in that sorted array.
+    The radius is per axis, so scaling one coordinate, a separately
+    increasing map, merges the same points. The first point in input order
+    represents its group; a later point joins the first representative
+    within that distance. Returns the representatives sorted
+    lexicographically and, for each input point, the index of its group's
+    representative in that sorted array.
     """
     pts = np.asarray(points, dtype=np.float64)
-    tol = tol * float(np.max(np.abs(pts), initial=0.0, where=np.isfinite(pts)))
+    radius = tol * np.max(np.abs(pts), axis=0, initial=0.0, where=np.isfinite(pts))
     group = np.full(pts.shape[0], -1)
     first: list[int] = []
     for i in range(pts.shape[0]):
         if group[i] < 0:
-            near = np.max(np.abs(pts - pts[i]), axis=1, initial=0.0) <= tol
+            near = np.all(np.abs(pts - pts[i]) <= radius, axis=1)
             group[near & (group < 0)] = len(first)
             group[i] = len(first)  # an infinite point is NaN away from itself
             first.append(i)
@@ -350,8 +352,8 @@ def calculus_vector(e: JointSpectralMeasure, phis) -> CommutingTuple:
 def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:
     """Image measure under the vector rule: atoms mapped, then merged.
 
-    Mapped points within TOL times the largest mapped coordinate of each
-    other in the sup norm fuse into one atom whose projection is the join of
+    Mapped points within TOL times the largest mapped |coordinate| on each
+    axis of each other fuse into one atom whose projection is the join of
     the originals.
     """
     mapped = np.stack([_rule_values(phi, e.points()) for phi in phis], axis=1)

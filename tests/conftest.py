@@ -135,22 +135,25 @@ def distinct_integer_points(rng, count: int, kappa: int, side: int = 5):
     return pts.astype(np.float64)
 
 
-def merge_radius(points) -> float:
-    """The package's merge distance for these points: TOL times the largest |coordinate|."""
-    return TOL * float(np.max(np.abs(points), initial=0.0))
+def merge_radius(points) -> np.ndarray:
+    """The package's merge distance for these points, per axis: TOL times
+    the largest |coordinate| on that axis."""
+    return np.array([TOL * max((abs(float(v)) for v in column), default=0.0)
+                     for column in np.asarray(points, dtype=np.float64).T])
 
 
-def merge_first_occurrence(points, tol: float):
+def merge_first_occurrence(points, tol):
     """Reference atom merge: an explicit first-occurrence loop.
 
-    A point joins the first earlier representative within tol in the sup
-    norm, else it becomes one. Returns the representatives sorted by their
-    coordinate tuples and each one's member indices in input order.
+    A point joins the first earlier representative within tol (a number,
+    or one per axis) on every axis, else it becomes one. Returns the
+    representatives sorted by their coordinate tuples and each one's member
+    indices in input order.
     """
     reps, members = [], []
     for i, p in enumerate(np.asarray(points, dtype=np.float64)):
         for k, rep in enumerate(reps):
-            if np.max(np.abs(p - rep), initial=0.0) <= tol:
+            if all(abs(d) <= r for d, r in zip(p - rep, np.broadcast_to(tol, p.shape))):
                 members[k].append(i)
                 break
         else:
@@ -448,8 +451,10 @@ def diagonalize_per_atom(t):
 
 def distribution_order_stacked(atoms_a, atoms_b, tol: float = TOL):
     """Reference order kernel on (point, basis) lists: the atom bases
-    hstacked, atoms marked by a repeat-built column mask. Returns
-    (holds, witness, defect)."""
+    hstacked, atoms marked by a repeat-built column mask, every point of the
+    merged grid evaluated. Returns (holds, witness, defect); a holding
+    defect is the largest residual on the axis lines, the grid points with
+    at most one coordinate below the top of its axis."""
     pa = np.array([pt for pt, _ in atoms_a], dtype=np.float64)
     pb = np.array([pt for pt, _ in atoms_b], dtype=np.float64)
     kappa = pa.shape[1]
@@ -478,7 +483,8 @@ def distribution_order_stacked(atoms_a, atoms_b, tol: float = TOL):
     residual = np.sqrt(outside.sum(axis=0))
     bad = residual > tol * np.maximum(1.0, rank_fb)
     if not bad.any():
-        return True, None, float(residual.max())
+        on_lines = sum((i < ax.size - 1).astype(int) for i, ax in zip(idx, axes)) <= 1
+        return True, None, float(residual[on_lines].max())
     g = int(np.argmax(bad))
     return False, tuple(float(axes[j][idx[j][g]]) for j in range(kappa)), float(residual[g])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from specorder.cli import main
+from specorder.cli import build_parser, main
 from specorder.gallery import crossed_dirac_pair
 from specorder.io import load_tuple, measure_to_dict, save_json, tuple_to_dict
 from specorder.measures import AtomicMeasure
@@ -252,6 +252,30 @@ def run_cli(*argv):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     return subprocess.run([sys.executable, "-m", "specorder", *argv], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
+
+
+def test_one_parser_serves_successive_calls(tmp_path, ordered_files, capsys):
+    # the parser is built once per process; each call in turn prints what a
+    # fresh process prints, and a usage error in between changes nothing
+    a, b = ordered_files
+    m1 = write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    m2 = write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    runs = (["check-order", a, b, "--format", "json"],
+            ["measure-check", m1, m2, "--iota", "1", "--format", "json"],
+            ["check-order", b, a, "--alpha-max", "2", "--format", "json"],
+            ["calculus", a, "--fn", "sum", "--out", str(tmp_path / "sum.json"),
+             "--format", "json"],
+            ["check-order", a, b, "--format", "json"])
+    for argv in runs:
+        code = main(list(argv))
+        got = capsys.readouterr().out
+        want = run_cli(*argv)
+        assert (code, got) == (want.returncode, want.stdout)
+        with pytest.raises(SystemExit) as info:
+            main(["check-order", "only-one.json"])
+        assert info.value.code == 2
+        capsys.readouterr()
+    assert build_parser() is build_parser()
 
 
 def test_non_finite_tuple_exits_two_with_location(tmp_path):

@@ -47,12 +47,38 @@ def test_leq_iota_cases():
 
 
 def test_atomic_measure_premerges_and_sorts():
+    # within TOL of its axis's largest |coordinate| an atom merges into the
+    # first one; the first occurrence represents the group
     mu = AtomicMeasure.from_atoms(
-        [[1.0, 0.0], [0.0, 0.0], [1.0, 1e-10]], [0.25, 0.5, 0.25])
+        [[1.0, 1.0], [0.0, 0.0], [1.0 + 1e-10, 1.0]], [0.25, 0.5, 0.25])
     assert mu.n_atoms == 2
-    assert [tuple(p) for p in mu.points] == [(0.0, 0.0), (1.0, 0.0)]
+    assert [tuple(p) for p in mu.points] == [(0.0, 0.0), (1.0, 1.0)]
     assert np.array_equal(mu.weights, [0.5, 0.5])
     assert mu.total_mass() == 1.0
+    # the radius is per axis: on an axis whose largest |coordinate| is
+    # 1e-10, the coordinate 1e-10 is the axis's size, not roundoff of 0
+    mu = AtomicMeasure.from_atoms(
+        [[1.0, 0.0], [0.0, 0.0], [1.0, 1e-10]], [0.25, 0.5, 0.25])
+    assert [tuple(p) for p in mu.points] == [(0.0, 0.0), (1.0, 0.0), (1.0, 1e-10)]
+    assert np.array_equal(mu.weights, [0.5, 0.25, 0.25])
+
+
+def test_merge_radius_is_per_axis_on_mixed_scales():
+    # a large axis does not merge atoms that a small axis separates
+    assert AtomicMeasure.from_atoms([[0.0, 1e6], [1e-6, 1e6]], [1.0, 1.0]).n_atoms == 2
+    # scaling one axis by c > 0 is separately increasing, so neither the
+    # merge nor any verdict may move with c
+    points = np.array([[0.0, 1e6], [1e-6, 1e6], [1e-6 * (1 + 1e-12), 1e6], [2e-6, 0.0]])
+    for c in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        scaled = points * [c, 1.0]
+        mu = AtomicMeasure.from_atoms(scaled, [1.0, 1.0, 1.0, 1.0])
+        assert mu.points.tolist() == scaled[[0, 1, 3]].tolist()
+        assert mu.weights.tolist() == [1.0, 2.0, 1.0]
+        mu1 = AtomicMeasure.from_atoms(scaled[[1]], [1.0])
+        mu2 = AtomicMeasure.from_atoms(scaled[[0]], [1.0])
+        assert not lowerset_dominance(mu1, mu2, 2).holds
+        assert lowerset_dominance(mu2, mu1, 2).holds
+        assert cdf_leq(mu1, mu2)[0] is False and cdf_leq(mu2, mu1)[0] is True
 
 
 def running_sum(values) -> float:
