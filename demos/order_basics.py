@@ -23,15 +23,17 @@ print("atoms of a:", [tuple(map(float, p)) for p in joint_measure(a).points()])
 print("atoms of b:", [tuple(map(float, p)) for p in joint_measure(b).points()])
 
 v = spectral_leq(a, b)
-print("a <= b:", v.holds, " worst residual:", f"{v.defect:.2e}")
+print("a <= b:", v.holds, " largest axis-line residual:", f"{v.defect:.2e}")
 
 # the reverse direction fails and reports the first bad grid point
 back = spectral_leq(b, a)
 print("b <= a:", back.holds, " witness grid point:", back.witness)
 
-# joint and componentwise routes always agree
+# the componentwise route reads the same axis lines and names the failing
+# axis and value
 comp = spectral_leq_componentwise(a, b)
-print("componentwise route:", comp.holds)
+print("componentwise route:", comp.holds,
+      " reverse witness (axis, value):", spectral_leq_componentwise(b, a).witness)
 
 # a one-parameter family that is comparable at exactly one parameter value
 for theta in (1.5, 2.0, 3.0):

@@ -142,18 +142,17 @@ def merge_radius(points) -> np.ndarray:
                      for column in np.asarray(points, dtype=np.float64).T])
 
 
-def merge_first_occurrence(points, tol):
+def merge_first_occurrence(points, radius):
     """Reference atom merge: an explicit first-occurrence loop.
 
-    A point joins the first earlier representative within tol (a number,
-    or one per axis) on every axis, else it becomes one. Returns the
-    representatives sorted by their coordinate tuples and each one's member
-    indices in input order.
+    A point joins the first earlier representative within radius[j] on
+    every axis j, else it becomes one. Returns the representatives sorted by
+    their coordinate tuples and each one's member indices in input order.
     """
     reps, members = [], []
     for i, p in enumerate(np.asarray(points, dtype=np.float64)):
         for k, rep in enumerate(reps):
-            if all(abs(d) <= r for d, r in zip(p - rep, np.broadcast_to(tol, p.shape))):
+            if all(abs(d) <= r for d, r in zip(p - rep, radius)):
                 members[k].append(i)
                 break
         else:

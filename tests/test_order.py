@@ -17,6 +17,9 @@ from conftest import (
     random_unitary,
     tuple_from_eigs,
 )
+import specorder.linalg as linalg
+import specorder.spectral as spectral
+from specorder.cli import main
 from specorder.errors import (
     MonotonicityError,
     NormalityError,
@@ -39,6 +42,7 @@ from specorder.gallery import (
     crossed_dirac_diagonal_pair,
     projection_pair_no_infimum,
 )
+from specorder.io import save_json, tuple_to_dict
 from specorder.linalg import TOL
 from specorder.measures import lower_indicator_complement, LowerSetGen
 from specorder.order import (
@@ -610,11 +614,6 @@ def test_gram_kernel_matches_subtraction_reference(kind, kappa, n, salt):
 
 def test_check_order_eigendecomposes_inside_the_two_joint_measures_only(
         tmp_path, monkeypatch, capsys):
-    import specorder.linalg as linalg
-    import specorder.spectral as spectral
-    from specorder.cli import main
-    from specorder.io import save_json, tuple_to_dict
-
     a, b = ordered_pair(fresh_rng(61), 6, 2, low=0.1, high=1.0)
     paths = []
     for name, t in (("a", a), ("b", b)):
