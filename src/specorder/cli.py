@@ -66,6 +66,7 @@ from .order import (
 )
 from .resolution import ProjValuedStepFunction, reconstruct_measure
 from .spectral import (
+    CommutingTuple,
     calculus_scalar,
     fractional_power,
     is_positive_tuple,
@@ -155,31 +156,31 @@ def cmd_calculus(job: JobSpec) -> tuple[Report, bool]:
         if len(alpha) != t.kappa:
             raise ParameterError(f"--alpha needs {t.kappa} integers")
         rules = [monomial_fn(alpha)]
-        result = validate_tuple([monomial(t, alpha).matrix])
+        ops = (monomial(t, alpha),)
     elif job.fn == "fractional":
         beta = params["beta"]
         if len(beta) != t.kappa:
             raise ParameterError(f"--beta needs {t.kappa} exponents")
         rules = [fractional_fn(beta)]
-        result = validate_tuple([fractional_power(t, beta).matrix])
+        ops = (fractional_power(t, beta),)
     elif job.fn == "sum":
         rules = [sum_fn(t.kappa)]
-        result = validate_tuple([calculus_scalar(joint_measure(t), rules[0]).matrix])
+        ops = (calculus_scalar(joint_measure(t), rules[0]),)
     elif job.fn == "product":
         rules = [product_fn(t.kappa)]
-        result = validate_tuple([calculus_scalar(joint_measure(t), rules[0]).matrix])
+        ops = (calculus_scalar(joint_measure(t), rules[0]),)
     elif job.fn == "parts":
         signs = params["signs"]
         if len(signs) != t.kappa:
             raise ParameterError(f"--signs needs {t.kappa} characters from +-")
         rules = parts_fns(signs)
-        result = parts_decompose(t, signs)
+        ops = parts_decompose(t, signs).ops
     elif job.fn == "clip":
         coeffs = params["coeffs"]
         if len(coeffs) != t.kappa:
             raise ParameterError(f"--coeffs needs {t.kappa} numbers")
         rules = [clipped_affine_fn(coeffs, params["lo"], params["hi"])]
-        result = validate_tuple([calculus_scalar(joint_measure(t), rules[0]).matrix])
+        ops = (calculus_scalar(joint_measure(t), rules[0]),)
     else:
         raise ParameterError(f"unknown function tag {job.fn!r}")
     if job.require_monotone:
@@ -191,7 +192,12 @@ def cmd_calculus(job: JobSpec) -> tuple[Report, bool]:
             if not audit.ok:
                 raise MonotonicityError(audit.counterexample, t.kappa)
         report.add("monotone_audit", True, detail=f"iota={t.kappa}")
-    save_json(job.out, tuple_to_dict(result))
+    for i, op in enumerate(ops):
+        if op.norm() == np.inf:
+            raise ParameterError(f"component {i} is too large: its Frobenius "
+                                 f"norm exceeds the float range")
+    # the calculus symmetrizes its results, and they share one eigenbasis
+    save_json(job.out, tuple_to_dict(CommutingTuple(ops=ops, max_commutator_defect=0.0)))
     tag = ", ".join(rule.tag for rule in rules)
     report.add("calculus", True, detail=f"{tag} -> {job.out}")
     return report, False

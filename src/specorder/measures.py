@@ -12,6 +12,7 @@ one power of two and added as Python integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -390,7 +391,7 @@ class DominanceResult:
         return self.holds
 
 
-def _ideal_mask(ideals: list[DownwardClosedAtomSubset], m: int) -> np.ndarray:
+def _ideal_mask(ideals: tuple[DownwardClosedAtomSubset, ...], m: int) -> np.ndarray:
     """(ideals, m) bool array: row k marks the points in ideals[k]."""
     nbytes = m // 8 + 1
     raw = b"".join(ideal.mask.to_bytes(nbytes, "little") for ideal in ideals)
@@ -416,6 +417,19 @@ def _first_excess(mu1: AtomicMeasure, mu2: AtomicMeasure, group: np.ndarray,
         return k, math.inf
 
 
+@functools.lru_cache(maxsize=1)
+def _ideals(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, cap: int):
+    """The merged support of the last pair asked for, its downward-closed
+    subsets and their mask, shared by lowerset_dominance and
+    thm31_equivalence_check; measures compare by identity."""
+    points, w1, w2, group = _merged_support(mu1, mu2)
+    ideals = tuple(enumerate_downward_closed(points, iota, cap=cap))
+    mask = _ideal_mask(ideals, len(points))
+    for shared in (points, w1, w2, group, mask):
+        shared.setflags(write=False)
+    return points, w1, w2, group, ideals, mask
+
+
 def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                        cap: int = IDEAL_CAP, tol: float = 0.0) -> DominanceResult:
     """mu2(D) <= mu1(D) for every downward-closed D of the merged atom family.
@@ -425,9 +439,8 @@ def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
     downward-closed subfamily. Masses compare exactly. Witness is the first
     violating ideal in (cardinality, bitmask) order.
     """
-    points, _, _, group = _merged_support(mu1, mu2)
-    ideals = enumerate_downward_closed(points, iota, cap=cap)
-    first, gap = _first_excess(mu1, mu2, group, _ideal_mask(ideals, len(points)), tol)
+    _, _, _, group, ideals, mask = _ideals(mu1, mu2, iota, cap)
+    first, gap = _first_excess(mu1, mu2, group, mask, tol)
     if first is None:
         return DominanceResult(holds=True, witness=None, gap=0.0)
     return DominanceResult(holds=False, witness=ideals[first], gap=gap)
@@ -480,9 +493,7 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                             "increasing f >= 0 may still imply the lower-set inequality")
         raise MassMismatchError(m1, m2, implications)
 
-    points, w1, w2, group = _merged_support(mu1, mu2)
-    ideals = enumerate_downward_closed(points, iota, cap=cap)
-    mask = _ideal_mask(ideals, len(points))
+    points, w1, w2, group, ideals, mask = _ideals(mu1, mu2, iota, cap)
     lowerset_first, _ = _first_excess(mu1, mu2, group, mask, tol)
 
     def failing(f: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ probe showing candidate infima of projection tuples need not commute.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -79,6 +80,8 @@ def _coerce_tuple(t) -> CommutingTuple:
         return t
     return validate_tuple(t)
 
+
+_EPS = float(np.finfo(np.float64).eps)
 
 # Grid points times atoms per step of the witness walk, so its masks stay
 # a few MB however large the grid is.
@@ -147,10 +150,12 @@ class _OrderKernel:
         residual = np.sqrt(outside.sum(axis=0))
         return residual, residual > self.tol * np.maximum(1.0, self.ranks_b @ incl_b)
 
+    @functools.cached_property
     def axis_lines(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Residuals and failures along each axis, the other coordinates at
         the top of their axes, where every atom is inside: the kappa=1 order
-        of the j-th marginals, one (m_a x m_b)(m_b x G_j) product per axis."""
+        of the j-th marginals, one (m_a x m_b)(m_b x G_j) product per axis.
+        Computed once per kernel; both order routes read it."""
         tops = [ax.size - 1 for ax in self.axes]
         lines = []
         for j, ax in enumerate(self.axes):
@@ -179,6 +184,13 @@ class _OrderKernel:
         return None
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel(ea: JointSpectralMeasure, eb: JointSpectralMeasure, tol: float) -> _OrderKernel:
+    """The kernel of the last pair of measures asked for, built once for both
+    order routes; measures compare by identity, and their arrays are read-only."""
+    return _OrderKernel(ea, eb, tol)
+
+
 def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
                        tol: float = TOL) -> OrderVerdict:
     """F_b(x) <= F_a(x) for all x on the merged coordinate grid.
@@ -200,10 +212,10 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     tolerance a point off the lines may exceed its own threshold while
     every line holds; the verdict is then "holds".
     """
-    kernel = _OrderKernel(ea, eb, tol)
+    kernel = _kernel(ea, eb, tol)
     if kernel.empty:
         return OrderVerdict(holds=True, witness=None, defect=0.0)
-    lines = kernel.axis_lines()
+    lines = kernel.axis_lines
     if any(bad.any() for _, bad in lines):
         failure = kernel.first_failure()  # an axis point is a grid point
         if failure is not None:
@@ -234,11 +246,11 @@ def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
     the first failing axis, and the defect is that residual (the largest
     on the axis lines when the order holds).
     """
-    kernel = _OrderKernel(*_joint_measures(a, b), tol)
+    kernel = _kernel(*_joint_measures(a, b), tol)
     if kernel.empty:
         return OrderVerdict(holds=True, witness=None, defect=0.0)
     worst = 0.0
-    for j, (residual, bad) in enumerate(kernel.axis_lines()):
+    for j, (residual, bad) in enumerate(kernel.axis_lines):
         if bad.any():
             i = int(np.argmax(bad))
             return OrderVerdict(holds=False, witness=(j, (float(kernel.axes[j][i]),)),
@@ -343,6 +355,30 @@ def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL) -> OrderVerdict
     return scaled_monomial_check(a, b, lambda alpha: 1.0, alpha_max, tol=tol)
 
 
+def _cholesky_certifies(diff: np.ndarray, tol: float, scale: float) -> bool:
+    """Whether diff + (tol / 2) * scale * I has a Cholesky factor, which
+    proves lambda_min(diff) > -tol * scale when ||diff|| <= 2 * scale.
+
+    A Cholesky factorization that runs to completion is exact for a matrix
+    within n * gamma_(n+1) * ||M|| of M (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), about n^2 * eps * scale here. The
+    certificate is used only where 8 n (n + 1) eps <= tol, which keeps that
+    error below (tol / 8) * scale.
+    """
+    n = diff.shape[0]
+    if 8 * n * (n + 1) * _EPS > tol:
+        return False
+    with np.errstate(over="ignore"):
+        shifted = diff + (tol / 2.0 * scale) * np.eye(n)
+    if not np.all(np.isfinite(shifted.diagonal())):
+        return False
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVerdict:
     """A^alpha <= r_alpha * B^alpha over |alpha| <= alpha_max, r_alpha >= 1.
 
@@ -351,9 +387,18 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     characterization requires r_alpha >= 1 with subexponential growth.
     A^alpha and B^alpha are built lazily, one product each, up to the first
     failing alpha. An alpha fails when the least eigenvalue of
-    r_alpha B^alpha - A^alpha is below -tol * max(||A^alpha||, r_alpha ||B^alpha||).
-    ParameterError names the alpha where lambda^alpha or
-    r_alpha B^alpha - A^alpha is not finite.
+    r_alpha B^alpha - A^alpha is below -tol * scale, scale =
+    max(||A^alpha||, r_alpha ||B^alpha||). ParameterError names the alpha
+    where lambda^alpha or r_alpha B^alpha - A^alpha is not finite.
+
+    An alpha holds without an eigenvalue solve when r_alpha B^alpha - A^alpha
+    + (tol / 2) * scale * I has a Cholesky factor: the factorization's
+    backward error then puts the least eigenvalue above -tol * scale (see
+    _cholesky_certifies). Only an alpha that fails Cholesky runs
+    ``eigvalsh``, and is decided by its least eigenvalue. A holding verdict's
+    ``defect`` is the largest -lambda_min over the alphas that needed
+    ``eigvalsh`` (0.0 when none did); a certified alpha's -lambda_min is at
+    most about (tol / 2) * scale.
     """
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     _require_positive(ta, "a")
@@ -373,6 +418,8 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
         # ||X^alpha|| is the largest |lambda^alpha| over X's atoms
         scale = max(float(np.max(np.abs(va), initial=0.0)),
                     r_alpha * float(np.max(np.abs(vb), initial=0.0)))
+        if _cholesky_certifies(diff, tol, scale):
+            continue
         w = np.linalg.eigvalsh(diff)
         lo = float(w[0]) if w.size else 0.0
         if lo < -tol * scale:

@@ -4,8 +4,10 @@ In finite dimension the joint spectral measure of a pairwise-commuting tuple
 (A_1, ..., A_kappa) is atomic: finitely many points in R^kappa, each carrying
 an orthogonal projection, mutually orthogonal and summing to the identity,
 with A_j recovered as the sum of lambda_j-weighted projections. The measure is
-computed by recursive simultaneous diagonalization: diagonalize A_1, split its
-spectrum into clusters, compress A_2 to each cluster's eigenspace, recurse.
+computed by simultaneous diagonalization, one level per component: diagonalize
+A_1, split its spectrum into clusters, compress A_2 to each cluster's
+eigenspace, and so on. A cluster of one eigenvector is an atom at once; the
+rest of its coordinates are stacked 1x1 compressions.
 
 The measure is stored as arrays: the atom points, and one unitary whose
 columns are grouped by atom. Every spectral integral, the calculus and the
@@ -26,7 +28,6 @@ from .linalg import (
     Projection,
     _normalize_columns,
     _read_only,
-    commutator_norm,
     hermitian_eig,
 )
 
@@ -106,17 +107,6 @@ def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
                     raise CommutationError(i, j, np.ldexp(defect, e), np.ldexp(threshold, e))
                 worst = max(worst, float(np.ldexp(defect, e)))
     return CommutingTuple(ops=tuple(herms), max_commutator_defect=worst)
-
-
-def _tuple_from_shared_basis(herms) -> CommutingTuple:
-    # components built from one measure commute by construction; record the
-    # (roundoff-level) defect without gating on it
-    herms = tuple(herms)
-    worst = 0.0
-    for i in range(len(herms)):
-        for j in range(i + 1, len(herms)):
-            worst = max(worst, commutator_norm(herms[i], herms[j]))
-    return CommutingTuple(ops=herms, max_commutator_defect=worst)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -227,14 +217,17 @@ def _stack(kappa: int, dim: int, pairs) -> tuple[np.ndarray, np.ndarray, list[in
     return points, np.hstack(bases), [b.shape[1] for b in bases[1:]]
 
 
-def _split_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
-    """Indices of maximal runs of ascending values with gaps <= threshold."""
-    if values.size == 0:
-        return []
+def _split_clusters(values: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of ascending values with gaps <= threshold.
+
+    Returns the stable ascending order of the values and the run bounds in
+    it: run k is ``order[bounds[k]:bounds[k + 1]]``.
+    """
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    breaks = np.flatnonzero(np.diff(sorted_vals) > threshold)
-    return [seg for seg in np.split(order, breaks + 1)]
+    if values.size == 0:
+        return order, np.zeros(1, dtype=np.intp)
+    breaks = np.flatnonzero(np.diff(values[order]) > threshold) + 1
+    return order, np.concatenate(([0], breaks, [values.size]))
 
 
 def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +259,19 @@ def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_measure(t: CommutingTuple) -> JointSpectralMeasure:
-    """Joint spectral measure by recursive cluster diagonalization.
+    """Joint spectral measure by level-wise cluster diagonalization.
 
-    Level j diagonalizes the compression of A_j to the current invariant
-    subspace, splits the spectrum at gaps exceeding TOL * ||A_j||, and
-    recurses into each cluster with the cluster mean as the j-th atom
-    coordinate. Distinct atoms are separated by more than the threshold in
-    at least one coordinate, so points are pairwise distinct in the sup
-    norm. The threshold scales with A_j, so c * A has the atoms of A
-    scaled by c for every c > 0.
+    Level j diagonalizes the compression of A_j to each open cluster's
+    invariant subspace and splits its spectrum at gaps exceeding
+    TOL * ||A_j||; the cluster mean is the j-th atom coordinate. A cluster
+    of size 1 is finished: its later coordinates come from stacked 1x1
+    compressions, all clusters of size 1 of one eigendecomposition in one
+    product per level. Larger clusters stay open for level j + 1. The
+    result equals, bit for bit, that of recursing into each cluster.
+    Distinct atoms are separated by more than the threshold in at least one
+    coordinate, so points are pairwise distinct in the sup norm. The
+    threshold scales with A_j, so c * A has the atoms of A scaled by c for
+    every c > 0.
 
     The measure is computed once per tuple and kept on it.
     """
@@ -284,28 +281,72 @@ def joint_measure(t: CommutingTuple) -> JointSpectralMeasure:
 
 
 def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
-    thresholds = [TOL * op.norm() for op in t.ops]
-    leaves: list[tuple[tuple[float, ...], np.ndarray]] = []
+    mats = [op.matrix for op in t.ops]
+    # finished atoms in blocks: points, bases, ranks and paths. A path holds
+    # the atom's cluster index at each level, padded with -1, so sorting by
+    # it lists atoms in the order a depth-first walk reaches them.
+    found = ([np.empty((0, t.kappa))], [np.empty((t.dim, 0), dtype=np.complex128)],
+             [np.empty(0, dtype=np.intp)], [np.empty((0, t.kappa), dtype=np.intp)])
 
-    def recurse(level: int, basis: np.ndarray, prefix: tuple[float, ...]):
-        if level == t.kappa:
-            leaves.append((prefix, basis))
-            return
-        compressed = basis.conj().T @ t.ops[level].matrix @ basis
-        if basis.shape[1] == 1:
-            # a 1x1 compression is its own eigenvalue
-            recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
-            return
-        compressed = compressed / 2.0 + compressed.conj().T / 2.0
-        w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
-        for cluster in _split_clusters(w, thresholds[level]):
-            sub = basis @ v[:, np.sort(cluster)]
-            recurse(level + 1, sub, prefix + (float(np.mean(w[cluster])),))
+    def keep(*block):
+        for store, part in zip(found, block):
+            store.append(np.asarray(part))
 
-    recurse(0, np.eye(t.dim, dtype=np.complex128), ())
-    points, basis, ranks = _stack(t.kappa, t.dim, sorted(leaves, key=lambda leaf: leaf[0]))
+    def finish(cols: np.ndarray, coords: list, paths: np.ndarray):
+        # atoms with one-column bases cols (s, n, 1) and their first
+        # len(coords) coordinates; each later one is a stacked 1x1 compression
+        for a in mats[len(coords):]:
+            coords.append(((cols.conj().transpose(0, 2, 1) @ a) @ cols)[:, 0, 0].real)
+        points = np.empty((cols.shape[0], t.kappa))
+        for j, c in enumerate(coords):
+            points[:, j] = c
+        keep(points, cols[:, :, 0].T, np.ones(cols.shape[0], dtype=np.intp), paths)
+
+    # the open clusters of a level: basis, coordinates and path so far
+    clusters = [(np.eye(t.dim, dtype=np.complex128), (), ())]
+    if t.dim == 1:
+        # the one column is an atom before any eigendecomposition
+        finish(clusters.pop()[0][None], [], np.zeros((1, t.kappa), dtype=np.intp))
+    for level, a in enumerate(mats):
+        if not clusters:
+            break
+        threshold = TOL * t.ops[level].norm()
+        deeper = []
+        for basis, prefix, path in clusters:
+            compressed = basis.conj().T @ a @ basis
+            compressed = compressed / 2.0 + compressed.conj().T / 2.0
+            w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
+            order, bounds = _split_clusters(w, threshold)
+            sizes = np.diff(bounds)
+            # every cluster of size 1 is an atom: one stacked product for
+            # their bases and one for each later coordinate
+            ks = np.flatnonzero(sizes == 1)
+            if ks.size:
+                single = order[bounds[ks]]
+                paths = np.full((ks.size, t.kappa), -1)
+                paths[:, :level] = path
+                paths[:, level] = ks
+                finish(basis[None] @ v.T[single][:, :, None], [*prefix, w[single]], paths)
+            for k in np.flatnonzero(sizes > 1):
+                cluster = order[bounds[k]:bounds[k + 1]]
+                sub = basis @ v[:, np.sort(cluster)]
+                coords, sub_path = (*prefix, float(np.mean(w[cluster]))), (*path, int(k))
+                if level + 1 < t.kappa:
+                    deeper.append((sub, coords, sub_path))
+                else:
+                    keep([coords], sub, [sub.shape[1]], [sub_path])
+        clusters = deeper
+
+    points, ranks, paths = (np.concatenate(found[i]) for i in (0, 2, 3))
+    basis = np.hstack(found[1])
+    order = np.lexsort((*paths.T[::-1], *points.T[::-1]))
+    # regroup the basis columns in point order: atom order[i] moves its
+    # block of columns from starts[order[i]] to moved[i]
+    starts, moved = np.cumsum(ranks) - ranks, np.cumsum(ranks[order]) - ranks[order]
+    cols = np.repeat(starts[order] - moved, ranks[order]) + np.arange(basis.shape[1])
     # re-fix column phases lost while composing cluster bases, all atoms in one call
-    return JointSpectralMeasure.from_arrays(points, _normalize_columns(basis), ranks)
+    return JointSpectralMeasure.from_arrays(
+        points[order], _normalize_columns(np.ascontiguousarray(basis[:, cols])), ranks[order])
 
 
 def _rule_values(phi, points: np.ndarray) -> np.ndarray:
@@ -342,11 +383,12 @@ def calculus_scalar(e: JointSpectralMeasure, phi) -> HermitianOperator:
 
 
 def calculus_vector(e: JointSpectralMeasure, phis) -> CommutingTuple:
-    """Componentwise calculus; the result commutes by shared-basis construction."""
-    herms = [calculus_scalar(e, phi) for phi in phis]
+    """Componentwise calculus. The components share the measure's eigenbasis,
+    so they commute by construction and the recorded defect is 0.0."""
+    herms = tuple(calculus_scalar(e, phi) for phi in phis)
     if not herms:
         raise DimensionError("vector calculus needs at least one component rule")
-    return _tuple_from_shared_basis(herms)
+    return CommutingTuple(ops=herms, max_commutator_defect=0.0)
 
 
 def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:

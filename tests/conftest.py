@@ -435,7 +435,8 @@ def diagonalize_per_atom(t):
             return
         compressed = compressed / 2.0 + compressed.conj().T / 2.0
         w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
-        for cluster in _split_clusters(w, thresholds[level]):
+        order, bounds = _split_clusters(w, thresholds[level])
+        for cluster in (order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])):
             recurse(level + 1, basis @ v[:, np.sort(cluster)],
                     prefix + (float(np.mean(w[cluster])),))
 

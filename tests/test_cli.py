@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -197,6 +198,100 @@ def test_measure_check_golden_bytes(tmp_path, capsys, monkeypatch):
         '"points":[[0.0,0.0],[0.0,1.0],[1.0,0.0]]}},'
         '{"detail":"lower sets False, indicators False, mollifiers False",'
         '"holds":true,"name":"equivalence_agreement"}],"version":"0.1.0"}')
+
+
+def test_check_order_golden_bytes(tmp_path, capsys, monkeypatch):
+    # kappa=3, positive, ties in every component; every route fails, and the
+    # witnesses are atom coordinates
+    monkeypatch.chdir(tmp_path)
+    write_tuple("a3.json", [1, 1, 2, 3], [2, 1, 1, 2], [1, 3, 1, 2])
+    write_tuple("b3.json", [1, 2, 2, 3], [1, 2, 1, 3], [2, 3, 1, 2])
+    argv = ["check-order", "a3.json", "b3.json", "--alpha-max", "3", "--format", "json"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.strip() == (
+        '{"command":"check-order a3.json b3.json --alpha-max 3",'
+        '"schema":"specorder-report/1","timing_s":0.0,'
+        '"tolerances":{"tol":1e-08},"verdicts":['
+        '{"detail":"max residual 1.000e+00","holds":false,"name":"spectral_leq",'
+        '"witness":[1.0,1.0,2.0]},'
+        '{"holds":false,"name":"componentwise","witness":[1,[1.0]]},'
+        '{"holds":true,"name":"routes_agree"},'
+        '{"detail":"depth 3","holds":false,"name":"monomial_scan","witness":[0,1,0]}],'
+        '"version":"0.1.0"}')
+
+
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def test_calculus_clip_golden_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mats = [HADAMARD @ np.diag(d) @ HADAMARD.T for d in ([0.0, 1.0, 1.0, 2.0],
+                                                        [2.0, -1.0, 1.0, 0.5])]
+    save_json("c.json", tuple_to_dict(validate_tuple(mats)))
+    assert main(["calculus", "c.json", "--fn", "clip", "--coeffs", "0.5", "1.0",
+                 "--lo", "0.25", "--hi", "2.0", "--out", "clip.json"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "clip.json").read_bytes()).hexdigest()
+    assert digest == "951f11f49e4963de4c7da294fdb4bccfbfd8f2319712d826381bec5a02e2a6c1"
+
+
+@pytest.mark.parametrize("args", [
+    ["--fn", "monomial", "--alpha", "2", "1"],
+    ["--fn", "fractional", "--beta", "0.5", "1.5"],
+    ["--fn", "sum"],
+    ["--fn", "product"],
+    ["--fn", "parts", "--signs", "+-"],
+    ["--fn", "clip", "--coeffs", "1", "0.5", "--lo", "0.5", "--hi", "2.5"],
+])
+def test_calculus_writes_an_exactly_hermitian_commuting_tuple(tmp_path, capsys, args):
+    # the calculus builds its result without validate_tuple: the written
+    # matrices must pass it, be their own symmetrization bit for bit, and
+    # commute to roundoff
+    rng = np.random.default_rng(1103)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    mats = [(q * rng.uniform(0.1, 2.0, size=6)) @ q.conj().T for _ in range(2)]
+    src, out = tmp_path / "t.json", tmp_path / "out.json"
+    save_json(str(src), tuple_to_dict(validate_tuple(mats)))
+    assert main(["calculus", str(src), *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = load_tuple(str(out))
+    for op in written.ops:
+        m = op.matrix
+        assert (m / 2.0 + m.conj().T / 2.0).tobytes() == m.tobytes()
+    assert written.max_commutator_defect <= 1e-12
+
+
+def test_check_order_builds_one_order_kernel(ordered_files, capsys, monkeypatch):
+    import specorder.order as order
+
+    built = []
+
+    class Counting(order._OrderKernel):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(order, "_OrderKernel", Counting)
+    a, b = ordered_files
+    for first, second in ((a, b), (b, a)):
+        built.clear()
+        main(["check-order", first, second])
+        assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_measure_check_enumerates_the_ideals_once(tmp_path, capsys, monkeypatch):
+    import specorder.measures as measures
+
+    calls = []
+    real = measures.enumerate_downward_closed
+    monkeypatch.setattr(measures, "enumerate_downward_closed",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    m1 = write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    m2 = write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    assert main(["measure-check", m1, m2]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_measure_check_mass_mismatch_skips_equivalence(tmp_path, capsys):
@@ -426,6 +521,16 @@ def test_calculus_near_float_limit_writes_finite_files(tmp_path, args):
     text = out.read_text()
     assert "Infinity" not in text and "NaN" not in text
     assert np.all(np.isfinite(np.array(load_tuple(str(out)).matrices())))
+
+
+def test_calculus_result_beyond_float_range_exits_two(tmp_path):
+    # every entry of the sum is finite, but its Frobenius norm is not
+    t = _tuple_file(tmp_path / "t.json", [np.diag([1.2e308, 0.9e308]), np.diag([0.5e308, 0.6e308])])
+    out = tmp_path / "out.json"
+    proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
+    assert proc.returncode == 2 and _clean(proc)
+    assert "component 0 is too large: its Frobenius norm exceeds the float range" in proc.stderr
+    assert not out.exists()
 
 
 def test_calculus_non_finite_value_exits_two(tmp_path):

@@ -8,7 +8,7 @@ rebuild each from (point, basis) pairs one atom at a time.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     calculus_per_atom,
@@ -17,12 +17,13 @@ from conftest import (
     fresh_rng,
     measure_defects_per_atom,
     monomial_scan_eager,
+    positive_ordered_pair,
     random_unitary,
     tuple_from_eigs,
 )
 from specorder.errors import ParameterError
 from specorder.functions import sum_fn
-from specorder.linalg import Projection
+from specorder.linalg import TOL, Projection
 from specorder.order import distribution_order, multi_indices, olson_necessity_scan
 from specorder.spectral import (
     JointSpectralMeasure,
@@ -60,8 +61,31 @@ def scale_of(t) -> float:
     return 1.0 + max(float(np.linalg.norm(op.matrix, 2)) for op in t.ops)
 
 
+# kappa=3, n=7. Level 0 splits A_1 into clusters {0, 1, 2}, {3} and {4, 5, 6}.
+# Level 1 splits the first into {0} and {1, 2} and the last into {4}, {5}
+# and {6}. Level 2 keeps {1, 2} as one atom of rank 2.
+MIXED_EIGS = np.array([[0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0],
+                       [0.0, 1.0, 1.0, 5.0, 3.0, 4.0, 6.0],
+                       [7.0, 8.0, 8.0, 2.0, 1.0, 1.0, 3.0]])
+MIXED_Q = random_unitary(fresh_rng(1100), 7)
+MIXED_PAIR = (tuple_from_eigs(MIXED_Q, MIXED_EIGS),
+              tuple_from_eigs(MIXED_Q, MIXED_EIGS + np.array([[0, 0, 1, 0, 1, 0, 0]] * 3)))
+DIM_ONE_PAIR = (validate_tuple([[[0.5]], [[-1.5]], [[2.0]]]),
+                validate_tuple([[[0.75]], [[-1.5]], [[3.0]]]))
+
+
+def test_the_mixed_cluster_case_has_its_layout():
+    e = joint_measure(MIXED_PAIR[0])
+    assert sorted(e.ranks.tolist()) == [1, 1, 1, 1, 1, 2]
+    assert np.allclose(e.points(), [[0, 0, 7], [0, 1, 8], [1, 5, 2], [2, 3, 1], [2, 4, 1],
+                                    [2, 6, 3]], atol=1e-12)
+    assert joint_measure(DIM_ONE_PAIR[0]).points().tolist() == [[0.5, -1.5, 2.0]]
+
+
 @settings(max_examples=80)
 @given(pair=tuple_pairs())
+@example(pair=MIXED_PAIR)
+@example(pair=DIM_ONE_PAIR)
 def test_arrays_match_the_per_atom_reference(pair):
     a, b = pair
     for t in (a, b):
@@ -94,7 +118,14 @@ def test_lazy_scan_matches_the_eager_reference(pair):
         got = olson_necessity_scan(x, y, alpha_max=SCAN_DEPTH)
         want = monomial_scan_eager(diagonalize_per_atom(x), diagonalize_per_atom(y), alphas)
         assert (got.holds, got.witness) == want[:2]
-        assert abs(got.defect - want[2]) <= 1e-12 * scale_of(x) ** SCAN_DEPTH + 1e-12 * want[2]
+        roundoff = 1e-12 * scale_of(x) ** SCAN_DEPTH + 1e-12 * want[2]
+        if got.holds:
+            # a holding defect counts only the alphas that Cholesky did not
+            # certify; a certified alpha's -lambda_min is below tol/2 * scale
+            assert got.defect <= want[2] + roundoff
+            assert want[2] <= max(got.defect, TOL / 2 * scale_of(x) ** SCAN_DEPTH) + roundoff
+        else:
+            assert abs(got.defect - want[2]) <= roundoff
 
 
 def test_scan_stops_at_the_first_failing_alpha(monkeypatch):
@@ -150,3 +181,43 @@ def test_constructors_leave_the_input_arrays_writable():
     assert p.range_basis[0, 0] == 1.0 and e.basis[0, 0] == 1.0
     assert e.points()[0, 0] == 0.0 and e.ranks[0] == 1
     assert not (p.range_basis.flags.writeable or e.basis.flags.writeable)
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    return calls
+
+
+def test_a_holding_scan_solves_no_eigenvalue_problem(monkeypatch):
+    a, b = positive_ordered_pair(fresh_rng(1101), 24, 2)
+    calls = count_eigvalsh(monkeypatch)
+    verdict = olson_necessity_scan(a, b, alpha_max=SCAN_DEPTH)
+    assert verdict.holds and verdict.defect == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("depth, holds, solves", [
+    (0.4, True, 0),   # Cholesky certifies
+    (0.9, True, 1),   # below -tol/2 * scale: eigvalsh decides, and it holds
+    (1.1, False, 1),
+    (2.0, False, 1),
+])
+def test_scan_near_the_threshold_matches_the_eager_reference(monkeypatch, depth, holds,
+                                                             solves):
+    # alpha = (1,) has B - A = Q diag(-depth * tol, 0, 0, 0) Q^H and scale 1,
+    # so lambda_min = -depth * tol * scale; alpha = (0,) has B^0 - A^0 = 0
+    q = random_unitary(fresh_rng(1102), 4)
+    eigs = np.array([[1.0, 0.75, 0.5, 0.25]])
+    a = tuple_from_eigs(q, eigs)
+    b = tuple_from_eigs(q, eigs - np.array([[depth * TOL, 0.0, 0.0, 0.0]]))
+    want = monomial_scan_eager(diagonalize_per_atom(a), diagonalize_per_atom(b),
+                               multi_indices(1, 1))
+    calls = count_eigvalsh(monkeypatch)
+    got = olson_necessity_scan(a, b, alpha_max=1)
+    assert (got.holds, got.witness) == want[:2] == (holds, None if holds else (1,))
+    assert len(calls) == solves
+    if solves:
+        assert abs(got.defect - want[2]) <= 1e-14
+    assert abs(want[2] - depth * TOL) <= 1e-14
