@@ -525,7 +525,8 @@ def test_calculus_near_float_limit_writes_finite_files(tmp_path, args):
 
 def test_calculus_result_beyond_float_range_exits_two(tmp_path):
     # every entry of the sum is finite, but its Frobenius norm is not
-    t = _tuple_file(tmp_path / "t.json", [np.diag([1.2e308, 0.9e308]), np.diag([0.5e308, 0.6e308])])
+    t = _tuple_file(tmp_path / "t.json", [np.diag([1.2e308, 0.9e308]),
+                                          np.diag([0.5e308, 0.6e308])])
     out = tmp_path / "out.json"
     proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
     assert proc.returncode == 2 and _clean(proc)
