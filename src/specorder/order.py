@@ -43,7 +43,6 @@ from .spectral import (
     CommutingTuple,
     JointSpectralMeasure,
     _monomial_values,
-    calculus_scalar,
     is_positive_tuple,
     joint_measure,
     pushforward,
@@ -125,6 +124,7 @@ class _OrderKernel:
         self.in_a = [pa[:, j][:, None] <= (ax + s)[None, :]
                      for j, (ax, s) in enumerate(zip(self.axes, slack))]
         self.in_b = [pb[:, j][:, None] <= ax[None, :] for j, ax in enumerate(self.axes)]
+        self.points_b = pb
         self.ranks_b = eb.ranks.astype(np.float64)
         self.atoms = max(ea.n_atoms(), eb.n_atoms())
         # The residual sums nonnegative Gram entries, so nothing cancels; the
@@ -165,16 +165,24 @@ class _OrderKernel:
         return lines
 
     def first_failure(self) -> OrderVerdict | None:
-        """The lexicographically first failing grid point, or None. The walk
-        starts with one first-axis slice and doubles its step, up to
-        _WALK_CELLS points x atoms."""
-        sizes = [ax.size for ax in self.axes]
+        """The lexicographically first failing grid point, or None.
+
+        F_b(x) changes only at eb's coordinates, and F_a(x) only grows with
+        x, so lowering a coordinate of a failing point to eb's next
+        coordinate below keeps it failing (with none below, F_b(x) = 0 and
+        nothing fails). The first failing point therefore lies on eb's
+        sub-grid, and only that sub-grid is walked: in lex order, starting
+        with one first-axis slice and doubling the step, up to _WALK_CELLS
+        points x atoms."""
+        steps = [np.unique(np.searchsorted(ax, self.points_b[:, j]))
+                 for j, ax in enumerate(self.axes)]
+        sizes = [s.size for s in steps]
         total = prod(sizes)
         step, cap = total // sizes[0], max(1, _WALK_CELLS // max(1, self.atoms))
         start = 0
         while start < total:
             stop = min(total, start + min(step, cap))
-            idx = np.unravel_index(np.arange(start, stop), sizes)
+            idx = [s[i] for s, i in zip(steps, np.unravel_index(np.arange(start, stop), sizes))]
             residual, bad = self.residuals(idx)
             if bad.any():
                 g = int(np.argmax(bad))  # first True in lex order
@@ -385,8 +393,8 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     ``r`` maps a multi-index tuple to a scale factor (callable or mapping).
     Factors below 1 are rejected with ParameterError since the
     characterization requires r_alpha >= 1 with subexponential growth.
-    A^alpha and B^alpha are built lazily, one product each, up to the first
-    failing alpha. An alpha fails when the least eigenvalue of
+    r_alpha B^alpha - A^alpha is built lazily in A's eigenbasis, one
+    product per alpha, up to the first failing alpha. An alpha fails when the least eigenvalue of
     r_alpha B^alpha - A^alpha is below -tol * scale, scale =
     max(||A^alpha||, r_alpha ||B^alpha||). ParameterError names the alpha
     where lambda^alpha or r_alpha B^alpha - A^alpha is not finite.
@@ -405,6 +413,12 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     _require_positive(tb, "b")
     lookup = r.__getitem__ if hasattr(r, "__getitem__") else r
     ea, eb = joint_measure(ta), joint_measure(tb)
+    # In A's eigenbasis U, r_alpha B^alpha - A^alpha is G diag(r_alpha
+    # vb) G^H - diag(va), G = U^H W with W B's: one product per alpha, and
+    # unitarily similar, so it has the same eigenvalues. Cholesky and
+    # eigvalsh read one triangle, so it is not symmetrized.
+    g = ea.basis.conj().T @ eb.basis
+    diagonal = np.arange(ta.dim)
     worst = 0.0
     for alpha in multi_indices(ta.kappa, alpha_max):
         r_alpha = float(lookup(tuple(alpha)))
@@ -412,7 +426,8 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
             raise ParameterError(f"scale r[{alpha}] = {r_alpha} < 1")
         va, vb = (_monomial_values(e.points(), alpha) for e in (ea, eb))
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = r_alpha * calculus_scalar(eb, vb).matrix - calculus_scalar(ea, va).matrix
+            diff = (g * (r_alpha * vb[eb.owner])) @ g.conj().T
+            diff[diagonal, diagonal] -= va[ea.owner]
         if not np.all(np.isfinite(diff)):
             raise ParameterError(f"r_alpha B^alpha - A^alpha at alpha={alpha} is not finite")
         # ||X^alpha|| is the largest |lambda^alpha| over X's atoms

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
 from .linalg import TOL, HermitianOperator, Projection, _normalize_columns
 from .spectral import JointSpectralMeasure, _stack
+
+# Complex entries per chunk of the resolution check's buffers: a few MB of
+# working memory however large the grid is.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +68,7 @@ class ProjValuedStepFunction:
         below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
         values = np.empty(shape, dtype=object)
         for idx, cols in zip(np.ndindex(shape), below[:, e.owner]):
-            values[idx] = Projection(e.basis[:, cols])
+            values[idx] = Projection._adopt(np.compress(cols, e.basis, axis=1))
         return cls(axes=axes, values=values, dim=e.dim)
 
     def at_index(self, idx) -> Projection:
@@ -169,27 +174,86 @@ def _cell_box(f: ProjValuedStepFunction, idx) -> tuple:
     return lo, hi
 
 
+def _cross_norms(d: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """||d @ o||_F for each matrix o of a stack: the exact orthogonality test."""
+    return np.linalg.norm(d @ others, axis=(1, 2))
+
+
+def _orthogonality_violations(cells, n: int, tol: float) -> list:
+    """Pairs (i < j) of nonzero cells with ||d_i d_j||_F > tol, in row-major
+    order, from cells (box, d, V, dist): d the symmetrized difference, V its
+    eigenvalue-one basis and dist its eigenvalues' distance from {0, 1}.
+
+    d_k is within dist_k of V_k V_k^H in spectral norm, so ||d_i d_j||_F is
+    at most ||V_i^H V_j||_F + dist_i sqrt(r_j) + dist_j sqrt(r_i) +
+    dist_i dist_j sqrt(n), r the ranks. One product of the stacked bases,
+    in blocks of _CHUNK_ENTRIES, gives every ||V_i^H V_j||_F; only pairs
+    whose bound exceeds tol / 2 are multiplied out.
+    """
+    if len(cells) < 2:
+        return []
+    boxes, ds, bases, dist = zip(*cells)
+    ranks = np.array([b.shape[1] for b in bases])
+    starts = np.cumsum(ranks) - ranks
+    dist, root = np.array(dist), np.sqrt(ranks)
+    v = np.hstack(bases)
+    step = max(1, _CHUNK_ENTRIES // (v.shape[1] * int(ranks.max())))
+    out = []
+    for lo in range(0, len(cells), step):
+        hi = min(len(cells), lo + step)
+        g = np.abs(v[:, starts[lo]:starts[hi - 1] + ranks[hi - 1]].conj().T @ v) ** 2
+        g = np.add.reduceat(np.add.reduceat(g, starts[lo:hi] - starts[lo], axis=0),
+                            starts, axis=1)
+        di = dist[lo:hi, None]
+        bound = (np.sqrt(g) + di * root + dist * root[lo:hi, None]
+                 + di * dist * np.sqrt(n))
+        rows, cols = np.nonzero(np.triu(bound > tol / 2.0, k=lo + 1))
+        for i in np.unique(rows):
+            js = cols[rows == i]
+            i = lo + int(i)
+            cross = _cross_norms(ds[i], np.stack([ds[j] for j in js]))
+            out += [(boxes[i], boxes[j], float(c)) for j, c in zip(js, cross) if c > tol]
+    return out
+
+
 def validate_resolution(f: ProjValuedStepFunction,
                         tol: float = TOL) -> ResolutionReport:
     """Check the resolution axioms, locating every violating cell box.
 
-    Walks the first axis one slab of grid values at a time, so memory stays
-    at a few slabs. Zero-prepended differences along the other axes, minus
-    the previous slab's, give every cell's 2^kappa corner sum. Cells with
-    Frobenius norm above tol/4 go to one batched eigh per slab; the rest are
-    zero cells. Orthogonality takes one batched product per nonzero cell.
+    Walks the first axis in chunks of rows of about _CHUNK_ENTRIES complex
+    entries, so memory stays at a few chunks. Each chunk's grid values are
+    written into one buffer after the previous chunk's last row; in-place
+    differences along the other axes, then along the first, give every
+    cell's 2^kappa corner sum. Cells with Frobenius norm above tol/4 go to
+    one batched eigh per chunk; the rest are zero cells. Orthogonality is
+    screened by one Gram product of the cells' eigenvalue-one bases, and
+    only pairs the screen cannot clear are multiplied out (see
+    _orthogonality_violations).
     """
     n = f.dim
-    rest = f.values.shape[1:]
-    rows = f.values.reshape(f.values.shape[0], -1)
-    cell_violations, nonzero, atoms = [], [], []
-    prev = 0.0
-    for i, row in enumerate(rows):
-        diff = np.stack([p.matrix for p in row]).reshape(rest + (n, n))
-        for axis in range(len(rest)):
-            diff = np.diff(diff, axis=axis, prepend=0.0)
-        d = (diff - prev).reshape(-1, n, n)
-        prev = diff
+    shape = f.values.shape
+    rest = shape[1:]
+    row_cells = prod(rest)
+    step = max(1, _CHUNK_ENTRIES // max(1, row_cells * n * n))
+    rows = f.values.reshape(shape[0], row_cells)
+    # row 0 holds the previous chunk's last row, differenced along the other
+    # axes; zero below the grid
+    buf = np.zeros((min(step, shape[0]) + 1, row_cells, n, n), dtype=np.complex128)
+    cell_violations, cells, atoms = [], [], []
+    for first in range(0, shape[0], step):
+        chunk = rows[first:first + step]
+        for row, out in zip(chunk, buf[1:]):
+            for p, value in zip(row, out):
+                v = p.range_basis
+                np.matmul(v, v.conj().T, out=value)
+        grid = buf[:len(chunk) + 1].reshape((len(chunk) + 1,) + rest + (n, n))
+        for axis in range(1, len(shape)):
+            # x[k] -= x[k - 1] for every k > 0 at once: numpy buffers the
+            # overlapping operands, so each entry is the plain subtraction
+            x = np.moveaxis(grid[1:], axis, 0)
+            np.subtract(x[1:], x[:-1], out=x[1:])
+        d = (grid[1:] - grid[:-1]).reshape(-1, n, n)
+        buf[0] = buf[len(chunk)]
         # ||d||_F <= tol/4 bounds the Hermitian defect by tol/2 and every
         # eigenvalue of (d + d*)/2 by tol/4: such a cell is zero
         parts = d.reshape(d.shape[0], -1).view(np.float64)
@@ -203,24 +267,19 @@ def validate_resolution(f: ProjValuedStepFunction,
         w, v = np.linalg.eigh(d)
         v = _normalize_columns(v)
         dist = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
-        for k, c in enumerate(live):
-            box = _cell_box(f, (i,) + np.unravel_index(c, rest))
+        idx = np.unravel_index(live, (len(chunk),) + rest)
+        for k, cell in enumerate(zip(*idx)):
+            box = _cell_box(f, (first + cell[0],) + cell[1:])
             defect = float(herm_defect[k])
             if defect > tol or dist[k] > tol:
                 cell_violations.append(
                     (box, f"eigenvalues off {{0,1}} by {max(float(dist[k]), defect):.3e}"))
             elif np.max(np.abs(w[k])) > tol:
-                nonzero.append((box, d[k].copy()))
-                atoms.append((box[1], v[k][:, w[k] > 0.5]))
+                basis = v[k][:, w[k] > 0.5]
+                cells.append((box, d[k], basis, float(dist[k])))
+                atoms.append((box[1], basis))
 
-    orthogonality_violations = []
-    stack = np.array([m for _, m in nonzero])
-    for i in range(len(nonzero) - 1):
-        cross = np.linalg.norm(stack[i] @ stack[i + 1:], axis=(1, 2))
-        for j in np.flatnonzero(cross > tol):
-            orthogonality_violations.append(
-                (nonzero[i][0], nonzero[i + 1 + j][0], float(cross[j])))
-
+    orthogonality_violations = _orthogonality_violations(cells, n, tol)
     top = f.top_corner().matrix
     identity_defect = float(np.max(np.abs(top - np.eye(f.dim))))
     return ResolutionReport(

@@ -280,6 +280,14 @@ def joint_measure(t: CommutingTuple) -> JointSpectralMeasure:
     return t._measure
 
 
+def _mean(values: np.ndarray) -> float:
+    """Mean of finite values; where their sum overflows, twice the mean of
+    the halves, so every mean that fits keeps its bits."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    return mean if np.isfinite(mean) else 2.0 * float(np.mean(values / 2.0))
+
+
 def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
     mats = [op.matrix for op in t.ops]
     # finished atoms in blocks: points, bases, ranks and paths. A path holds
@@ -330,7 +338,7 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             for k in np.flatnonzero(sizes > 1):
                 cluster = order[bounds[k]:bounds[k + 1]]
                 sub = basis @ v[:, np.sort(cluster)]
-                coords, sub_path = (*prefix, float(np.mean(w[cluster]))), (*path, int(k))
+                coords, sub_path = (*prefix, _mean(w[cluster])), (*path, int(k))
                 if level + 1 < t.kappa:
                     deeper.append((sub, coords, sub_path))
                 else:

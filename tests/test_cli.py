@@ -572,3 +572,13 @@ def test_calculus_overflowing_value_is_reported_not_finite(tmp_path):
     assert "function value not finite at point (1.5e+308, 1.5e+308)" in proc.stderr
     assert "np.float64" not in proc.stderr
     assert not out.exists()
+
+
+def test_calculus_of_tied_eigenvalues_near_float_limit(tmp_path):
+    # the cluster mean summed 1e308 + 1e308 to inf, and the sum read
+    # "function value not finite at point (inf, -inf)"
+    t = _tuple_file(tmp_path / "t.json", [np.diag([1e308, 1e308]), np.diag([-9e307, -9e307])])
+    out = tmp_path / "out.json"
+    proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
+    assert proc.returncode == 0 and _clean(proc)
+    assert np.array_equal(load_tuple(str(out)).ops[0].matrix, np.diag([1e308 - 9e307] * 2))

@@ -131,15 +131,16 @@ def test_lazy_scan_matches_the_eager_reference(pair):
 def test_scan_stops_at_the_first_failing_alpha(monkeypatch):
     import specorder.order as order
 
-    calls = []
-    real = order.calculus_scalar
-    monkeypatch.setattr(order, "calculus_scalar", lambda e, phi: calls.append(1) or real(e, phi))
+    built = []
+    real = order._monomial_values
+    monkeypatch.setattr(order, "_monomial_values",
+                        lambda points, alpha: built.append(tuple(alpha)) or real(points, alpha))
     a = validate_tuple([np.diag([2.0, 1.0]), np.diag([1.0, 1.0])])
     b = validate_tuple([np.diag([1.0, 2.0]), np.diag([1.0, 1.0])])
     verdict = olson_necessity_scan(a, b, alpha_max=8)
-    # (0, 0), (0, 1), (1, 0): the third alpha fails, two monomials each
+    # (0, 0), (0, 1), (1, 0): the third alpha fails, and no later one is built
     assert verdict.witness == (1, 0)
-    assert len(calls) == 6
+    assert list(dict.fromkeys(built)) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_keyword_constructor_and_views_round_trip():

@@ -2,6 +2,7 @@ import itertools
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     tuple_from_eigs,
 )
 import specorder.linalg as linalg
+import specorder.order as order
 import specorder.spectral as spectral
 from specorder.cli import main
 from specorder.errors import (
@@ -610,6 +612,45 @@ def test_gram_kernel_matches_subtraction_reference(kind, kappa, n, salt):
         assert v.holds == holds
         assert v.witness == witness
         assert abs(v.defect - defect) <= 1e-12 * (1 + rank)
+
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_witness_walk_evaluates_only_the_dominating_sub_grid(kappa, monkeypatch):
+    walking, walked = [False], []
+    real_walk, real_residuals = order._OrderKernel.first_failure, order._OrderKernel.residuals
+
+    def walk(self):
+        walking[0] = True
+        try:
+            return real_walk(self)
+        finally:
+            walking[0] = False
+
+    def residuals(self, idx):
+        if walking[0]:
+            walked.append(np.size(idx[0]))
+        return real_residuals(self, idx)
+
+    monkeypatch.setattr(order._OrderKernel, "first_failure", walk)
+    monkeypatch.setattr(order._OrderKernel, "residuals", residuals)
+    failing, smaller = 0, 0
+    for salt in range(30):
+        a, b = _oracle_pair("integer_mixed", fresh_rng(9700 + salt), 6, kappa)
+        for lo, hi in ((joint_measure(a), joint_measure(b)), (joint_measure(b), joint_measure(a))):
+            walked.clear()
+            holds, witness, defect, rank = _reference_order(lo, hi)
+            v = distribution_order(lo, hi)
+            assert (v.holds, v.witness) == (holds, witness)
+            assert abs(v.defect - defect) <= 1e-12 * (1 + rank)
+            if holds:
+                continue
+            failing += 1
+            pts = [np.concatenate([lo.points()[:, j], hi.points()[:, j]]) for j in range(kappa)]
+            sub_grid = prod(np.unique(hi.points()[:, j]).size for j in range(kappa))
+            assert 0 < sum(walked) <= sub_grid
+            smaller += sub_grid < prod(np.unique(p).size for p in pts)
+    assert failing >= 10 and smaller >= 5
 
 
 def test_check_order_eigendecomposes_inside_the_two_joint_measures_only(

@@ -1,11 +1,14 @@
-"""The slab-wise resolution pass against the per-cell corner-sum references.
+"""The chunked resolution pass against the per-cell corner-sum references.
 
 ``validate_resolution`` forms each cell's corner sum as a mixed difference of
-one slab of grid values and decomposes only the cells that are not zero, in
-one batched eigh per slab; ``reconstruct_measure`` reuses that pass's
-eigenvectors. The references in conftest form every corner sum separately
-and decompose every cell, as the module did before; both must reach the same
-verdicts, boxes and messages, and rebuild the same atoms.
+one chunk of first-axis rows of grid values and decomposes only the cells
+that are not zero, in one batched eigh per chunk. Orthogonality is screened
+by one Gram product of the cells' eigenvalue-one bases; only pairs the
+screen cannot clear are multiplied out. ``reconstruct_measure`` reuses the
+pass's eigenvectors. The references in conftest form every corner sum
+separately, decompose every cell and multiply every pair, as the module did
+before; both must reach the same verdicts, boxes and messages, and rebuild
+the same atoms.
 """
 
 import tracemalloc
@@ -21,8 +24,9 @@ from conftest import (
     random_unitary,
     tuple_from_eigs,
 )
+import specorder.resolution as resolution
 from specorder.errors import ValidationError
-from specorder.linalg import Projection
+from specorder.linalg import TOL, Projection
 from specorder.resolution import (
     ProjValuedStepFunction,
     reconstruct_measure,
@@ -136,3 +140,31 @@ def test_round_trip_memory_stays_within_a_few_slabs():
         tracemalloc.stop()
     assert back.n_atoms() == 40
     assert peak < full_stack / 4
+
+
+@pytest.mark.parametrize("overlap, reported", [(2.0, True), (0.5, False)])
+def test_screen_reports_cells_overlapping_past_tol(overlap, reported):
+    # cells e1 e1* and v v* with |e1* v| = overlap * tol; the top corner is I,
+    # so the last cell I - e1 e1* - v v* has eigenvalues +-overlap * tol
+    c = overlap * TOL
+    v = np.array([[c], [np.sqrt(1.0 - c * c)]], dtype=np.complex128)
+    values = np.empty((2, 2), dtype=object)
+    values[0, 0], values[0, 1] = Projection.zero(2), Projection(v)
+    values[1, 0], values[1, 1] = Projection(np.eye(2)[:, :1]), Projection.identity(2)
+    f = ProjValuedStepFunction(axes=(np.arange(2.0), np.arange(2.0)), values=values, dim=2)
+    got, ref = validate_resolution(f), corner_sum_validate_resolution(f)
+    assert got.orthogonality_violations == ref.orthogonality_violations
+    assert bool(got.orthogonality_violations) is reported
+    if reported:
+        (_, _, cross), = got.orthogonality_violations
+        assert abs(cross - c) <= 1e-15
+
+
+def test_valid_round_trip_multiplies_no_pair(monkeypatch):
+    products = []
+    real = resolution._cross_norms
+    monkeypatch.setattr(resolution, "_cross_norms",
+                        lambda d, others: products.append(len(others)) or real(d, others))
+    f = random_step_function(fresh_rng(4343), 2, 16, 0)
+    back = reconstruct_measure(f)
+    assert back.n_atoms() == 16 and products == []

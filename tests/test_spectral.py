@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,3 +361,13 @@ def test_joint_measure_diagonalizes_each_tuple_once(monkeypatch):
     n_before = len(calls)
     joint_measure(validate_tuple(t.matrices()))
     assert len(calls) > n_before
+
+
+def test_cluster_mean_of_values_near_float_limit():
+    # np.mean summed the tied 1e308s to inf: atom (inf, 1) and a RuntimeWarning
+    t = validate_tuple([np.diag([1e308, 1e308, 1.0]), np.diag([1.0, 1.0, 2.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = joint_measure(t)
+    assert e.points().tolist() == [[1.0, 2.0], [1e308, 1.0]]
+    assert e.ranks.tolist() == [1, 2]
