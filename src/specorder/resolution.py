@@ -66,10 +66,11 @@ class ProjValuedStepFunction:
         pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
         grid = np.indices(shape).reshape(e.kappa, -1).T
         below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
-        values = np.empty(shape, dtype=object)
-        for idx, cols in zip(np.ndindex(shape), below[:, e.owner]):
-            values[idx] = Projection._adopt(np.compress(cols, e.basis, axis=1))
-        return cls(axes=axes, values=values, dim=e.dim)
+        values = np.empty(below.shape[0], dtype=object)
+        for k, cols in enumerate(below[:, e.owner]):
+            # compress copies the columns once, in C order
+            values[k] = Projection._adopt(e.basis.compress(cols, axis=1))
+        return cls(axes=axes, values=values.reshape(shape), dim=e.dim)
 
     def at_index(self, idx) -> Projection:
         """Value at integer grid positions; -1 in any axis means below the grid."""
@@ -247,17 +248,21 @@ def validate_resolution(f: ProjValuedStepFunction,
                 v = p.range_basis
                 np.matmul(v, v.conj().T, out=value)
         grid = buf[:len(chunk) + 1].reshape((len(chunk) + 1,) + rest + (n, n))
+        # x[k] -= x[k - 1] from the top down, along the other axes and then
+        # the first: in place, with no temporary the size of the chunk
         for axis in range(1, len(shape)):
-            # x[k] -= x[k - 1] for every k > 0 at once: numpy buffers the
-            # overlapping operands, so each entry is the plain subtraction
             x = np.moveaxis(grid[1:], axis, 0)
-            np.subtract(x[1:], x[:-1], out=x[1:])
-        d = (grid[1:] - grid[:-1]).reshape(-1, n, n)
-        buf[0] = buf[len(chunk)]
+            for k in range(x.shape[0] - 1, 0, -1):
+                x[k] -= x[k - 1]
+        carry = buf[len(chunk)].copy()
+        for k in range(len(chunk), 0, -1):
+            grid[k] -= grid[k - 1]
+        d = grid[1:].reshape(-1, n, n)
         # ||d||_F <= tol/4 bounds the Hermitian defect by tol/2 and every
         # eigenvalue of (d + d*)/2 by tol/4: such a cell is zero
         parts = d.reshape(d.shape[0], -1).view(np.float64)
         live = np.flatnonzero(np.einsum("ij,ij->i", parts, parts) > (tol / 4.0) ** 2)
+        buf[0] = carry
         if not live.size:
             continue
         d = d[live]
