@@ -394,8 +394,8 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     Factors below 1 are rejected with ParameterError since the
     characterization requires r_alpha >= 1 with subexponential growth.
     r_alpha B^alpha - A^alpha is built lazily in A's eigenbasis, one
-    product per alpha, up to the first failing alpha. An alpha fails when the least eigenvalue of
-    r_alpha B^alpha - A^alpha is below -tol * scale, scale =
+    product per alpha, up to the first failing alpha. An alpha fails when
+    its least eigenvalue is below -tol * scale, scale =
     max(||A^alpha||, r_alpha ||B^alpha||). ParameterError names the alpha
     where lambda^alpha or r_alpha B^alpha - A^alpha is not finite.
 

@@ -23,8 +23,8 @@ from .errors import DimensionError, OrderError, ValidationError
 from .linalg import TOL, HermitianOperator, Projection, _normalize_columns
 from .spectral import JointSpectralMeasure, _stack
 
-# Complex entries per chunk of the resolution check's buffers: a few MB of
-# working memory however large the grid is.
+# Complex entries per chunk of the resolution check's buffers, about 1 MB
+# each however large the grid is.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -240,7 +240,7 @@ def validate_resolution(f: ProjValuedStepFunction,
     # row 0 holds the previous chunk's last row, differenced along the other
     # axes; zero below the grid
     buf = np.zeros((min(step, shape[0]) + 1, row_cells, n, n), dtype=np.complex128)
-    cell_violations, cells, atoms = [], [], []
+    cell_violations, cells = [], []
     for first in range(0, shape[0], step):
         chunk = rows[first:first + step]
         for row, out in zip(chunk, buf[1:]):
@@ -280,9 +280,7 @@ def validate_resolution(f: ProjValuedStepFunction,
                 cell_violations.append(
                     (box, f"eigenvalues off {{0,1}} by {max(float(dist[k]), defect):.3e}"))
             elif np.max(np.abs(w[k])) > tol:
-                basis = v[k][:, w[k] > 0.5]
-                cells.append((box, d[k], basis, float(dist[k])))
-                atoms.append((box[1], basis))
+                cells.append((box, d[k], v[k][:, w[k] > 0.5], float(dist[k])))
 
     orthogonality_violations = _orthogonality_violations(cells, n, tol)
     top = f.top_corner().matrix
@@ -294,7 +292,7 @@ def validate_resolution(f: ProjValuedStepFunction,
         axiom_b=True,
         axiom_c=identity_defect <= tol,
         identity_defect=identity_defect,
-        _atoms=tuple(atoms),
+        _atoms=tuple((box[1], basis) for box, _, basis, _ in cells),
     )
 
 
