@@ -614,7 +614,6 @@ def test_gram_kernel_matches_subtraction_reference(kind, kappa, n, salt):
         assert abs(v.defect - defect) <= 1e-12 * (1 + rank)
 
 
-
 @pytest.mark.parametrize("kappa", [2, 3])
 def test_witness_walk_evaluates_only_the_dominating_sub_grid(kappa, monkeypatch):
     walking, walked = [False], []
