@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: check-order, calculus, measure-check, examples, selftest.
-Exit codes: 0 when every checked verdict holds, 1 when an order or property
-fails, 2 on input or usage errors. --tol, a relative tolerance, falls back
-to the SPECORDER_TOL environment variable, then to the library default
-linalg.TOL. --format json emits one
-deterministic line (timing frozen to 0.0) so outputs diff cleanly.
+Exit codes: 0 when every reported verdict holds, 1 when any of them fails,
+2 on input or usage errors. --tol, a relative tolerance, falls back to the
+SPECORDER_TOL environment variable, then to the library default linalg.TOL;
+it governs check-order's two order routes and its monomial scan, which runs
+only when both tuples are positive. In
+measure-check, which compares masses exactly, and in calculus, which has no
+verdict that depends on it, the echoed tol is informational. --format json
+emits one deterministic line (timing frozen to 0.0) so outputs diff cleanly.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import (
-    CapExceededError,
     InputError,
     MassMismatchError,
     MonotonicityError,
@@ -72,38 +73,39 @@ from .spectral import (
     is_positive_tuple,
     joint_measure,
     monomial,
-    parts_decompose,
     validate_tuple,
 )
 
 ALPHA_MAX_CAP = 16
 
+# --fn name -> (its parameter, the noun its length message uses, its rule or
+# rules from the parsed arguments and kappa, and the library call that
+# computes it). Without a library call each rule goes through
+# calculus_scalar. monomial names alpha when a value overflows;
+# fractional_power counts roundoff-negative coordinates as zero.
+CALCULUS = {
+    "monomial": ("alpha", "integers", lambda args, kappa: [monomial_fn(args.alpha)],
+                 monomial),
+    "fractional": ("beta", "exponents", lambda args, kappa: [fractional_fn(args.beta)],
+                   fractional_power),
+    "sum": (None, None, lambda args, kappa: [sum_fn(kappa)], None),
+    "product": (None, None, lambda args, kappa: [product_fn(kappa)], None),
+    "parts": ("signs", "characters from +-", lambda args, kappa: parts_fns(args.signs), None),
+    "clip": ("coeffs", "numbers",
+             lambda args, kappa: [clipped_affine_fn(args.coeffs, args.lo, args.hi)], None),
+}
 
-@dataclass
-class JobSpec:
-    """Parsed invocation: one command plus the knobs it may read."""
 
-    command: str
-    inputs: tuple[str, ...]
-    tol: float
-    fmt: str
-    alpha_max: int | None = None
-    iota: int | None = None
-    seed: int = 0
-    out: str | None = None
-    fn: str | None = None
-    fn_params: dict | None = None
-    require_monotone: bool = False
-
-    def echo(self) -> str:
-        parts = [self.command, *self.inputs]
-        if self.fn:
-            parts.append(f"--fn {self.fn}")
-        if self.iota is not None:
-            parts.append(f"--iota {self.iota}")
-        if self.alpha_max is not None:
-            parts.append(f"--alpha-max {self.alpha_max}")
-        return " ".join(parts)
+def _echo(args, *inputs) -> str:
+    """The command line as the report repeats it."""
+    parts = [args.command, *inputs]
+    if getattr(args, "fn", None):
+        parts.append(f"--fn {args.fn}")
+    if getattr(args, "iota", None) is not None:
+        parts.append(f"--iota {args.iota}")
+    if getattr(args, "alpha_max", None) is not None:
+        parts.append(f"--alpha-max {args.alpha_max}")
+    return " ".join(parts)
 
 
 def _jsonable(obj):
@@ -124,66 +126,37 @@ def _ideal_witness(ideal) -> dict:
             "points": _jsonable(ideal.member_points())}
 
 
-def _check_alpha_max(value: int | None) -> int | None:
-    if value is not None and not 0 <= value <= ALPHA_MAX_CAP:
-        raise ParameterError(f"--alpha-max must be in 0..{ALPHA_MAX_CAP}, got {value}")
-    return value
-
-
-def cmd_check_order(job: JobSpec) -> tuple[Report, bool]:
-    a = load_tuple(job.inputs[0])
-    b = load_tuple(job.inputs[1])
-    report = Report(command=job.echo())
-    joint = spectral_leq(a, b, tol=job.tol)
-    comp = spectral_leq_componentwise(a, b, tol=job.tol)
+def cmd_check_order(args) -> Report:
+    a = load_tuple(args.tuple_a)
+    b = load_tuple(args.tuple_b)
+    report = Report(command=_echo(args, args.tuple_a, args.tuple_b))
+    joint = spectral_leq(a, b, tol=args.tol)
+    comp = spectral_leq_componentwise(a, b, tol=args.tol)
     report.add("spectral_leq", joint.holds, witness=_jsonable(joint.witness),
                detail=f"max residual {joint.defect:.3e}")
     report.add("componentwise", comp.holds, witness=_jsonable(comp.witness))
     report.add("routes_agree", joint.holds == comp.holds)
-    if job.alpha_max is not None and is_positive_tuple(a) and is_positive_tuple(b):
-        scan = olson_necessity_scan(a, b, alpha_max=job.alpha_max)
+    # positivity is judged at the library tolerance, as the scan itself judges it
+    if args.alpha_max is not None and is_positive_tuple(a) and is_positive_tuple(b):
+        scan = olson_necessity_scan(a, b, alpha_max=args.alpha_max, tol=args.tol)
         report.add("monomial_scan", scan.holds, witness=_jsonable(scan.witness),
-                   detail=f"depth {job.alpha_max}")
-    return report, not (joint.holds and comp.holds)
+                   detail=f"depth {args.alpha_max}")
+    return report
 
 
-def cmd_calculus(job: JobSpec) -> tuple[Report, bool]:
-    t = load_tuple(job.inputs[0])
-    params = job.fn_params or {}
-    report = Report(command=job.echo())
-    if job.fn == "monomial":
-        alpha = params["alpha"]
-        if len(alpha) != t.kappa:
-            raise ParameterError(f"--alpha needs {t.kappa} integers")
-        rules = [monomial_fn(alpha)]
-        ops = (monomial(t, alpha),)
-    elif job.fn == "fractional":
-        beta = params["beta"]
-        if len(beta) != t.kappa:
-            raise ParameterError(f"--beta needs {t.kappa} exponents")
-        rules = [fractional_fn(beta)]
-        ops = (fractional_power(t, beta),)
-    elif job.fn == "sum":
-        rules = [sum_fn(t.kappa)]
-        ops = (calculus_scalar(joint_measure(t), rules[0]),)
-    elif job.fn == "product":
-        rules = [product_fn(t.kappa)]
-        ops = (calculus_scalar(joint_measure(t), rules[0]),)
-    elif job.fn == "parts":
-        signs = params["signs"]
-        if len(signs) != t.kappa:
-            raise ParameterError(f"--signs needs {t.kappa} characters from +-")
-        rules = parts_fns(signs)
-        ops = parts_decompose(t, signs).ops
-    elif job.fn == "clip":
-        coeffs = params["coeffs"]
-        if len(coeffs) != t.kappa:
-            raise ParameterError(f"--coeffs needs {t.kappa} numbers")
-        rules = [clipped_affine_fn(coeffs, params["lo"], params["hi"])]
-        ops = (calculus_scalar(joint_measure(t), rules[0]),)
+def cmd_calculus(args) -> Report:
+    t = load_tuple(args.tuple_in)
+    param, noun, make_rules, library_call = CALCULUS[args.fn]
+    report = Report(command=_echo(args, args.tuple_in))
+    if param is not None and len(getattr(args, param)) != t.kappa:
+        raise ParameterError(f"--{param} needs {t.kappa} {noun}")
+    rules = make_rules(args, t.kappa)
+    if library_call is not None:
+        ops = (library_call(t, getattr(args, param)),)
     else:
-        raise ParameterError(f"unknown function tag {job.fn!r}")
-    if job.require_monotone:
+        e = joint_measure(t)
+        ops = tuple(calculus_scalar(e, rule) for rule in rules)
+    if args.require_monotone:
         points = joint_measure(t).points()
         for rule in rules:
             if rule.monotone_iota is not None:
@@ -197,17 +170,17 @@ def cmd_calculus(job: JobSpec) -> tuple[Report, bool]:
             raise ParameterError(f"component {i} is too large: its Frobenius "
                                  f"norm exceeds the float range")
     # the calculus symmetrizes its results, and they share one eigenbasis
-    save_json(job.out, tuple_to_dict(CommutingTuple(ops=ops, max_commutator_defect=0.0)))
+    save_json(args.out, tuple_to_dict(CommutingTuple(ops=ops, max_commutator_defect=0.0)))
     tag = ", ".join(rule.tag for rule in rules)
-    report.add("calculus", True, detail=f"{tag} -> {job.out}")
-    return report, False
+    report.add("calculus", True, detail=f"{tag} -> {args.out}")
+    return report
 
 
-def cmd_measure_check(job: JobSpec) -> tuple[Report, bool]:
-    mu1 = load_measure(job.inputs[0])
-    mu2 = load_measure(job.inputs[1])
-    iota = job.iota if job.iota is not None else mu1.kappa
-    report = Report(command=job.echo())
+def cmd_measure_check(args) -> Report:
+    mu1 = load_measure(args.measure_1)
+    mu2 = load_measure(args.measure_2)
+    iota = args.iota if args.iota is not None else mu1.kappa
+    report = Report(command=_echo(args, args.measure_1, args.measure_2))
     cdf_holds, cdf_witness = cdf_leq(mu1, mu2)
     report.add("cdf_leq", cdf_holds, witness=_jsonable(cdf_witness))
     dom = lowerset_dominance(mu1, mu2, iota)
@@ -223,12 +196,11 @@ def cmd_measure_check(job: JobSpec) -> tuple[Report, bool]:
         report.add("equivalence_agreement", True,
                    detail=(f"skipped: masses {exc.mass1:g} vs {exc.mass2:g}; "
                            f"{exc.implications}"))
-    failed = not (cdf_holds and dom.holds)
-    return report, failed
+    return report
 
 
-def cmd_examples(job: JobSpec) -> tuple[Report, bool]:
-    report = Report(command=job.echo())
+def cmd_examples(args) -> Report:
+    report = Report(command=_echo(args))
 
     a, b = projection_pair_no_infimum()
     probe = infimum_probe(a, b)
@@ -249,17 +221,17 @@ def cmd_examples(job: JobSpec) -> tuple[Report, bool]:
     verdicts = {}
     for theta in (1.5, 2.0, 3.0):
         ta, tb = axis_shift_family(theta)
-        verdicts[theta] = spectral_leq(ta, tb, tol=job.tol).holds
+        verdicts[theta] = spectral_leq(ta, tb, tol=args.tol).holds
     family_ok = (not verdicts[1.5]) and verdicts[2.0] and (not verdicts[3.0])
     report.add("axis_shift_family", bool(family_ok),
                detail=f"holds at theta: {[t for t, v in verdicts.items() if v]}")
 
-    return report, not report.all_hold()
+    return report
 
 
-def cmd_selftest(job: JobSpec) -> tuple[Report, bool]:
-    rng = np.random.default_rng(job.seed)
-    report = Report(command=job.echo())
+def cmd_selftest(args) -> Report:
+    rng = np.random.default_rng(args.seed)
+    report = Report(command=_echo(args))
 
     def random_commuting(n: int, kappa: int, low=-1.0, high=1.0):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -279,8 +251,8 @@ def cmd_selftest(job: JobSpec) -> tuple[Report, bool]:
         measure_ok &= e.orthogonality_defect() <= TOL
         measure_ok &= e.reconstruction_defect(t) <= TOL * max(op.norm() for op in t.ops)
         t2 = random_commuting(n, kappa)
-        joint = spectral_leq(t, t2, tol=job.tol)
-        comp = spectral_leq_componentwise(t, t2, tol=job.tol)
+        joint = spectral_leq(t, t2, tol=args.tol)
+        comp = spectral_leq_componentwise(t, t2, tol=args.tol)
         agree_ok &= joint.holds == comp.holds
     report.add("measure_axioms", bool(measure_ok))
     report.add("joint_vs_componentwise", bool(agree_ok))
@@ -296,7 +268,7 @@ def cmd_selftest(job: JobSpec) -> tuple[Report, bool]:
             roundtrip_ok &= bool(np.allclose(rebuilt.points(), e.points(), atol=1e-9))
     report.add("resolution_roundtrip", bool(roundtrip_ok))
 
-    return report, not report.all_hold()
+    return report
 
 
 @functools.cache
@@ -318,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tuple_b")
     p.add_argument("--alpha-max", type=int, default=None,
                    help="also scan monomial Loewner inequalities to this depth")
+    p.set_defaults(run=cmd_check_order)
     common(p)
 
     p = sub.add_parser("calculus", help="apply a tagged function to a tuple")
     p.add_argument("tuple_in")
-    p.add_argument("--fn", required=True,
-                   choices=("monomial", "fractional", "sum", "product", "parts", "clip"))
+    p.add_argument("--fn", required=True, choices=tuple(CALCULUS))
     p.add_argument("--alpha", type=int, nargs="+", help="monomial exponents")
     p.add_argument("--beta", type=float, nargs="+", help="fractional exponents")
     p.add_argument("--signs", type=str, help="parts signs, e.g. +- for kappa=2")
@@ -333,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--require-monotone", action="store_true",
                    help="audit the rule on the tuple's atoms; fail if not increasing")
+    p.set_defaults(run=cmd_calculus)
     common(p)
 
     p = sub.add_parser("measure-check", help="compare two atomic measures")
@@ -340,21 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure_2")
     p.add_argument("--iota", type=int, default=None,
                    help="number of coordinates ordered by <= (default: all)")
+    p.set_defaults(run=cmd_measure_check)
     common(p)
 
     p = sub.add_parser("examples", help="replay the bundled counterexamples")
+    p.set_defaults(run=cmd_examples)
     common(p)
 
     p = sub.add_parser("selftest", help="seeded randomized smoke test")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_selftest)
     common(p)
 
     return parser
 
 
-def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        tol = float(args.tol)
+def _resolve_tol(flag: float | None) -> float:
+    if flag is not None:
+        tol = float(flag)
     else:
         env = os.environ.get("SPECORDER_TOL")
         if env is None:
@@ -368,67 +344,27 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _job_from_args(args) -> JobSpec:
-    fn_params = None
-    if args.command == "calculus":
-        fn_params = {"alpha": args.alpha, "beta": args.beta, "signs": args.signs,
-                     "coeffs": args.coeffs, "lo": args.lo, "hi": args.hi}
-        for key in ("alpha", "beta", "coeffs"):
-            required = {"monomial": "alpha", "fractional": "beta", "clip": "coeffs"}
-            if required.get(args.fn) == key and fn_params[key] is None:
-                raise ParameterError(f"--fn {args.fn} requires --{key}")
-        if args.fn == "parts" and not args.signs:
-            raise ParameterError("--fn parts requires --signs")
-    inputs = {
-        "check-order": lambda: (args.tuple_a, args.tuple_b),
-        "calculus": lambda: (args.tuple_in,),
-        "measure-check": lambda: (args.measure_1, args.measure_2),
-        "examples": lambda: (),
-        "selftest": lambda: (),
-    }[args.command]()
-    return JobSpec(
-        command=args.command,
-        inputs=tuple(inputs),
-        tol=_resolve_tol(args),
-        fmt=args.format,
-        alpha_max=_check_alpha_max(getattr(args, "alpha_max", None)),
-        iota=getattr(args, "iota", None),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-        fn=getattr(args, "fn", None),
-        fn_params=fn_params,
-        require_monotone=getattr(args, "require_monotone", False),
-    )
-
-
-COMMANDS = {
-    "check-order": cmd_check_order,
-    "calculus": cmd_calculus,
-    "measure-check": cmd_measure_check,
-    "examples": cmd_examples,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        job = _job_from_args(args)
-        report, failed = COMMANDS[args.command](job)
-    except (InputError, ParameterError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # flags are checked before any file is read, in this order
+        param = CALCULUS[args.fn][0] if args.command == "calculus" else None
+        if param is not None and not getattr(args, param):
+            raise ParameterError(f"--fn {args.fn} requires --{param}")
+        args.tol = _resolve_tol(args.tol)
+        alpha_max = getattr(args, "alpha_max", None)
+        if alpha_max is not None and not 0 <= alpha_max <= ALPHA_MAX_CAP:
+            raise ParameterError(f"--alpha-max must be in 0..{ALPHA_MAX_CAP}, got {alpha_max}")
+        report = args.run(args)
     except SpecOrderError as exc:
-        # non-commuting or malformed operator input and similar
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.timing_s = time.perf_counter() - started
     report.version = __version__
-    report.tolerances.setdefault("tol", job.tol)
-    print(report.to_json() if job.fmt == "json" else report.human())
-    return 1 if failed else 0
+    report.tolerances["tol"] = args.tol
+    print(report.to_json() if args.format == "json" else report.human())
+    return 0 if report.all_hold() else 1
 
 
 if __name__ == "__main__":

@@ -269,41 +269,47 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
                                                  tuple(map(float, pts[b]))))
 
 
+@functools.lru_cache(maxsize=1)
 def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
     """Common atom list (pre-merged across the pair) with both weight vectors
-    and, for each atom of mu1 then of mu2, its index in the list."""
+    and, for each atom of mu1 then of mu2, its index in the list.
+
+    Kept for the last pair asked for, which cdf_leq and the lower-set checks
+    share; measures compare by identity, and the arrays are read-only.
+    """
     if mu1.kappa != mu2.kappa:
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
     points, group = _merge_points(np.vstack([mu1.points, mu2.points]), TOL)
     split = mu1.n_atoms
-    return (points,
-            _group_sums(group[:split], mu1.weights, len(points)),
-            _group_sums(group[split:], mu2.weights, len(points)),
-            group)
+    support = (points,
+               _group_sums(group[:split], mu1.weights, len(points)),
+               _group_sums(group[split:], mu2.weights, len(points)),
+               group)
+    for shared in support:
+        shared.setflags(write=False)
+    return support
 
 
 def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     """mu2(lower orthant at x) <= mu1(lower orthant at x) on the merged grid.
 
     Atomic CDFs are constant between consecutive atom coordinates, so checking
-    every grid point of the per-axis coordinate union is exact. The
+    every grid point of the per-axis coordinate union is exact. The atoms
+    are the pair's merged support, the family lowerset_dominance reads, so
+    atoms of the two measures that merge there count as one point here. The
     difference mu2 - mu1 is binned on the grid in exact integer units and
     summed cumulatively along each axis, so masses compare exactly. Returns
     (holds, witness point or None), witness lexicographically first.
     """
-    if mu1.kappa != mu2.kappa:
-        raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
-    axes = [np.unique(np.concatenate([mu1.points[:, j], mu2.points[:, j]]))
-            for j in range(mu1.kappa)]
+    points, _, _, group = _merged_support(mu1, mu2)
+    axes = [np.unique(column) for column in points.T]
     if any(a.size == 0 for a in axes):
         return True, None
     shape = tuple(a.size for a in axes)
-
-    def cells(mu):
-        return np.ravel_multi_index([np.searchsorted(a, mu.points[:, j])
-                                     for j, a in enumerate(axes)], shape)
-
-    diff, e = _unit_difference(mu1, mu2, cells(mu1), cells(mu2), math.prod(shape))
+    cells = np.ravel_multi_index([np.searchsorted(a, column)
+                                  for a, column in zip(axes, points.T)], shape)[group]
+    split = mu1.n_atoms
+    diff, e = _unit_difference(mu1, mu2, cells[:split], cells[split:], math.prod(shape))
     diff = diff.reshape(shape)
     for axis in range(diff.ndim):
         np.cumsum(diff, axis=axis, out=diff)
@@ -425,8 +431,7 @@ def _ideals(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, cap: int):
     points, w1, w2, group = _merged_support(mu1, mu2)
     ideals = tuple(enumerate_downward_closed(points, iota, cap=cap))
     mask = _ideal_mask(ideals, len(points))
-    for shared in (points, w1, w2, group, mask):
-        shared.setflags(write=False)
+    mask.setflags(write=False)
     return points, w1, w2, group, ideals, mask
 
 

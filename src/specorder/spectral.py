@@ -290,17 +290,15 @@ def _mean(values: np.ndarray) -> float:
 
 def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
     mats = [op.matrix for op in t.ops]
-    # finished atoms in blocks: points, bases, ranks and paths. A path holds
-    # the atom's cluster index at each level, padded with -1, so sorting by
-    # it lists atoms in the order a depth-first walk reaches them.
+    # finished atoms in blocks: points, bases and ranks
     found = ([np.empty((0, t.kappa))], [np.empty((t.dim, 0), dtype=np.complex128)],
-             [np.empty(0, dtype=np.intp)], [np.empty((0, t.kappa), dtype=np.intp)])
+             [np.empty(0, dtype=np.intp)])
 
     def keep(*block):
         for store, part in zip(found, block):
             store.append(np.asarray(part))
 
-    def finish(cols: np.ndarray, coords: list, paths: np.ndarray):
+    def finish(cols: np.ndarray, coords: list):
         # atoms with one-column bases cols (s, n, 1) and their first
         # len(coords) coordinates; each later one is a stacked 1x1 compression
         for a in mats[len(coords):]:
@@ -308,19 +306,19 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
         points = np.empty((cols.shape[0], t.kappa))
         for j, c in enumerate(coords):
             points[:, j] = c
-        keep(points, cols[:, :, 0].T, np.ones(cols.shape[0], dtype=np.intp), paths)
+        keep(points, cols[:, :, 0].T, np.ones(cols.shape[0], dtype=np.intp))
 
-    # the open clusters of a level: basis, coordinates and path so far
-    clusters = [(np.eye(t.dim, dtype=np.complex128), (), ())]
+    # the open clusters of a level: basis and coordinates so far
+    clusters = [(np.eye(t.dim, dtype=np.complex128), ())]
     if t.dim == 1:
         # the one column is an atom before any eigendecomposition
-        finish(clusters.pop()[0][None], [], np.zeros((1, t.kappa), dtype=np.intp))
+        finish(clusters.pop()[0][None], [])
     for level, a in enumerate(mats):
         if not clusters:
             break
         threshold = TOL * t.ops[level].norm()
         deeper = []
-        for basis, prefix, path in clusters:
+        for basis, prefix in clusters:
             compressed = basis.conj().T @ a @ basis
             compressed = compressed / 2.0 + compressed.conj().T / 2.0
             w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
@@ -331,23 +329,22 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             ks = np.flatnonzero(sizes == 1)
             if ks.size:
                 single = order[bounds[ks]]
-                paths = np.full((ks.size, t.kappa), -1)
-                paths[:, :level] = path
-                paths[:, level] = ks
-                finish(basis[None] @ v.T[single][:, :, None], [*prefix, w[single]], paths)
+                finish(basis[None] @ v.T[single][:, :, None], [*prefix, w[single]])
             for k in np.flatnonzero(sizes > 1):
                 cluster = order[bounds[k]:bounds[k + 1]]
                 sub = basis @ v[:, np.sort(cluster)]
-                coords, sub_path = (*prefix, _mean(w[cluster])), (*path, int(k))
+                coords = (*prefix, _mean(w[cluster]))
                 if level + 1 < t.kappa:
-                    deeper.append((sub, coords, sub_path))
+                    deeper.append((sub, coords))
                 else:
-                    keep([coords], sub, [sub.shape[1]], [sub_path])
+                    keep([coords], sub, [sub.shape[1]])
         clusters = deeper
 
-    points, ranks, paths = (np.concatenate(found[i]) for i in (0, 2, 3))
+    points, ranks = np.concatenate(found[0]), np.concatenate(found[2])
     basis = np.hstack(found[1])
-    order = np.lexsort((*paths.T[::-1], *points.T[::-1]))
+    # atoms differ by more than the threshold in some coordinate, so no two
+    # points tie
+    order = np.lexsort(points.T[::-1])
     # regroup the basis columns in point order: atom order[i] moves its
     # block of columns from starts[order[i]] to moved[i]
     starts, moved = np.cumsum(ranks) - ranks, np.cumsum(ranks[order]) - ranks[order]
@@ -448,10 +445,12 @@ def parts_decompose(t: CommutingTuple, signs) -> CommutingTuple:
 
 
 def is_positive_tuple(t: CommutingTuple, tol: float = TOL) -> bool:
-    """True iff every atom coordinate is >= -tol * ||A_j||.
+    """True iff every atom coordinate is >= -tol * ||A_j||_F.
 
-    Equivalent to each component being positive semidefinite, up to the
-    tolerance rule shared with linalg.is_psd.
+    Each component is then positive semidefinite up to a floor relative to
+    its Frobenius norm. linalg.is_psd's floor is relative to the spectral
+    norm, max |lambda|, which is at most ||A_j||_F, so a component this
+    accepts may still fail is_psd.
     """
     floor = [-tol * op.norm() for op in t.ops]
     return bool(np.all(joint_measure(t).points() >= floor))

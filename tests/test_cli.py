@@ -65,6 +65,51 @@ def test_check_order_monomial_scan_verdict(tmp_path, capsys):
     assert doc["command"].endswith("--alpha-max 4")
 
 
+def test_monomial_scan_reads_tol(tmp_path, capsys):
+    # A_1 <= B_1 fails by 0.001, which tol 0.5 forgives on every route; the
+    # scan at the library tolerance failed at alpha (1, 0) beside holding routes
+    a = write_tuple(tmp_path / "a.json", [1.0, 2.0], [1.0, 1.0])
+    b = write_tuple(tmp_path / "b.json", [0.999, 2.0], [1.0, 1.0])
+    argv = ["check-order", a, b, "--alpha-max", "2", "--format", "json"]
+    assert main(argv) == 1
+    assert main([*argv, "--tol", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert doc["tolerances"]["tol"] == 0.5
+    assert [(v["name"], v["holds"]) for v in doc["verdicts"]] == [
+        ("spectral_leq", True), ("componentwise", True), ("routes_agree", True),
+        ("monomial_scan", True)]
+
+
+def test_a_failing_monomial_scan_exits_one(ordered_files, capsys, monkeypatch):
+    import specorder.cli as cli
+    from specorder.order import OrderVerdict
+
+    monkeypatch.setattr(cli, "olson_necessity_scan", lambda a, b, alpha_max, tol:
+                        OrderVerdict(holds=False, witness=(1, 0), defect=1.0))
+    a, b = ordered_files
+    assert main(["check-order", a, b, "--alpha-max", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "spectral_leq: holds" in out and "componentwise: holds" in out
+    assert "monomial_scan: FAILS" in out
+
+
+def test_a_disagreeing_equivalence_check_exits_one(tmp_path, capsys, monkeypatch):
+    import specorder.cli as cli
+    from specorder.measures import EquivalenceReport
+
+    report = EquivalenceReport(iota=2, masses=(2.0, 2.0), lowerset_holds=True,
+                               lowerset_witness=None, indicator_holds=False,
+                               indicator_witness=None, mollifier_holds=True,
+                               mollifier_witness=None)
+    monkeypatch.setattr(cli, "thm31_equivalence_check", lambda *args, **kw: report)
+    m1 = write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    m2 = write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    assert main(["measure-check", m1, m2, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(v["name"], v["holds"]) for v in doc["verdicts"]] == [
+        ("cdf_leq", True), ("lowerset_dominance", True), ("equivalence_agreement", False)]
+
+
 def test_check_order_kappa_mismatch(tmp_path, capsys):
     a = write_tuple(tmp_path / "a.json", [0.0, 1.0])
     b = write_tuple(tmp_path / "b.json", [1.0, 2.0], [1.0, 3.0])
@@ -302,6 +347,19 @@ def test_measure_check_mass_mismatch_skips_equivalence(tmp_path, capsys):
     verdicts = {v["name"]: v for v in doc["verdicts"]}
     assert verdicts["equivalence_agreement"]["detail"].startswith("skipped:")
     assert "only mass2 <= mass1" in verdicts["equivalence_agreement"]["detail"]
+
+
+@pytest.mark.parametrize("tail", [[], [0.0]])
+@pytest.mark.parametrize("first, second", [(1.0 + 1e-12, 1.0), (1.0, 1.0 + 1e-12)])
+def test_measure_check_reads_one_merged_support(tmp_path, capsys, first, second, tail):
+    # delta(1 + 1e-12) and delta(1) merge into one atom; the CDF read the raw
+    # coordinates and failed at 1.0 beside a holding lower-set check
+    m1 = write_measure(tmp_path / "m1.json", [[first, *tail]], [1.0])
+    m2 = write_measure(tmp_path / "m2.json", [[second, *tail]], [1.0])
+    assert main(["measure-check", m1, m2, "--format", "json"]) == 0
+    verdicts = {v["name"]: v["holds"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+    assert verdicts == {"cdf_leq": True, "lowerset_dominance": True,
+                        "equivalence_agreement": True}
 
 
 def test_measure_check_iota_flag(tmp_path, capsys):

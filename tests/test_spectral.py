@@ -11,6 +11,8 @@ from conftest import (
     near_duplicate_points,
     random_commuting,
     random_projection_split,
+    random_unitary,
+    tuple_from_eigs,
 )
 from specorder.errors import CommutationError, DimensionError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
@@ -371,3 +373,20 @@ def test_cluster_mean_of_values_near_float_limit():
         e = joint_measure(t)
     assert e.points().tolist() == [[1.0, 2.0], [1e308, 1.0]]
     assert e.ranks.tolist() == [1, 2]
+
+
+@given(kappa=st.integers(1, 3), n=st.integers(1, 10), levels=st.integers(1, 3),
+       salt=st.integers(0, 1000))
+def test_joint_measure_points_are_pairwise_distinct(kappa, n, levels, salt):
+    # integer spectra with few levels tie in every component, so clusters
+    # stay open level after level; atoms still differ by more than the
+    # cluster threshold in some coordinate, which lets the measure order
+    # them by point alone
+    rng = fresh_rng(salt)
+    eigs = rng.integers(1, levels + 1, size=(kappa, n)).astype(np.float64)
+    t = tuple_from_eigs(random_unitary(rng, n), eigs)
+    pts = joint_measure(t).points()
+    assert len(pts) == len({tuple(column) for column in eigs.T})
+    threshold = TOL * np.array([op.norm() for op in t.ops])
+    apart = (np.abs(pts[:, None, :] - pts[None, :, :]) > threshold).any(axis=2)
+    assert np.all(apart | np.eye(len(pts), dtype=bool))
