@@ -150,16 +150,6 @@ class Projection:
         object.__setattr__(self, "dim", b.shape[0])
 
     @classmethod
-    def _adopt(cls, basis: np.ndarray) -> "Projection":
-        """Projection onto a fresh C-ordered complex n x r basis that no one
-        else holds: the array is frozen in place instead of copied."""
-        p = cls.__new__(cls)
-        basis.setflags(write=False)
-        object.__setattr__(p, "range_basis", basis)
-        object.__setattr__(p, "dim", basis.shape[0])
-        return p
-
-    @classmethod
     def zero(cls, n: int) -> "Projection":
         return cls(np.zeros((n, 0), dtype=np.complex128))
 

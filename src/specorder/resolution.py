@@ -3,19 +3,18 @@ function.
 
 A projection-valued step function F on a finite grid stands in for the joint
 distribution function of an atomic measure: right-continuous by
-representation, zero below the grid, constant past its top corner. The
-alternating corner sum over a box recovers the measure of that half-open box;
-when every cell's difference is a projection, the nonzero cells are mutually
-orthogonal, and the full-grid difference is the identity, the cells assemble
-into a joint spectral measure and the map F -> measure inverts taking
-distribution functions.
+representation, zero below the grid, constant past its top corner, each
+value a mask over one shared basis. The alternating corner sum over a box
+recovers the measure of that half-open box; when every cell's difference is
+a projection, the nonzero cells are mutually orthogonal, and the full-grid
+difference is the identity, the cells assemble into a joint spectral measure
+and the map F -> measure inverts taking distribution functions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .errors import DimensionError, OrderError, ValidationError
 from .linalg import TOL, HermitianOperator, Projection, _normalize_columns
 from .spectral import JointSpectralMeasure, _stack
 
-# Complex entries per chunk of the resolution check's buffers, about 1 MB
-# each however large the grid is.
+# Complex entries per group of cells the resolution check forms at once, and
+# per block of its orthogonality screen: about 1 MB however large the grid is.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -32,30 +31,39 @@ _CHUNK_ENTRIES = 1 << 16
 class ProjValuedStepFunction:
     """Grid-sampled projection-valued function, right-continuous steps.
 
-    ``axes`` holds each axis's strictly increasing step coordinates and
-    ``values`` the projection at every grid point (object array indexed by
-    per-axis positions). Below the grid in any axis the value is the zero
-    projection by convention; beyond the top it is the top-corner value.
+    ``axes`` holds each axis's strictly increasing finite step coordinates,
+    ``basis`` an n x R array of columns and ``masks`` a bool array of shape
+    grid + (R,): the value at a grid point is the projection onto the columns
+    its mask selects, which must be orthonormal. Below the grid in any axis
+    the value is the zero projection by convention; beyond the top it is the
+    top-corner value.
     """
 
     axes: tuple[np.ndarray, ...]
-    values: np.ndarray
-    dim: int
+    basis: np.ndarray
+    masks: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != tuple(a.size for a in self.axes):
-            raise DimensionError(
-                f"values shape {self.values.shape} does not match grid "
-                f"{tuple(a.size for a in self.axes)}")
         for a in self.axes:
             if a.size == 0:
                 raise DimensionError("each axis needs at least one step coordinate")
-            if np.any(np.diff(a) <= 0):
-                raise ValueError("axis coordinates must be strictly increasing")
+            if not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
+                raise ValueError("axis coordinates must be finite and strictly increasing")
+        if self.basis.ndim != 2:
+            raise DimensionError(f"basis must be 2-d, got shape {self.basis.shape}")
+        want = tuple(a.size for a in self.axes) + self.basis.shape[1:]
+        if self.masks.dtype != bool or self.masks.shape != want:
+            raise DimensionError(
+                f"masks of dtype {self.masks.dtype} and shape {self.masks.shape}, "
+                f"expected bool of shape {want}")
 
     @property
     def kappa(self) -> int:
         return len(self.axes)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
     @classmethod
     def from_measure(cls, e: JointSpectralMeasure) -> "ProjValuedStepFunction":
@@ -66,22 +74,34 @@ class ProjValuedStepFunction:
         pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
         grid = np.indices(shape).reshape(e.kappa, -1).T
         below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
-        values = np.empty(below.shape[0], dtype=object)
-        for k, cols in enumerate(below[:, e.owner]):
-            # compress copies the columns once, in C order
-            values[k] = Projection._adopt(e.basis.compress(cols, axis=1))
-        return cls(axes=axes, values=values.reshape(shape), dim=e.dim)
+        return cls(axes, e.basis, below[:, e.owner].reshape(shape + (-1,)))
 
-    def at_index(self, idx) -> Projection:
-        """Value at integer grid positions; -1 in any axis means below the grid."""
+    @classmethod
+    def from_values(cls, axes, values, dim: int) -> "ProjValuedStepFunction":
+        """Step function with the given Projection at every grid point (object
+        array indexed by per-axis positions), each on its own columns."""
+        flat = values.ravel()
+        if any(p.dim != dim for p in flat):
+            raise DimensionError(f"every value must act on dimension {dim}")
+        pairs = [(idx, p.range_basis) for idx, p in np.ndenumerate(values)]
+        _, basis, ranks = _stack(values.ndim, dim, pairs)
+        masks = np.repeat(np.arange(flat.size), ranks) == np.arange(flat.size)[:, None]
+        return cls(axes, basis, masks.reshape(values.shape + (-1,)))
+
+    def _grid_index(self, idx, lowest: int) -> tuple:
         idx = tuple(int(i) for i in idx)
         if len(idx) != self.kappa:
             raise DimensionError(f"index length {len(idx)} for kappa={self.kappa}")
-        if any(i < -1 or i >= a.size for i, a in zip(idx, self.axes)):
+        if any(i < lowest or i >= a.size for i, a in zip(idx, self.axes)):
             raise IndexError(f"grid index {idx} out of range")
-        if any(i == -1 for i in idx):
+        return idx
+
+    def at_index(self, idx) -> Projection:
+        """Value at integer grid positions; -1 in any axis means below the grid."""
+        idx = self._grid_index(idx, -1)
+        if -1 in idx:
             return Projection.zero(self.dim)
-        return self.values[idx]
+        return Projection(self.basis[:, self.masks[idx]])
 
     def at(self, x) -> Projection:
         """Right-continuous evaluation at an arbitrary point (+-inf allowed)."""
@@ -92,13 +112,19 @@ class ProjValuedStepFunction:
         return self.at_index(idx)
 
     def replace_value(self, idx, proj: Projection) -> "ProjValuedStepFunction":
-        """Copy with one grid value swapped; used to build corrupted instances."""
-        values = self.values.copy()
-        values[tuple(int(i) for i in idx)] = proj
-        return ProjValuedStepFunction(axes=self.axes, values=values, dim=self.dim)
+        """Copy with one grid value swapped for the projection onto appended
+        columns; used to build corrupted instances."""
+        idx = self._grid_index(idx, 0)
+        if proj.dim != self.dim:
+            raise DimensionError(f"projection on dimension {proj.dim}, expected {self.dim}")
+        r = self.basis.shape[1]
+        masks = np.pad(self.masks, [(0, 0)] * self.kappa + [(0, proj.rank)])
+        masks[idx] = np.arange(r + proj.rank) >= r
+        return ProjValuedStepFunction(self.axes, np.hstack([self.basis, proj.range_basis]),
+                                      masks)
 
     def top_corner(self) -> Projection:
-        return self.values[tuple(a.size - 1 for a in self.axes)]
+        return self.at_index([a.size - 1 for a in self.axes])
 
     def __repr__(self):
         shape = tuple(a.size for a in self.axes)
@@ -120,14 +146,15 @@ def _corner_sum_index(f: ProjValuedStepFunction, lo_idx, hi_idx) -> np.ndarray:
 def difference_box(f: ProjValuedStepFunction, a, b) -> HermitianOperator:
     """Measure of the half-open box (a, b] via the 2^kappa corner sum.
 
-    Requires a <= b componentwise (OrderError otherwise); -inf entries in
-    ``a`` reach below the grid and +inf entries in ``b`` past its top.
+    Requires a <= b componentwise, so no NaN (OrderError otherwise); -inf
+    entries in ``a`` reach below the grid and +inf entries in ``b`` past its
+    top.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != (f.kappa,) or b.shape != (f.kappa,):
         raise DimensionError(f"corners must have shape ({f.kappa},)")
-    if np.any(a > b):
+    if not np.all(a <= b):
         raise OrderError(f"box corners not ordered: {tuple(a)} !<= {tuple(b)}")
     lo = [int(np.searchsorted(ax, v, side="right")) - 1 for ax, v in zip(f.axes, a)]
     hi = [int(np.searchsorted(ax, v, side="right")) - 1 for ax, v in zip(f.axes, b)]
@@ -221,64 +248,32 @@ def validate_resolution(f: ProjValuedStepFunction,
                         tol: float = TOL) -> ResolutionReport:
     """Check the resolution axioms, locating every violating cell box.
 
-    Walks the first axis in chunks of rows of about _CHUNK_ENTRIES complex
-    entries, so memory stays at a few chunks. Each chunk's grid values are
-    written into one buffer after the previous chunk's last row; in-place
-    differences along the other axes, then along the first, give every
-    cell's 2^kappa corner sum. Cells with Frobenius norm above tol/4 go to
-    one batched eigh per chunk; the rest are zero cells. Orthogonality is
-    screened by one Gram product of the cells' eigenvalue-one bases, and
-    only pairs the screen cannot clear are multiplied out (see
-    _orthogonality_violations).
+    Each cell's corner sum is U diag(delta) U^H, delta the mixed difference
+    of the masks, exact in integers: a cell with delta = 0 is zero. The
+    other cells are formed and decomposed by one batched eigh per group of
+    about _CHUNK_ENTRIES complex entries. Orthogonality is screened by one
+    Gram product of the cells' eigenvalue-one bases, and only pairs the
+    screen cannot clear are multiplied out (see _orthogonality_violations).
     """
-    n = f.dim
-    shape = f.values.shape
-    rest = shape[1:]
-    row_cells = prod(rest)
-    step = max(1, _CHUNK_ENTRIES // max(1, row_cells * n * n))
-    rows = f.values.reshape(shape[0], row_cells)
-    # row 0 holds the previous chunk's last row, differenced along the other
-    # axes; zero below the grid
-    buf = np.zeros((min(step, shape[0]) + 1, row_cells, n, n), dtype=np.complex128)
+    n, r = f.basis.shape
+    # a bool mask's mixed difference lies in [-2^(kappa-1), 2^(kappa-1)]: the
+    # smallest integer type holding -2^kappa keeps it exact
+    delta = f.masks.astype(np.min_scalar_type(-(1 << f.kappa)))
+    for axis in range(f.kappa):
+        delta = np.diff(delta, axis=axis, prepend=delta.dtype.type(0))
+    live = np.flatnonzero(np.any(delta, axis=-1))
+    step = max(1, _CHUNK_ENTRIES // (n * max(n, r)))
     cell_violations, cells = [], []
-    for first in range(0, shape[0], step):
-        chunk = rows[first:first + step]
-        for row, out in zip(chunk, buf[1:]):
-            for p, value in zip(row, out):
-                v = p.range_basis
-                np.matmul(v, v.conj().T, out=value)
-        grid = buf[:len(chunk) + 1].reshape((len(chunk) + 1,) + rest + (n, n))
-        # x[k] -= x[k - 1] from the top down, along the other axes and then
-        # the first: in place, with no temporary the size of the chunk
-        for axis in range(1, len(shape)):
-            x = np.moveaxis(grid[1:], axis, 0)
-            for k in range(x.shape[0] - 1, 0, -1):
-                x[k] -= x[k - 1]
-        carry = buf[len(chunk)].copy()
-        for k in range(len(chunk), 0, -1):
-            grid[k] -= grid[k - 1]
-        d = grid[1:].reshape(-1, n, n)
-        # ||d||_F <= tol/4 bounds the Hermitian defect by tol/2 and every
-        # eigenvalue of (d + d*)/2 by tol/4: such a cell is zero
-        parts = d.reshape(d.shape[0], -1).view(np.float64)
-        live = np.flatnonzero(np.einsum("ij,ij->i", parts, parts) > (tol / 4.0) ** 2)
-        buf[0] = carry
-        if not live.size:
-            continue
-        d = d[live]
-        adj = d.conj().swapaxes(1, 2)
-        herm_defect = np.max(np.abs(d - adj), axis=(1, 2))
-        d = (d + adj) / 2.0
+    for first in range(0, live.size, step):
+        group = np.unravel_index(live[first:first + step], delta.shape[:-1])
+        d = (f.basis * delta[group][:, None, :]) @ f.basis.conj().T
         w, v = np.linalg.eigh(d)
         v = _normalize_columns(v)
         dist = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
-        idx = np.unravel_index(live, (len(chunk),) + rest)
-        for k, cell in enumerate(zip(*idx)):
-            box = _cell_box(f, (first + cell[0],) + cell[1:])
-            defect = float(herm_defect[k])
-            if defect > tol or dist[k] > tol:
-                cell_violations.append(
-                    (box, f"eigenvalues off {{0,1}} by {max(float(dist[k]), defect):.3e}"))
+        for k, cell in enumerate(zip(*group)):
+            box = _cell_box(f, cell)
+            if dist[k] > tol:
+                cell_violations.append((box, f"eigenvalues off {{0,1}} by {dist[k]:.3e}"))
             elif np.max(np.abs(w[k])) > tol:
                 cells.append((box, d[k], v[k][:, w[k] > 0.5], float(dist[k])))
 

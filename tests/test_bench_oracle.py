@@ -5,8 +5,8 @@ layout, so its expected exit code, verdicts and outputs follow from the
 construction, and ``bench/oracle.py`` scores a run against them. This test
 builds seed 1 of each workload and runs the warm-up job, the subprocess
 sample and the first listed jobs in process through ``bench/harness.py``,
-against the package already imported here; the bench files are read, not
-changed.
+and every resolution round trip of ``atom-loops`` at seeds 1 and 2, against
+the package already imported here; the bench files are read, not changed.
 """
 
 import importlib.util
@@ -31,16 +31,37 @@ def load_bench_module(monkeypatch, name):
     return module
 
 
-def test_benchmark_jobs_match_their_ground_truth(tmp_path, monkeypatch):
+def load_bench(monkeypatch):
     workloads, oracle, _, harness = (load_bench_module(monkeypatch, name) for name in
                                      ("workloads", "oracle", "tracer", "harness"))
-    mods = SimpleNamespace(cli=cli, spectral=spectral, resolution=resolution)
+    return workloads, oracle, harness
+
+
+MODS = SimpleNamespace(cli=cli, spectral=spectral, resolution=resolution)
+
+
+def test_benchmark_jobs_match_their_ground_truth(tmp_path, monkeypatch):
+    workloads, oracle, harness = load_bench(monkeypatch)
     failures = []
     for name in workloads.WORKLOADS:
         workload = workloads.build(name, 1, tmp_path / name)
         for job in [workload.warmup, *workload.subprocess_sample,
                     *workload.jobs[:LISTED_JOBS]]:
-            reason = oracle.failure(job, harness.execute(job, mods))
+            reason = oracle.failure(job, harness.execute(job, MODS))
             if reason is not None:
                 failures.append((name, job.label, reason))
     assert failures == []
+
+
+def test_every_round_trip_matches_its_ground_truth(tmp_path, monkeypatch):
+    workloads, oracle, harness = load_bench(monkeypatch)
+    failures, count = [], 0
+    for seed in (1, 2):
+        workload = workloads.build("atom-loops", seed, tmp_path / str(seed))
+        for job in workload.jobs:
+            if not job.is_cli:
+                count += 1
+                reason = oracle.failure(job, harness.execute(job, MODS))
+                if reason is not None:
+                    failures.append((seed, job.label, reason))
+    assert count == 90 and failures == []

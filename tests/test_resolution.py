@@ -37,15 +37,56 @@ def test_from_measure_grid_and_validation():
 
 
 def test_constructor_gates():
+    basis = np.eye(2, dtype=np.complex128)
     with pytest.raises(DimensionError):
-        ProjValuedStepFunction(axes=(np.array([0.0, 1.0]),),
-                               values=np.empty((3,), dtype=object), dim=2)
+        ProjValuedStepFunction(axes=(np.array([0.0, 1.0]),), basis=basis,
+                               masks=np.zeros((3, 2), dtype=bool))
     with pytest.raises(ValueError):
-        ProjValuedStepFunction(axes=(np.array([1.0, 1.0]),),
-                               values=np.empty((2,), dtype=object), dim=2)
+        ProjValuedStepFunction(axes=(np.array([1.0, 1.0]),), basis=basis,
+                               masks=np.zeros((2, 2), dtype=bool))
     with pytest.raises(DimensionError):
-        ProjValuedStepFunction(axes=(np.array([]),),
-                               values=np.empty((0,), dtype=object), dim=2)
+        ProjValuedStepFunction(axes=(np.array([]),), basis=basis,
+                               masks=np.zeros((0, 2), dtype=bool))
+
+
+def test_constructor_rejects_non_finite_axes():
+    # nan <= 0 is false, so a NaN coordinate passed the increasing check
+    with pytest.raises(ValueError):
+        ProjValuedStepFunction(axes=(np.array([0.0, np.nan]),), basis=np.eye(2),
+                               masks=np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError):
+        ProjValuedStepFunction(axes=(np.array([0.0, np.inf]),), basis=np.eye(2),
+                               masks=np.ones((2, 2), dtype=bool))
+
+
+def test_constructor_rejects_masks_off_the_grid_or_not_bool():
+    axes = (np.array([0.0, 1.0]),)
+    with pytest.raises(DimensionError):
+        ProjValuedStepFunction(axes=axes, basis=np.eye(2), masks=np.ones((2, 3), dtype=bool))
+    with pytest.raises(DimensionError):
+        ProjValuedStepFunction(axes=axes, basis=np.eye(2), masks=np.ones((2, 2), dtype=np.int8))
+
+
+def test_replace_value_rejects_indices_outside_the_grid():
+    f = ProjValuedStepFunction.from_measure(staircase())
+    e1 = proj([1.0, 0.0, 0.0])
+    # -1 means below the grid to at_index; it must not wrap to the top corner
+    with pytest.raises(IndexError):
+        f.replace_value((-1, 1), e1)
+    with pytest.raises(IndexError):
+        f.replace_value((0, 2), e1)
+    with pytest.raises(DimensionError):
+        f.replace_value((0,), e1)
+
+
+def test_wrong_dimension_projections_are_rejected():
+    f = ProjValuedStepFunction.from_measure(staircase())
+    with pytest.raises(DimensionError):
+        f.replace_value((0, 0), proj([1.0, 0.0]))
+    values = np.empty((2,), dtype=object)
+    values[0], values[1] = proj([1.0, 0.0]), Projection.identity(3)
+    with pytest.raises(DimensionError):
+        ProjValuedStepFunction.from_values((np.array([0.0, 1.0]),), values, dim=2)
 
 
 def test_evaluation_sentinels():
@@ -82,6 +123,16 @@ def test_difference_box_values():
         difference_box(f, (1.0, 1.0), (0.0, 0.0))
     with pytest.raises(DimensionError):
         difference_box(f, (0.0,), (1.0, 1.0))
+
+
+def test_difference_box_rejects_nan_corners():
+    f = ProjValuedStepFunction.from_measure(staircase())
+    with pytest.raises(OrderError):
+        difference_box(f, (np.nan, 0.0), (1.0, 1.0))
+    with pytest.raises(OrderError):
+        difference_box(f, (0.0, 0.0), (1.0, np.nan))
+    upper = difference_box(f, (-np.inf, 0.0), (1.0, np.inf))
+    assert np.allclose(upper.matrix, np.diag([0.0, 1.0, 1.0]))
 
 
 def test_box_additivity_under_tiling():
@@ -175,8 +226,7 @@ def test_overlapping_cells_fail_orthogonality():
     values[0] = proj(u)
     values[1] = proj(u)
     values[2] = top
-    f = ProjValuedStepFunction(axes=(np.array([0.0, 1.0, 2.0]),), values=values,
-                               dim=2)
+    f = ProjValuedStepFunction.from_values((np.array([0.0, 1.0, 2.0]),), values, dim=2)
     report = validate_resolution(f)
     assert not report.axiom_a
     assert not report.cell_violations

@@ -1,14 +1,16 @@
-"""The chunked resolution pass against the per-cell corner-sum references.
+"""The mask-difference resolution pass against the per-cell corner-sum
+references.
 
-``validate_resolution`` forms each cell's corner sum as a mixed difference of
-one chunk of first-axis rows of grid values and decomposes only the cells
-that are not zero, in one batched eigh per chunk. Orthogonality is screened
-by one Gram product of the cells' eigenvalue-one bases; only pairs the
-screen cannot clear are multiplied out. ``reconstruct_measure`` reuses the
-pass's eigenvectors. The references in conftest form every corner sum
-separately, decompose every cell and multiply every pair, as the module did
-before; both must reach the same verdicts, boxes and messages, and rebuild
-the same atoms.
+A step function is one basis U and a bool mask per grid point, each value
+U diag(m_g) U^H. ``validate_resolution`` takes every cell's corner sum as
+U diag(delta) U^H, delta the mixed difference of the masks in integers,
+skips the cells with delta = 0 and decomposes the others in batched eigh
+calls. Orthogonality is screened by one Gram product of the cells'
+eigenvalue-one bases; only pairs the screen cannot clear are multiplied out.
+``reconstruct_measure`` reuses the pass's eigenvectors. The references in
+conftest form every corner sum from the grid values' matrices, decompose
+every cell and multiply every pair; both must reach the same verdicts,
+boxes and messages, and rebuild the same atoms.
 """
 
 import tracemalloc
@@ -73,8 +75,8 @@ def overlapping_cells(rng, n: int, steps: int) -> ProjValuedStepFunction:
                 u = u / np.linalg.norm(u)
             columns.append(u)
         values[g] = Projection(np.stack(columns, axis=1))
-    return ProjValuedStepFunction(axes=(np.arange(steps, dtype=np.float64),),
-                                  values=values, dim=n)
+    return ProjValuedStepFunction.from_values((np.arange(steps, dtype=np.float64),),
+                                              values, dim=n)
 
 
 @st.composite
@@ -95,10 +97,49 @@ def step_functions(draw):
 def test_from_measure_matches_distribution_bitwise(salt, kappa, n, levels):
     e = random_measure(fresh_rng(salt), kappa, n, levels)
     f = ProjValuedStepFunction.from_measure(e)
-    for idx in np.ndindex(f.values.shape):
+    for idx in np.ndindex(f.masks.shape[:-1]):
         want = e.distribution([a[i] for a, i in zip(f.axes, idx)])
-        assert f.values[idx].range_basis.shape == want.range_basis.shape
-        assert f.values[idx].range_basis.tobytes() == want.range_basis.tobytes()
+        assert f.at_index(idx).range_basis.shape == want.range_basis.shape
+        assert f.at_index(idx).range_basis.tobytes() == want.range_basis.tobytes()
+
+
+@given(salt=st.integers(0, 10_000), kappa=st.integers(1, 3), n=st.integers(1, 7),
+       levels=st.integers(0, 3))
+def test_from_values_of_the_grid_matches_from_measure(salt, kappa, n, levels):
+    e = random_measure(fresh_rng(salt), kappa, n, levels)
+    f = ProjValuedStepFunction.from_measure(e)
+    assert np.shares_memory(f.basis, e.basis)
+    values = np.empty(f.masks.shape[:-1], dtype=object)
+    for idx in np.ndindex(values.shape):
+        values[idx] = f.at_index(idx)
+    g = ProjValuedStepFunction.from_values(f.axes, values, f.dim)
+    assert validate_resolution(g) == validate_resolution(f)
+    assert reconstruct_measure(g).points().tobytes() == reconstruct_measure(f).points().tobytes()
+
+
+@given(salt=st.integers(0, 10_000), kappa=st.integers(1, 3), n=st.integers(1, 7))
+def test_replace_value_leaves_the_other_values_bitwise(salt, kappa, n):
+    rng = fresh_rng(salt)
+    f = random_step_function(rng, kappa, n, 2)
+    target = tuple(int(rng.integers(0, a.size)) for a in f.axes)
+    p = Projection(random_unitary(rng, n)[:, :int(rng.integers(0, n + 1))])
+    g = f.replace_value(target, p)
+    assert g.at_index(target).range_basis.tobytes() == p.range_basis.tobytes()
+    for idx in np.ndindex(f.masks.shape[:-1]):
+        if idx != target:
+            assert g.at_index(idx).range_basis.tobytes() == f.at_index(idx).range_basis.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [7, 8])
+def test_mask_differences_stay_exact(kappa):
+    # parity masks on {0,1}^kappa: the top cell's mixed difference is
+    # (-1)^kappa 2^(kappa-1), 128 at kappa=8, one past int8
+    masks = (np.indices((2,) * kappa).sum(axis=0) % 2 == 0)[..., None]
+    f = ProjValuedStepFunction((np.arange(2.0),) * kappa, np.ones((1, 1)), masks)
+    top = (-1) ** kappa * 2 ** (kappa - 1)
+    box, reason = validate_resolution(f).cell_violations[-1]
+    assert box == ((0.0,) * kappa, (1.0,) * kappa)
+    assert reason == f"eigenvalues off {{0,1}} by {min(abs(top), abs(top - 1)):.3e}"
 
 
 @settings(max_examples=150)
@@ -131,7 +172,7 @@ def test_round_trip_memory_stays_within_a_few_slabs():
     # kappa=2, n=40: a stack of every cell would take G * n^2 * 16 bytes
     rng = fresh_rng(4242)
     f = random_step_function(rng, 2, 40, 0)
-    full_stack = f.values.size * f.dim ** 2 * 16
+    full_stack = f.masks[..., 0].size * f.dim ** 2 * 16
     tracemalloc.start()
     try:
         back = reconstruct_measure(f)
@@ -151,7 +192,7 @@ def test_screen_reports_cells_overlapping_past_tol(overlap, reported):
     values = np.empty((2, 2), dtype=object)
     values[0, 0], values[0, 1] = Projection.zero(2), Projection(v)
     values[1, 0], values[1, 1] = Projection(np.eye(2)[:, :1]), Projection.identity(2)
-    f = ProjValuedStepFunction(axes=(np.arange(2.0), np.arange(2.0)), values=values, dim=2)
+    f = ProjValuedStepFunction.from_values((np.arange(2.0), np.arange(2.0)), values, dim=2)
     got, ref = validate_resolution(f), corner_sum_validate_resolution(f)
     assert got.orthogonality_violations == ref.orthogonality_violations
     assert bool(got.orthogonality_violations) is reported
