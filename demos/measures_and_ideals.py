@@ -26,7 +26,8 @@ print("lower-set dominance:", dom.holds)
 print("  witness ideal:", [tuple(map(float, p)) for p in dom.witness.member_points()])
 print("  mass gap:", dom.gap)
 
-# the ideal lattice behind the scan, enumerated explicitly
+# the ideal lattice of the merged atoms, enumerated as an illustration:
+# the check above solves one max-flow and never lists these
 import numpy as np
 union = np.unique(np.vstack([mu1.points, mu2.points]), axis=0)
 ideals = enumerate_downward_closed(union, iota=2)

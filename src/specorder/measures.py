@@ -2,12 +2,13 @@
 
 The partial orders <=_iota compare the first iota coordinates by <= and
 require the rest to agree exactly. Lower sets, l1 distances to them,
-monotonicity audits, CDF comparisons on merged grids, and enumeration of
-downward-closed atom subsets all live here; they are the scalar shadow of the
-projection-valued checks in the order module, and the two are tied together
-through vector-state measures of commuting tuples. Mass comparisons are
-exact: the weights of a pair of measures are read as integer multiples of
-one power of two and added as Python integers.
+monotonicity audits, CDF comparisons on grids, the lower-set inequality
+decided by one maximum flow, and enumeration of downward-closed atom subsets
+all live here; they are the scalar shadow of the projection-valued checks in
+the order module, and the two are tied together through vector-state
+measures of commuting tuples. Mass comparisons are exact: the weights of a
+pair of measures are read as integer multiples of one power of two and added
+as Python integers.
 """
 
 from __future__ import annotations
@@ -85,8 +86,15 @@ def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", at1, at2, size:
 
 
 def _units_floor(tol: float, e: int) -> int:
-    """floor(tol / 2**e) for e <= 0: an integer n exceeds it exactly when n * 2**e > tol."""
-    p, q = float(tol).as_integer_ratio()
+    """floor(tol / 2**e) for e <= 0: an integer n exceeds it exactly when n * 2**e > tol.
+
+    Every exact mass comparison reads its tolerance here, which must be
+    finite and nonnegative.
+    """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+    p, q = tol.as_integer_ratio()
     return (p << -e) // q
 
 
@@ -291,26 +299,32 @@ def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
 
 
 def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
-    """mu2(lower orthant at x) <= mu1(lower orthant at x) on the merged grid.
+    """mu2(lower orthant at x) <= mu1(lower orthant at x) at every x.
 
-    Atomic CDFs are constant between consecutive atom coordinates, so checking
-    every grid point of the per-axis coordinate union is exact. The atoms
-    are the pair's merged support, the family lowerset_dominance reads, so
-    atoms of the two measures that merge there count as one point here. The
-    difference mu2 - mu1 is binned on the grid in exact integer units and
-    summed cumulatively along each axis, so masses compare exactly. Returns
-    (holds, witness point or None), witness lexicographically first.
+    Atomic CDFs are constant between consecutive atom coordinates. Lowering
+    a coordinate of a failing x to the next coordinate of mu2 at or below it
+    keeps mu2's mass and cannot add to mu1's; with none below, mu2's mass is
+    0 and cannot fail, as tol >= 0. So the grid of mu2's coordinates on each
+    axis decides, and its lexicographically first failing point is the
+    whole grid's. The atoms are the pair's merged support, the family
+    lowerset_dominance reads. The difference mu2 - mu1 is binned on the grid
+    in exact integer units, atoms of mu1 above it on some axis dropped, and
+    summed cumulatively along each axis. Returns (holds, witness point or
+    None).
     """
     points, _, _, group = _merged_support(mu1, mu2)
-    axes = [np.unique(column) for column in points.T]
-    if any(a.size == 0 for a in axes):
-        return True, None
-    shape = tuple(a.size for a in axes)
-    cells = np.ravel_multi_index([np.searchsorted(a, column)
-                                  for a, column in zip(axes, points.T)], shape)[group]
     split = mu1.n_atoms
-    diff, e = _unit_difference(mu1, mu2, cells[:split], cells[split:], math.prod(shape))
-    diff = diff.reshape(shape)
+    axes = [np.unique(column) for column in points[group[split:]].T]
+    shape = tuple(a.size for a in axes)
+    at = np.array([np.searchsorted(a, column) for a, column in zip(axes, points.T)])
+    on_grid = np.all(at < np.array(shape)[:, None], axis=0)
+    # atoms off the grid go to one extra cell past its end
+    size = math.prod(shape)
+    cells = np.full(len(points), size, dtype=np.intp)
+    cells[on_grid] = np.ravel_multi_index(at[:, on_grid], shape)
+    cells = cells[group]
+    diff, e = _unit_difference(mu1, mu2, cells[:split], cells[split:], size + 1)
+    diff = diff[:size].reshape(shape)
     for axis in range(diff.ndim):
         np.cumsum(diff, axis=axis, out=diff)
     fails = diff > _units_floor(tol, e)
@@ -324,8 +338,9 @@ def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
 class DownwardClosedAtomSubset:
     """A downward-closed subset of a finite point family under <=_iota.
 
-    ``mask`` is a bitmask over the point list order this subset was
-    enumerated against.
+    ``mask`` is a bitmask over the rows of ``points``: the list this subset
+    was enumerated against, or for a witness of the lower-set checks, the
+    pair's merged support.
     """
 
     mask: int
@@ -397,64 +412,131 @@ class DominanceResult:
         return self.holds
 
 
-def _ideal_mask(ideals: tuple[DownwardClosedAtomSubset, ...], m: int) -> np.ndarray:
-    """(ideals, m) bool array: row k marks the points in ideals[k]."""
-    nbytes = m // 8 + 1
-    raw = b"".join(ideal.mask.to_bytes(nbytes, "little") for ideal in ideals)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(ideals), nbytes),
-                         axis=1, bitorder="little")
-    return bits[:, :m].view(bool)
+def _max_flow(n: int, tails: np.ndarray, heads: np.ndarray, caps, s: int, t: int):
+    """Dinic's maximum flow from node s to node t, exact in Python ints.
 
-
-def _first_excess(mu1: AtomicMeasure, mu2: AtomicMeasure, group: np.ndarray,
-                  mask: np.ndarray, tol: float) -> tuple[int | None, float]:
-    """First mask row on which mu2 - mu1 exceeds tol, decided exactly, with
-    that difference correctly rounded; (None, 0.0) when there is none."""
-    split = mu1.n_atoms
-    cells, e = _unit_difference(mu1, mu2, group[:split], group[split:], mask.shape[1])
-    gaps = mask @ cells
-    fails = gaps > _units_floor(tol, e)
-    if not fails.any():
-        return None, 0.0
-    k = int(np.argmax(fails))
-    try:
-        return k, gaps[k] / (1 << -e)  # int / int is correctly rounded
-    except OverflowError:
-        return k, math.inf
+    Arc k runs from tails[k] to heads[k] with capacity caps[k]. The search
+    for blocking flows walks an explicit path, so no recursion depth grows
+    with n. Returns (flow value, reach), reach marking the nodes the final
+    residual graph reaches from s: the source side of the least minimum
+    cut, whichever maximum flow was found.
+    """
+    k = len(tails)
+    tail = np.concatenate([tails, heads])
+    order = np.argsort(tail, kind="stable")
+    slot = np.empty(2 * k, dtype=np.intp)
+    slot[order] = np.arange(2 * k)
+    start = np.searchsorted(tail[order], np.arange(n + 1)).tolist()
+    to = np.concatenate([heads, tails])[order].tolist()
+    rev = slot[(order + k) % (2 * k)].tolist()  # arc j's reverse is arc j +- k
+    cap = np.concatenate([np.asarray(caps, dtype=object),
+                          np.zeros(k, dtype=object)])[order].tolist()
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for a in range(start[u], start[u + 1]):
+                if cap[a] and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+        if level[t] < 0:
+            return flow, np.array(level) >= 0
+        nxt = start[:-1]  # the next arc to try out of each node
+        path, u = [], s
+        while True:
+            if u == t:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[rev[a]] += push
+                flow += push
+                path, u = [], s
+                continue
+            a, end = nxt[u], start[u + 1]
+            while a < end and not (cap[a] and level[to[a]] == level[u] + 1):
+                a += 1
+            nxt[u] = a
+            if a < end:
+                path.append(a)
+                u = to[a]
+            elif u == s:
+                break
+            else:  # dead end: back up one arc and skip it
+                u = to[rev[path.pop()]]
+                nxt[u] += 1
 
 
 @functools.lru_cache(maxsize=1)
-def _ideals(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, cap: int):
-    """The merged support of the last pair asked for, its downward-closed
-    subsets and their mask, shared by lowerset_dominance and
-    thm31_equivalence_check; measures compare by identity."""
+def _largest_gap(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int):
+    """The least ideal of the merged support on which mu2 - mu1 is largest.
+
+    With d the exact difference mu2 - mu1 per atom in units of 2**e, the
+    network has arcs source -> p of capacity d(p) > 0, q -> sink of
+    capacity -d(q) > 0, and p -> q unbounded for each such q <_iota p: a
+    flow carries mu2's excess down onto mu1's (Strassen); the order being
+    transitive, longer chains add nothing. A minimum cut is a
+    maximum-weight ideal (Picard), so the largest gap is sum d+ - maxflow.
+    The nodes the final residual graph reaches from the source are the
+    atoms with d != 0 of the least such ideal, and their down-set adds the
+    atoms with d = 0. Returns (points, w1, w2, member, gap, e), member a
+    bool array over the merged support and gap in units of 2**e. Kept for
+    the last pair asked for, which lowerset_dominance and
+    thm31_equivalence_check share; measures compare by identity.
+    """
     points, w1, w2, group = _merged_support(mu1, mu2)
-    ideals = tuple(enumerate_downward_closed(points, iota, cap=cap))
-    mask = _ideal_mask(ideals, len(points))
-    mask.setflags(write=False)
-    return points, w1, w2, group, ideals, mask
+    iota = _check_iota(iota, points.shape[1])
+    m, split = len(points), mu1.n_atoms
+    d, e = _unit_difference(mu1, mu2, group[:split], group[split:], m)
+    up, down = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
+    below, above = np.nonzero(_leq_matrix(points[down], points[up], iota))
+    supply = int(d[up].sum())
+    source, sink = m, m + 1
+    tails = np.concatenate([np.full(len(up), source), down, up[above]])
+    heads = np.concatenate([up, np.full(len(down), sink), down[below]])
+    # supply + 1 exceeds any flow, so those arcs never saturate
+    caps = np.concatenate([d[up], -d[down], np.full(len(below), supply + 1, dtype=object)])
+    flow, reach = _max_flow(m + 2, tails, heads, caps, source, sink)
+    member = _leq_matrix(points, points[reach[:m]], iota).any(axis=1)
+    member.setflags(write=False)
+    return points, w1, w2, member, supply - flow, e
 
 
-def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
-                       cap: int = IDEAL_CAP, tol: float = 0.0) -> DominanceResult:
+def _ideal(member: np.ndarray, iota: int, points: np.ndarray) -> DownwardClosedAtomSubset:
+    mask = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+    return DownwardClosedAtomSubset(mask=mask, iota=iota, points=points)
+
+
+def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *,
+                       tol: float = 0.0) -> DominanceResult:
     """mu2(D) <= mu1(D) for every downward-closed D of the merged atom family.
 
     Checking downward-closed subsets of the merged atoms decides the
     inequality for all iota-lower sets, since a lower set picks up exactly a
-    downward-closed subfamily. Masses compare exactly. Witness is the first
-    violating ideal in (cardinality, bitmask) order.
+    downward-closed subfamily. One maximum flow finds the largest mu2 - mu1
+    over them (see _largest_gap); masses compare exactly. The witness is
+    the least ideal, by inclusion, on which that gap is attained: the
+    intersection of all of them, and the measure of how badly the order
+    fails.
     """
-    _, _, _, group, ideals, mask = _ideals(mu1, mu2, iota, cap)
-    first, gap = _first_excess(mu1, mu2, group, mask, tol)
-    if first is None:
+    points, _, _, member, gap, e = _largest_gap(mu1, mu2, iota)
+    if gap <= _units_floor(tol, e):
         return DominanceResult(holds=True, witness=None, gap=0.0)
-    return DominanceResult(holds=False, witness=ideals[first], gap=gap)
+    try:
+        rounded = gap / (1 << -e)  # int / int is correctly rounded
+    except OverflowError:
+        rounded = math.inf
+    return DominanceResult(holds=False, witness=_ideal(member, iota, points), gap=rounded)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of the cross-check between the lower-set inequality and the
-    integral inequalities for increasing test functions (equal total mass)."""
+    integral inequalities for increasing test functions (equal total mass).
+    Every route is evaluated on lowerset_dominance's witness ideal D (empty
+    when no gap is positive); the mollifier witness is (D, first failing
+    level)."""
 
     iota: int
     masses: tuple[float, float]
@@ -476,18 +558,25 @@ class EquivalenceReport:
 
 
 def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
-                            mollifier_levels=MOLLIFIER_LEVELS, cap: int = IDEAL_CAP,
+                            mollifier_levels=MOLLIFIER_LEVELS, *,
                             tol: float = 1e-12) -> EquivalenceReport:
     """Equal-mass equivalence: mu2 <= mu1 on lower sets iff integrals of
     increasing functions satisfy int f dmu1 <= int f dmu2.
 
-    The integral side is probed with indicator-complements of every
-    enumerated ideal and with the continuous surrogates min(1, n*distance)
-    at the configured levels. The lower-set verdict compares exact masses,
-    as lowerset_dominance does, at ``tol``; the integral routes sum float
-    weights. Total masses further apart than TOL times the larger one
-    raise MassMismatchError carrying the one-sided conclusions that survive.
+    The lower-set verdict compares exact masses, as lowerset_dominance does,
+    at ``tol``. The integral side is probed on the ideal D of largest gap,
+    which fails the lower-set inequality exactly when some ideal does: with
+    the indicator-complement of D and with the continuous surrogates
+    min(1, n*distance to D) at the configured levels, summing float
+    weights. Total masses further apart than TOL times the larger one raise
+    MassMismatchError carrying the one-sided conclusions that survive.
     """
+    points, w1, w2, member, gap, e = _largest_gap(mu1, mu2, iota)
+    lowerset_holds = gap <= _units_floor(tol, e)
+    levels = tuple(mollifier_levels)
+    for level in levels:
+        if level <= 0:
+            raise ParameterError(f"mollifier level must be positive, got {level!r}")
     m1, m2 = mu1.total_mass(), mu2.total_mass()
     if not math.isclose(m1, m2, rel_tol=TOL):
         if m1 < m2:
@@ -498,45 +587,25 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
                             "increasing f >= 0 may still imply the lower-set inequality")
         raise MassMismatchError(m1, m2, implications)
 
-    points, w1, w2, group, ideals, mask = _ideals(mu1, mu2, iota, cap)
-    lowerset_first, _ = _first_excess(mu1, mu2, group, mask, tol)
+    def failing(f: np.ndarray) -> bool:
+        return bool(np.sum(w1 * f) > np.sum(w2 * f) + tol)
 
-    def failing(f: np.ndarray) -> np.ndarray:
-        # f[k, x] is the test function of ideal k at point x; rows are
-        # contiguous, so each row sum adds as np.sum of that row alone would
-        return (w1 * f).sum(axis=1) > (w2 * f).sum(axis=1) + tol
-
-    def first(fails: np.ndarray) -> int | None:
-        return int(np.argmax(fails)) if fails.any() else None
-
-    # indicator route: membership in each generated lower set, from <=_iota
-    member = mask @ _leq_matrix(points, points, iota).T
-    indicator_first = first(failing(np.where(member, 0.0, 1.0)))
-
-    # mollifier route: distance to each ideal's lower set as a running
-    # minimum over its generators, O(ideals * points) memory
-    to_downset = _downset_distances(points, points, iota)
-    dist = np.full(mask.shape, np.inf)
-    for g in range(len(points)):
-        np.minimum(dist, to_downset[:, g], out=dist, where=mask[:, g, None])
-    levels = tuple(mollifier_levels)
-    nonempty = mask.any(axis=1)
-    fails = np.zeros((len(ideals), len(levels)), dtype=bool)
-    for j, level in enumerate(levels):
-        if level <= 0:
-            raise ParameterError(f"mollifier level must be positive, got {level!r}")
-        fails[:, j] = nonempty & failing(np.minimum(1.0, level * dist))
-    ideal_first = first(fails.any(axis=1))
-    mollifier_witness = (None if ideal_first is None
-                         else (ideals[ideal_first], levels[first(fails[ideal_first])]))
+    ideal = _ideal(member, iota, points)
+    # D is downward closed in the support, so its lower set meets the
+    # support in D itself
+    indicator_holds = not failing(np.where(member, 0.0, 1.0))
+    failing_level = None
+    if member.any():
+        dist = _downset_distances(points, points[member], iota).min(axis=1)
+        failing_level = next((n for n in levels if failing(np.minimum(1.0, n * dist))), None)
 
     return EquivalenceReport(
         iota=iota,
         masses=(m1, m2),
-        lowerset_holds=lowerset_first is None,
-        lowerset_witness=None if lowerset_first is None else ideals[lowerset_first],
-        indicator_holds=indicator_first is None,
-        indicator_witness=None if indicator_first is None else ideals[indicator_first],
-        mollifier_holds=ideal_first is None,
-        mollifier_witness=mollifier_witness,
+        lowerset_holds=lowerset_holds,
+        lowerset_witness=None if lowerset_holds else ideal,
+        indicator_holds=indicator_holds,
+        indicator_witness=None if indicator_holds else ideal,
+        mollifier_holds=failing_level is None,
+        mollifier_witness=None if failing_level is None else (ideal, failing_level),
     )

@@ -323,56 +323,52 @@ def cdf_leq_loop(mu1, mu2, tol: float = 0.0):
     return True, None
 
 
-def lowerset_dominance_loop(mu1, mu2, iota: int, tol: float = 0.0):
-    """Reference lower-set check: float masses, one ideal at a time.
+def mask_indices(mask: int, m: int) -> list[int]:
+    return [i for i in range(m) if mask >> i & 1]
 
-    Returns (holds, witness mask or None, gap)."""
+
+def lowerset_dominance_loop(mu1, mu2, iota: int, tol: float = 0.0):
+    """Reference lower-set check: float masses on the oracle's ideal of
+    largest gap (fraction_largest_gap). Returns (holds, witness mask or None,
+    gap)."""
     points, w1, w2, _ = _merged_support(mu1, mu2)
-    for ideal in enumerate_downward_closed(points, iota):
-        idx = list(ideal.indices)
-        m1 = float(np.sum(w1[idx])) if idx else 0.0
-        m2 = float(np.sum(w2[idx])) if idx else 0.0
-        if m2 > m1 + tol:
-            return False, ideal.mask, m2 - m1
+    _, mask = fraction_largest_gap(mu1, mu2, iota)
+    idx = mask_indices(mask, len(points))
+    m1 = float(np.sum(w1[idx])) if idx else 0.0
+    m2 = float(np.sum(w2[idx])) if idx else 0.0
+    if m2 > m1 + tol:
+        return False, mask, m2 - m1
     return True, None, 0.0
 
 
 def equivalence_loop(mu1, mu2, iota: int, mollifier_levels=(1, 2, 4, 8), tol: float = 1e-12):
-    """Reference equivalence routes: one BorelFunction per ideal (and level),
-    evaluated point by point. Returns the EquivalenceReport fields after
-    ``masses``, witnesses as bitmasks and (bitmask, level)."""
+    """Reference equivalence routes on the oracle's ideal of largest gap: one
+    BorelFunction for the indicator and one per mollifier level, evaluated
+    point by point. Returns the EquivalenceReport fields after ``masses``,
+    witnesses as bitmasks and (bitmask, level)."""
     lower = lowerset_dominance_loop(mu1, mu2, iota, tol=tol)
     points, w1, w2, _ = _merged_support(mu1, mu2)
-    ideals = enumerate_downward_closed(points, iota)
+    _, mask = fraction_largest_gap(mu1, mu2, iota)
+    idx = mask_indices(mask, len(points))
 
-    indicator = (True, None)
-    for ideal in ideals:
-        idx = list(ideal.indices)
-        if idx:
-            f = lower_indicator_complement(LowerSetGen.from_points(points[idx], iota))
-        else:
-            f = indicator_fn(lambda x: True, tag="co-lower[empty]", monotone_iota=iota)
-        lhs = float(np.sum(w1 * f.on_points(points))) if points.size else 0.0
-        rhs = float(np.sum(w2 * f.on_points(points))) if points.size else 0.0
-        if lhs > rhs + tol:
-            indicator = (False, ideal.mask)
-            break
+    if idx:
+        f = lower_indicator_complement(LowerSetGen.from_points(points[idx], iota))
+    else:
+        f = indicator_fn(lambda x: True, tag="co-lower[empty]", monotone_iota=iota)
+    lhs = float(np.sum(w1 * f.on_points(points))) if points.size else 0.0
+    rhs = float(np.sum(w2 * f.on_points(points))) if points.size else 0.0
+    indicator = (False, mask) if lhs > rhs + tol else (True, None)
 
     mollifier = (True, None)
-    for ideal in ideals:
-        idx = list(ideal.indices)
-        if not idx:
-            continue
+    if idx:
         gen = LowerSetGen.from_points(points[idx], iota)
         for level in mollifier_levels:
             f = lower_mollifier(gen, level)
             lhs = float(np.sum(w1 * f.on_points(points)))
             rhs = float(np.sum(w2 * f.on_points(points)))
             if lhs > rhs + tol:
-                mollifier = (False, (ideal.mask, level))
+                mollifier = (False, (mask, level))
                 break
-        if not mollifier[0]:
-            break
     return (lower[0], lower[1]) + indicator + mollifier
 
 
@@ -401,14 +397,27 @@ def fraction_cdf_leq(mu1, mu2, tol: float = 0.0):
     return True, None
 
 
-def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
-    """Oracle lower-set check in exact rational arithmetic: (holds, witness
-    mask or None, exact gap)."""
+def fraction_largest_gap(mu1, mu2, iota: int):
+    """Oracle for the ideal of largest gap, in exact rational arithmetic:
+    (largest mu2 - mu1 over every enumerated ideal, the AND of the masks of
+    the ideals attaining it)."""
     points, e1, e2 = fraction_masses(mu1, mu2)
+    best, mask = Fraction(0), 0  # the empty ideal
     for ideal in enumerate_downward_closed(points, iota):
         gap = sum((e2[i] - e1[i] for i in ideal.indices), Fraction(0))
-        if gap > Fraction(tol):
-            return False, ideal.mask, gap
+        if gap > best:
+            best, mask = gap, ideal.mask
+        elif gap == best:
+            mask &= ideal.mask
+    return best, mask
+
+
+def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
+    """Oracle lower-set check in exact rational arithmetic: (holds, witness
+    mask or None, exact gap), the witness the least ideal of largest gap."""
+    gap, mask = fraction_largest_gap(mu1, mu2, iota)
+    if gap > Fraction(tol):
+        return False, mask, gap
     return True, None, Fraction(0)
 
 

@@ -325,18 +325,56 @@ def test_check_order_builds_one_order_kernel(ordered_files, capsys, monkeypatch)
     capsys.readouterr()
 
 
-def test_measure_check_enumerates_the_ideals_once(tmp_path, capsys, monkeypatch):
+def test_measure_check_solves_the_flow_once(tmp_path, capsys, monkeypatch):
     import specorder.measures as measures
 
-    calls = []
-    real = measures.enumerate_downward_closed
+    calls = {"flow": 0, "enumerate": 0}
+
+    def counting(name, real):
+        def call(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return call
+
+    monkeypatch.setattr(measures, "_max_flow", counting("flow", measures._max_flow))
     monkeypatch.setattr(measures, "enumerate_downward_closed",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+                        counting("enumerate", measures.enumerate_downward_closed))
     m1 = write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     m2 = write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     assert main(["measure-check", m1, m2]) == 0
-    assert len(calls) == 1
+    assert calls == {"flow": 1, "enumerate": 0}
     capsys.readouterr()
+
+
+def test_measure_check_decides_beyond_twenty_atoms(tmp_path, capsys):
+    # 22 pairwise incomparable atoms: every subset is an ideal, and the
+    # largest gap is all of mu2's mass
+    points = np.array([[float(i), float(21 - i)] for i in range(22)])
+    m1 = write_measure(tmp_path / "m1.json", points[0::2], np.ones(11))
+    m2 = write_measure(tmp_path / "m2.json", points[1::2], np.ones(11))
+    assert main(["measure-check", m1, m2, "--format", "json"]) == 1
+    verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+    dom = verdicts["lowerset_dominance"]
+    assert not dom["holds"] and dom["detail"] == "mass gap 11"
+    assert dom["witness"]["indices"] == list(range(1, 22, 2))
+    assert dom["witness"]["points"] == points[1::2].tolist()
+    assert verdicts["equivalence_agreement"]["holds"]
+
+
+def test_measure_check_holds_on_a_long_near_chain(tmp_path, capsys):
+    # 200 atoms scattered about a chain, each pushed up in mu2: 400 merged
+    # atoms, and mu2 dominates exactly
+    rng = np.random.default_rng(16)
+    t = np.arange(200) + rng.uniform(0.2, 0.8, size=200)
+    points = t[:, None] + rng.standard_normal((200, 2))
+    weights = rng.uniform(0.1, 1.0, size=200)
+    moved = points + rng.uniform(0.01, 0.05, size=points.shape)
+    m1 = write_measure(tmp_path / "m1.json", points, weights)
+    m2 = write_measure(tmp_path / "m2.json", moved[::-1], weights[::-1])
+    assert main(["measure-check", m1, m2, "--format", "json"]) == 0
+    verdicts = {v["name"]: v["holds"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+    assert verdicts == {"cdf_leq": True, "lowerset_dominance": True,
+                        "equivalence_agreement": True}
 
 
 def test_measure_check_mass_mismatch_skips_equivalence(tmp_path, capsys):

@@ -23,6 +23,7 @@ from conftest import (
     cdf_leq_loop,
     equivalence_loop,
     fraction_cdf_leq,
+    fraction_largest_gap,
     fraction_lowerset_dominance,
     lowerset_dominance_loop,
     subprocess_env,
@@ -33,6 +34,7 @@ from specorder.io import measure_to_dict, save_json
 from specorder.linalg import TOL
 from specorder.measures import (
     AtomicMeasure,
+    _largest_gap,
     _merged_support,
     cdf_leq,
     enumerate_downward_closed,
@@ -116,6 +118,54 @@ def test_exact_checks_match_fraction_oracle_and_float_loops(case):
     assert got[2:] == old[2:]
     if old[:2] == (holds, mask):
         assert got[:2] == old[:2]
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two measures with integer weights on a 4 x 4 integer grid, up to 16
+    merged atoms, so gaps are large and seldom tie."""
+    def atoms():
+        k = draw(st.integers(0, 12))
+        points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=k, max_size=k))
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return AtomicMeasure.from_atoms(np.array(points, dtype=np.float64).reshape(k, 2),
+                                        np.array(weights, dtype=np.float64))
+
+    return atoms(), atoms(), draw(st.integers(1, 2)), draw(st.sampled_from((0.0, 1e-12)))
+
+
+@given(case=grid_pairs())
+@settings(max_examples=100)
+def test_flow_gap_matches_fraction_oracle(case):
+    mu1, mu2, iota, tol = case
+    _, _, _, member, units, e = _largest_gap(mu1, mu2, iota)
+    gap, mask = fraction_largest_gap(mu1, mu2, iota)
+    assert units * Fraction(2) ** e == gap
+    assert int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little") == mask
+    dom = lowerset_dominance(mu1, mu2, iota, tol=tol)
+    assert (dom.holds, None if dom.witness is None else dom.witness.mask, dom.gap) == \
+        (gap <= Fraction(tol), None if gap <= Fraction(tol) else mask,
+         0.0 if gap <= Fraction(tol) else float(gap))
+
+
+ONE_ATOM = AtomicMeasure.from_atoms([[0.0, 0.0]], [1.0])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda tol: cdf_leq(ONE_ATOM, ONE_ATOM, tol=tol),
+    lambda tol: lowerset_dominance(ONE_ATOM, ONE_ATOM, 2, tol=tol),
+    lambda tol: thm31_equivalence_check(ONE_ATOM, ONE_ATOM, 2, tol=tol),
+], ids=["cdf_leq", "lowerset_dominance", "thm31_equivalence_check"])
+def test_exact_checks_reject_malformed_tol(check, tol):
+    with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+        check(tol)
+
+
+def test_mollifier_levels_are_checked_on_the_empty_ideal():
+    with pytest.raises(ParameterError, match="mollifier level must be positive"):
+        thm31_equivalence_check(ONE_ATOM, ONE_ATOM, 2, mollifier_levels=(1, 0))
 
 
 def write_measure(path, points, weights):

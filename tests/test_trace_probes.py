@@ -73,4 +73,6 @@ def test_every_probe_fires(tmp_path, capsys):
     silent = [f"{module}.{attr}" for module, attr, span, counter in probes
               if (span is not None and totals.get(span + ":calls", 0) < 1)
               or (counter is not None and f"{module}.{attr}" not in counted)]
-    assert silent == []
+    # measure-check decides the lower-set inequality by one maximum flow and
+    # no longer enumerates ideals, so only that probe stays silent
+    assert silent == ["specorder.measures.enumerate_downward_closed"]
