@@ -52,7 +52,7 @@ from .io import (
     save_json,
     tuple_to_dict,
 )
-from .linalg import TOL
+from .linalg import TOL, check_tol
 from .measures import (
     audit_iota_increasing,
     cdf_leq,
@@ -329,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(flag: float | None) -> float:
-    if flag is not None:
-        tol = float(flag)
-    else:
-        env = os.environ.get("SPECORDER_TOL")
+    """--tol, else SPECORDER_TOL, else TOL; finite and positive."""
+    name, tol = "--tol", flag
+    if flag is None:
+        name, env = "SPECORDER_TOL", os.environ.get("SPECORDER_TOL")
         if env is None:
             return TOL
         try:
             tol = float(env)
         except ValueError:
-            raise InputError("SPECORDER_TOL", f"not a number: {env!r}") from None
+            raise InputError(name, f"not a number: {env!r}") from None
     if not tol > 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    return tol
+        raise ParameterError(f"{name} must be positive, got {tol!r}")
+    return check_tol(tol, name)
 
 
 def main(argv=None) -> int:

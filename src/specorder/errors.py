@@ -107,10 +107,6 @@ class NormalityError(SpecOrderError):
         super().__init__(f"normality defect {defect:.3e} exceeds tolerance {tol:.3e}")
 
 
-class EmptyGeneratorError(SpecOrderError):
-    """A lower set was requested from an empty generator list."""
-
-
 class CapExceededError(SpecOrderError):
     """Ideal enumeration was asked for more atoms than the configured cap."""
 

@@ -15,7 +15,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError
-from .linalg import TOL
 from .measures import AtomicMeasure
 from .spectral import CommutingTuple, validate_tuple
 
@@ -79,7 +78,7 @@ def tuple_to_dict(t: CommutingTuple) -> dict:
             "matrices": matrices}
 
 
-def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float = TOL) -> CommutingTuple:
+def tuple_from_dict(doc, location: str = "<tuple>") -> CommutingTuple:
     _require(isinstance(doc, dict), location, "expected an object")
     _require(doc.get("schema") == TUPLE_SCHEMA, f"{location}.schema",
              f"expected {TUPLE_SCHEMA!r}, got {doc.get('schema')!r}")
@@ -98,7 +97,7 @@ def tuple_from_dict(doc, location: str = "<tuple>", tol_comm: float = TOL) -> Co
         _require(isinstance(flat, list) and len(flat) == dim * dim, where,
                  f"expected {dim * dim} row-major entries")
         mats.append(_parse_matrix(flat, dim, where))
-    return validate_tuple(mats, tol_comm=tol_comm)
+    return validate_tuple(mats)
 
 
 def measure_to_dict(mu: AtomicMeasure) -> dict:
@@ -153,8 +152,8 @@ def load_json(path: str):
         raise InputError(path, "nested too deeply to parse") from None
 
 
-def load_tuple(path: str, tol_comm: float = TOL) -> CommutingTuple:
-    return tuple_from_dict(load_json(path), location=path, tol_comm=tol_comm)
+def load_tuple(path: str) -> CommutingTuple:
+    return tuple_from_dict(load_json(path), location=path)
 
 
 def load_measure(path: str) -> AtomicMeasure:
@@ -173,8 +172,8 @@ def save_json(path: str, doc: dict):
 class Report:
     """CLI result: command echo, verdict list, tolerances, timing, version.
 
-    ``to_dict(deterministic=True)`` freezes timing to 0.0 so json output is
-    byte-identical across runs; the measured time is shown in human format.
+    ``to_dict`` freezes timing to 0.0 so json output is byte-identical
+    across runs; the measured time is shown in human format.
     """
 
     command: str
@@ -194,19 +193,18 @@ class Report:
     def all_hold(self) -> bool:
         return all(v["holds"] for v in self.verdicts)
 
-    def to_dict(self, deterministic: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,
             "command": self.command,
             "version": self.version,
             "tolerances": self.tolerances,
-            "timing_s": 0.0 if deterministic else self.timing_s,
+            "timing_s": 0.0,
             "verdicts": self.verdicts,
         }
 
-    def to_json(self, deterministic: bool = True) -> str:
-        return json.dumps(self.to_dict(deterministic=deterministic),
-                          sort_keys=True, separators=(",", ":"))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def human(self) -> str:
         lines = [f"command: {self.command}"]

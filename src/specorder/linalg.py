@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EigenConvergenceError, HermiticityError
+from .errors import DimensionError, EigenConvergenceError, HermiticityError, ParameterError
 
 TOL = 1e-8
 # the first entry of each eigenvector above this magnitude is made real positive
@@ -30,6 +30,26 @@ def as_complex_matrix(obj) -> np.ndarray:
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def check_tol(tol, name: str = "tol") -> float:
+    """The tolerance as a float; ParameterError naming it unless it is
+    finite and >= 0."""
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"{name} must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def as_point(x, kappa: int) -> np.ndarray:
+    """x as a float point of R^kappa: DimensionError for another shape,
+    ParameterError for NaN; +-inf coordinates are kept."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (kappa,):
+        raise DimensionError(f"point has shape {x.shape}, expected ({kappa},)")
+    if np.isnan(x).any():
+        raise ParameterError(f"point {tuple(map(float, x))} has a NaN coordinate")
+    return x
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -217,6 +237,7 @@ def proj_leq(p: Projection, q: Projection, tol: float = TOL) -> bool:
     Decided by the Frobenius residual of p's basis outside q's range:
     ||(I - Q) V_p||_F <= tol * max(1, rank p).
     """
+    tol = check_tol(tol)
     if p.dim != q.dim:
         raise DimensionError(f"projections on different spaces: {p.dim} vs {q.dim}")
     if p.rank == 0:
@@ -244,6 +265,7 @@ def subspace_meet(p: Projection, q: Projection) -> Projection:
 
 def is_psd(op, tol: float = TOL) -> bool:
     """True iff the operator's minimum eigenvalue is >= -tol * spectral norm."""
+    tol = check_tol(tol)
     m = _coerce_hermitian(op)
     if m.shape[0] == 0:
         return True

@@ -1,10 +1,10 @@
 """Finite atomic measures on R^kappa and the iota-order machinery.
 
 The partial orders <=_iota compare the first iota coordinates by <= and
-require the rest to agree exactly. Lower sets, l1 distances to them,
-monotonicity audits, CDF comparisons on grids, the lower-set inequality
-decided by one maximum flow, and enumeration of downward-closed atom subsets
-all live here; they are the scalar shadow of the projection-valued checks in
+require the rest to agree exactly. Monotonicity audits, CDF comparisons on
+grids, the lower-set inequality decided by one maximum flow, its
+equivalence with integrals of increasing functions, and enumeration of
+downward-closed atom subsets all live here; they are the scalar shadow of the projection-valued checks in
 the order module, and the two are tied together through vector-state
 measures of commuting tuples. Mass comparisons are exact: the weights of a
 pair of measures are read as integer multiples of one power of two and added
@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    DimensionError,
-    EmptyGeneratorError,
-    MassMismatchError,
-    ParameterError,
-)
-from .functions import BorelFunction, indicator_fn
-from .linalg import TOL
+from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
+from .linalg import TOL, as_point, check_tol
 from .spectral import CommutingTuple, _merge_points, joint_measure
 
 IDEAL_CAP = 20
@@ -65,23 +58,24 @@ def _group_sums(group: np.ndarray, w: np.ndarray, n_groups: int) -> np.ndarray:
     return np.bincount(group, weights=w, minlength=n_groups).astype(np.float64)
 
 
-def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", at1, at2, size: int):
+def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", group, size: int):
     """mu2 - mu1 binned into ``size`` cells, exactly.
 
     Every weight is an integer times a power of two (``np.frexp``); with e
     the least such exponent over both measures, capped at 0, each weight is
     an exact integer multiple of 2**e. Returns (cells, e): an object array of
     Python ints whose cell c holds (mass of mu2 - mass of mu1 at c) / 2**e,
-    the atoms of mu1 going to cells ``at1`` and those of mu2 to ``at2``.
+    atom i of mu1 then of mu2 going to cell group[i].
     """
     mant, exps = np.frexp(np.concatenate([mu1.weights, mu2.weights]))
     ints = (mant * 2.0 ** 53).astype(np.int64)  # a double's significand has 53 bits
     exps -= 53
     e = int(exps[ints != 0].min(initial=0))
     units = ints.astype(object) << np.maximum(exps - e, 0).astype(object)
+    split = mu1.n_atoms
     cells = np.zeros(size, dtype=object)
-    np.add.at(cells, at2, units[mu1.n_atoms:])
-    np.subtract.at(cells, at1, units[:mu1.n_atoms])
+    np.add.at(cells, group[split:], units[split:])
+    np.subtract.at(cells, group[:split], units[:split])
     return cells, e
 
 
@@ -91,10 +85,7 @@ def _units_floor(tol: float, e: int) -> int:
     Every exact mass comparison reads its tolerance here, which must be
     finite and nonnegative.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
-    p, q = tol.as_integer_ratio()
+    p, q = check_tol(tol).as_integer_ratio()
     return (p << -e) // q
 
 
@@ -147,9 +138,7 @@ class AtomicMeasure:
         return float(sum(w * float(f(p)) for p, w in zip(self.points, self.weights)))
 
     def cdf(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if self.n_atoms == 0:
-            return 0.0
+        x = as_point(x, self.kappa)
         keep = np.all(self.points <= x, axis=1)
         return float(np.sum(self.weights[keep]))
 
@@ -171,79 +160,11 @@ def tuple_scalar_measure(t: CommutingTuple, h) -> AtomicMeasure:
     return AtomicMeasure.from_atoms(e.points(), _group_sums(e.owner, column_mass, e.n_atoms()))
 
 
-@dataclass(frozen=True, eq=False)
-class LowerSetGen:
-    """iota-lower set given by finitely many generators: union of down-sets of each."""
-
-    iota: int
-    generators: np.ndarray
-
-    @classmethod
-    def from_points(cls, generators, iota: int) -> "LowerSetGen":
-        g = np.asarray(generators, dtype=np.float64)
-        if g.ndim != 2:
-            raise DimensionError(f"generators must be (m, kappa), got shape {g.shape}")
-        if g.shape[0] == 0:
-            raise EmptyGeneratorError("a lower set needs at least one generator")
-        iota = _check_iota(iota, g.shape[1])
-        g = np.array(g)
-        g.setflags(write=False)
-        return cls(iota=iota, generators=g)
-
-    @property
-    def kappa(self) -> int:
-        return self.generators.shape[1]
-
-
-def lower_membership(gen: LowerSetGen, x) -> bool:
-    """x in the iota-lower set generated by gen."""
-    x = np.asarray(x, dtype=np.float64)
-    return any(leq_iota(x, y, gen.iota) for y in gen.generators)
-
-
-def lower_distance(gen: LowerSetGen, x) -> float:
-    """l1 distance from x to the generated lower set, in closed form.
-
-    For a single generator y the down-set constrains the first iota
-    coordinates from above and pins the rest, so the distance is
-    sum_{j<iota} max(x_j - y_j, 0) + sum_{j>=iota} |x_j - y_j|; the distance
-    to the union is the minimum over generators.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (gen.kappa,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({gen.kappa},)")
-    return float(np.min(_downset_distances(x[None, :], gen.generators, gen.iota)))
-
-
 def _downset_distances(x: np.ndarray, y: np.ndarray, iota: int) -> np.ndarray:
-    """(len(x), len(y)) l1 distances from each x[a] to the iota-down-set of y[b]."""
+    """(len(x), len(y)) l1 distances from each x[a] to the iota-down-set of y[b]:
+    sum_{j<iota} max(x_j - y_j, 0) + sum_{j>=iota} |x_j - y_j|."""
     diff = x[:, None, :] - y[None, :, :]
     return np.maximum(diff[..., :iota], 0.0).sum(axis=2) + np.abs(diff[..., iota:]).sum(axis=2)
-
-
-def epsilon_fatten(gen: LowerSetGen, eps: float):
-    """Membership predicate of the closed eps-fattening in the l1 distance."""
-    if not eps > 0:
-        raise ParameterError(f"fattening radius must be positive, got {eps!r}")
-    return lambda x: lower_distance(gen, x) <= eps
-
-
-def lower_indicator_complement(gen: LowerSetGen) -> BorelFunction:
-    """Indicator of the complement of the lower set: the canonical bounded
-    iota-increasing test function."""
-    return indicator_fn(lambda x: not lower_membership(gen, x),
-                        tag=f"co-lower[iota={gen.iota}]", monotone_iota=gen.iota)
-
-
-def lower_mollifier(gen: LowerSetGen, level: int) -> BorelFunction:
-    """Continuous surrogate min(1, level * distance): increasing, 0 on the set."""
-    if level <= 0:
-        raise ParameterError(f"mollifier level must be positive, got {level!r}")
-    return BorelFunction(
-        tag=f"mollifier[iota={gen.iota}, n={level}]",
-        fn=lambda x: min(1.0, level * lower_distance(gen, x)),
-        monotone_iota=gen.iota,
-    )
 
 
 @dataclass(frozen=True)
@@ -266,7 +187,7 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
-    iota = _check_iota(iota, pts.shape[1])
+    iota, tol = _check_iota(iota, pts.shape[1]), check_tol(tol)
     values = np.array([float(f(p)) for p in pts], dtype=np.float64)
     bad = (values[:, None] > values[None, :] + tol) & _leq_matrix(pts, pts, iota)
     np.fill_diagonal(bad, False)
@@ -279,8 +200,10 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
 
 @functools.lru_cache(maxsize=1)
 def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
-    """Common atom list (pre-merged across the pair) with both weight vectors
-    and, for each atom of mu1 then of mu2, its index in the list.
+    """Common atom list (pre-merged across the pair) with both weight vectors,
+    for each atom of mu1 then of mu2 its index in the list, and the exact
+    difference mu2 - mu1 per listed atom in units of 2**e (see
+    _unit_difference): (points, w1, w2, group, diff, e).
 
     Kept for the last pair asked for, which cdf_leq and the lower-set checks
     share; measures compare by identity, and the arrays are read-only.
@@ -289,13 +212,14 @@ def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
     points, group = _merge_points(np.vstack([mu1.points, mu2.points]), TOL)
     split = mu1.n_atoms
+    diff, e = _unit_difference(mu1, mu2, group, len(points))
     support = (points,
                _group_sums(group[:split], mu1.weights, len(points)),
                _group_sums(group[split:], mu2.weights, len(points)),
-               group)
+               group, diff)
     for shared in support:
         shared.setflags(write=False)
-    return support
+    return support + (e,)
 
 
 def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
@@ -307,24 +231,17 @@ def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     0 and cannot fail, as tol >= 0. So the grid of mu2's coordinates on each
     axis decides, and its lexicographically first failing point is the
     whole grid's. The atoms are the pair's merged support, the family
-    lowerset_dominance reads. The difference mu2 - mu1 is binned on the grid
-    in exact integer units, atoms of mu1 above it on some axis dropped, and
-    summed cumulatively along each axis. Returns (holds, witness point or
-    None).
+    lowerset_dominance reads. Its exact difference mu2 - mu1 is binned on
+    the grid, atoms above it on some axis dropped, and summed cumulatively
+    along each axis. Returns (holds, witness point or None).
     """
-    points, _, _, group = _merged_support(mu1, mu2)
-    split = mu1.n_atoms
-    axes = [np.unique(column) for column in points[group[split:]].T]
+    points, _, _, group, units, e = _merged_support(mu1, mu2)
+    axes = [np.unique(column) for column in points[group[mu1.n_atoms:]].T]
     shape = tuple(a.size for a in axes)
     at = np.array([np.searchsorted(a, column) for a, column in zip(axes, points.T)])
     on_grid = np.all(at < np.array(shape)[:, None], axis=0)
-    # atoms off the grid go to one extra cell past its end
-    size = math.prod(shape)
-    cells = np.full(len(points), size, dtype=np.intp)
-    cells[on_grid] = np.ravel_multi_index(at[:, on_grid], shape)
-    cells = cells[group]
-    diff, e = _unit_difference(mu1, mu2, cells[:split], cells[split:], size + 1)
-    diff = diff[:size].reshape(shape)
+    diff = np.zeros(shape, dtype=object)
+    np.add.at(diff, tuple(at[:, on_grid]), units[on_grid])
     for axis in range(diff.ndim):
         np.cumsum(diff, axis=axis, out=diff)
     fails = diff > _units_floor(tol, e)
@@ -485,10 +402,9 @@ def _largest_gap(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int):
     the last pair asked for, which lowerset_dominance and
     thm31_equivalence_check share; measures compare by identity.
     """
-    points, w1, w2, group = _merged_support(mu1, mu2)
+    points, w1, w2, _, d, e = _merged_support(mu1, mu2)
     iota = _check_iota(iota, points.shape[1])
-    m, split = len(points), mu1.n_atoms
-    d, e = _unit_difference(mu1, mu2, group[:split], group[split:], m)
+    m = len(points)
     up, down = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
     below, above = np.nonzero(_leq_matrix(points[down], points[up], iota))
     supply = int(d[up].sum())

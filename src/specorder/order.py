@@ -34,6 +34,7 @@ from .linalg import (
     HermitianOperator,
     _read_only,
     as_complex_matrix,
+    check_tol,
     commutator_norm,
     orthonormalize,
     subspace_meet,
@@ -108,7 +109,7 @@ class _OrderKernel:
                 f"measures disagree in shape: kappa {ea.kappa}/{eb.kappa}, "
                 f"dim {ea.dim}/{eb.dim}")
         pa, pb = ea.points(), eb.points()
-        self.tol = tol
+        self.tol = check_tol(tol)
         self.axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]]))
                      for j in range(ea.kappa)]
         self.empty = any(ax.size == 0 for ax in self.axes)
@@ -151,29 +152,39 @@ class _OrderKernel:
         return residual, residual > self.tol * np.maximum(1.0, self.ranks_b @ incl_b)
 
     @functools.cached_property
-    def axis_lines(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Residuals and failures along each axis, the other coordinates at
-        the top of their axes, where every atom is inside: the kappa=1 order
-        of the j-th marginals, one (m_a x m_b)(m_b x G_j) product per axis.
-        Computed once per kernel; both order routes read it."""
+    def lines(self) -> OrderVerdict:
+        """The order read on the axis lines, each coordinate but one at the
+        top of its axis, where every atom is inside: the kappa=1 orders of
+        the marginals, one (m_a x m_b)(m_b x G_j) product per axis. A failure
+        has witness (axis, (t,)), t the first failing value on the first
+        failing axis, and that residual as its defect; a holding verdict's
+        defect is the largest residual on the lines. Read once per kernel;
+        both order routes share it."""
+        if self.empty:
+            return OrderVerdict(holds=True, witness=None, defect=0.0)
         tops = [ax.size - 1 for ax in self.axes]
-        lines = []
+        worst = 0.0
         for j, ax in enumerate(self.axes):
             idx = [np.full(ax.size, top) for top in tops]
             idx[j] = np.arange(ax.size)
-            lines.append(self.residuals(idx))
-        return lines
+            residual, bad = self.residuals(idx)
+            if bad.any():
+                i = int(np.argmax(bad))
+                return OrderVerdict(holds=False, witness=(j, (float(ax[i]),)),
+                                    defect=float(residual[i]))
+            worst = max(worst, float(residual.max()))
+        return OrderVerdict(holds=True, witness=None, defect=worst)
 
-    def first_failure(self) -> OrderVerdict | None:
-        """The lexicographically first failing grid point, or None.
+    def first_failure(self) -> OrderVerdict:
+        """The lexicographically first failing grid point, given that one fails.
 
         F_b(x) changes only at eb's coordinates, and F_a(x) only grows with
         x, so lowering a coordinate of a failing point to eb's next
         coordinate below keeps it failing (with none below, F_b(x) = 0 and
-        nothing fails). The first failing point therefore lies on eb's
-        sub-grid, and only that sub-grid is walked: in lex order, starting
-        with one first-axis slice and doubling the step, up to _WALK_CELLS
-        points x atoms."""
+        nothing fails, as tol >= 0). The first failing point therefore lies
+        on eb's sub-grid, and only that sub-grid is walked: in lex order,
+        starting with one first-axis slice and doubling the step, up to
+        _WALK_CELLS points x atoms."""
         steps = [np.unique(np.searchsorted(ax, self.points_b[:, j]))
                  for j, ax in enumerate(self.axes)]
         sizes = [s.size for s in steps]
@@ -189,7 +200,7 @@ class _OrderKernel:
                 witness = tuple(float(ax[i[g]]) for ax, i in zip(self.axes, idx))
                 return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
             start, step = stop, 2 * step
-        return None
+        raise AssertionError("a failing grid point lowers onto eb's sub-grid")
 
 
 @functools.lru_cache(maxsize=1)
@@ -204,14 +215,13 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     """F_b(x) <= F_a(x) for all x on the merged coordinate grid.
 
     The grid is the product of the per-axis unions of atom coordinates;
-    the residual, slack and threshold at each point are _OrderKernel's.
-    The order is the product of the kappa one-dimensional orders of the
-    marginals, so the verdict is decided on the axis lines alone (every
-    coordinate but one at the top of its axis), one product per axis. Only
-    a failing verdict walks the grid, lazily and in lexicographic order,
-    to its first failing point: the witness, with that point's residual as
-    the defect. A holding verdict's defect is the largest residual on the
-    axis lines.
+    the residual, slack and threshold at each point are _OrderKernel's, and
+    tol must be finite and nonnegative. The order is the product of the
+    kappa one-dimensional orders of the marginals, so the verdict is
+    decided on the axis lines alone (_OrderKernel.lines), and a holding
+    verdict is theirs. Only a failing verdict walks the grid, lazily and in
+    lexicographic order, to its first failing point: the witness, with that
+    point's residual as the defect.
 
     Each pair of atoms in a grid point's residual is also in the residual
     of some axis line at that point's coordinate, so the squared residual
@@ -221,15 +231,7 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     every line holds; the verdict is then "holds".
     """
     kernel = _kernel(ea, eb, tol)
-    if kernel.empty:
-        return OrderVerdict(holds=True, witness=None, defect=0.0)
-    lines = kernel.axis_lines
-    if any(bad.any() for _, bad in lines):
-        failure = kernel.first_failure()  # an axis point is a grid point
-        if failure is not None:
-            return failure
-    return OrderVerdict(holds=True, witness=None,
-                        defect=max(float(residual.max()) for residual, _ in lines))
+    return kernel.lines if kernel.lines.holds else kernel.first_failure()
 
 
 def _joint_measures(a, b) -> tuple[JointSpectralMeasure, JointSpectralMeasure]:
@@ -249,29 +251,19 @@ def spectral_leq(a, b, tol: float = TOL) -> OrderVerdict:
 def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
     """Product-order reduction: the kappa=1 order per coordinate.
 
-    The axis lines of distribution_order on the two joint measures, read
-    per axis: the witness is (axis, (t,)) for the first failing value t of
-    the first failing axis, and the defect is that residual (the largest
-    on the axis lines when the order holds).
+    The axis lines of distribution_order on the two joint measures: the
+    witness is (axis, (t,)) for the first failing value t of the first
+    failing axis, and the defect is that residual (the largest on the axis
+    lines when the order holds).
     """
-    kernel = _kernel(*_joint_measures(a, b), tol)
-    if kernel.empty:
-        return OrderVerdict(holds=True, witness=None, defect=0.0)
-    worst = 0.0
-    for j, (residual, bad) in enumerate(kernel.axis_lines):
-        if bad.any():
-            i = int(np.argmax(bad))
-            return OrderVerdict(holds=False, witness=(j, (float(kernel.axes[j][i]),)),
-                                defect=float(residual[i]))
-        worst = max(worst, float(residual.max()))
-    return OrderVerdict(holds=True, witness=None, defect=worst)
+    return _kernel(*_joint_measures(a, b), tol).lines
 
 
 def loewner_leq(a, b, tol: float = TOL) -> bool:
     """a <= b in the Loewner order: b - a PSD within tol * max(||a||_F, ||b||_F)."""
     ha = a if isinstance(a, HermitianOperator) else HermitianOperator.from_matrix(a)
     hb = b if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b)
-    w = np.linalg.eigvalsh(hb.matrix - ha.matrix)
+    tol, w = check_tol(tol), np.linalg.eigvalsh(hb.matrix - ha.matrix)
     return w.size == 0 or float(w[0]) >= -tol * max(ha.norm(), hb.norm())
 
 
@@ -408,6 +400,7 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     ``eigvalsh`` (0.0 when none did); a certified alpha's -lambda_min is at
     most about (tol / 2) * scale.
     """
+    tol = check_tol(tol)
     ta, tb = _coerce_tuple(a), _coerce_tuple(b)
     _require_positive(ta, "a")
     _require_positive(tb, "b")
@@ -544,7 +537,7 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL,
     (||A^alpha h|| / bound^alpha)^(1/|alpha|), which stays <= 1 for members
     (after normalizing h) and grows geometrically past any excluded atom.
     """
-    ta = _coerce_tuple(a)
+    tol, ta = check_tol(tol), _coerce_tuple(a)
     _require_positive(ta, "a")
     bound = np.asarray(bound, dtype=np.float64)
     if bound.shape != (ta.kappa,):
@@ -587,7 +580,7 @@ class NormalOperator:
         m = as_complex_matrix(m)
         defect = float(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
         scale = float(np.linalg.norm(m))
-        threshold = tol * scale * scale
+        threshold = check_tol(tol) * scale * scale
         if defect > threshold:
             raise NormalityError(defect, threshold)
         return cls(matrix=_read_only(m), normality_defect=defect)
@@ -647,7 +640,7 @@ def infimum_probe(a, b, tol: float = TOL) -> InfimumProbeReport:
     commute with each other, in which case no commuting tuple realizes the
     infimum this way; the report carries the commutator defect.
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
+    tol, ta, tb = check_tol(tol), _coerce_tuple(a), _coerce_tuple(b)
     if ta.kappa != tb.kappa or ta.dim != tb.dim:
         raise ParameterError("tuples must share length and dimension")
     for name, tt in (("a", ta), ("b", tb)):

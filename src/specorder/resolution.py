@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
-from .linalg import TOL, HermitianOperator, Projection, _normalize_columns
+from .linalg import TOL, HermitianOperator, Projection, _normalize_columns, as_point, check_tol
 from .spectral import JointSpectralMeasure, _stack
 
 # Complex entries per group of cells the resolution check forms at once, and
@@ -105,9 +105,7 @@ class ProjValuedStepFunction:
 
     def at(self, x) -> Projection:
         """Right-continuous evaluation at an arbitrary point (+-inf allowed)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.kappa,):
-            raise DimensionError(f"point has shape {x.shape}, expected ({self.kappa},)")
+        x = as_point(x, self.kappa)
         idx = [int(np.searchsorted(a, v, side="right")) - 1 for a, v in zip(self.axes, x)]
         return self.at_index(idx)
 
@@ -255,6 +253,7 @@ def validate_resolution(f: ProjValuedStepFunction,
     Gram product of the cells' eigenvalue-one bases, and only pairs the
     screen cannot clear are multiplied out (see _orthogonality_violations).
     """
+    tol = check_tol(tol)
     n, r = f.basis.shape
     # a bool mask's mixed difference lies in [-2^(kappa-1), 2^(kappa-1)]: the
     # smallest integer type holding -2^kappa keeps it exact

@@ -28,6 +28,8 @@ from .linalg import (
     Projection,
     _normalize_columns,
     _read_only,
+    as_point,
+    check_tol,
     hermitian_eig,
 )
 
@@ -75,8 +77,10 @@ def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
         Carrying the offending pair (i, j) and its Frobenius defect when it
         exceeds tol_comm * ||A_i|| * ||A_j||.
     ParameterError
-        If a component's Frobenius norm exceeds the float range.
+        If a component's Frobenius norm exceeds the float range, or
+        tol_comm is not finite and nonnegative.
     """
+    tol_comm = check_tol(tol_comm, "tol_comm")
     herms = [op if isinstance(op, HermitianOperator) else HermitianOperator.from_matrix(op)
              for op in ops]
     if not herms:
@@ -165,12 +169,10 @@ class JointSpectralMeasure:
         order, orthonormal already because the atoms are mutually orthogonal."""
         return Projection(self.basis[:, np.isin(self.owner, list(indices))])
 
-    def distribution(self, x, atol: float = 0.0) -> Projection:
+    def distribution(self, x) -> Projection:
         """F(x) = measure of the closed lower orthant at x; right-continuous in x."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.kappa,):
-            raise DimensionError(f"point has shape {x.shape}, expected ({self.kappa},)")
-        return self.join(np.flatnonzero(np.all(self._points <= x + atol, axis=1)))
+        x = as_point(x, self.kappa)
+        return self.join(np.flatnonzero(np.all(self._points <= x, axis=1)))
 
     def marginal_interval(self, axis: int, intervals) -> Projection:
         """Measure of {lambda : lambda_axis in union of closed intervals}.
@@ -452,5 +454,6 @@ def is_positive_tuple(t: CommutingTuple, tol: float = TOL) -> bool:
     norm, max |lambda|, which is at most ||A_j||_F, so a component this
     accepts may still fail is_psd.
     """
+    tol = check_tol(tol)
     floor = [-tol * op.norm() for op in t.ops]
     return bool(np.all(joint_measure(t).points() >= floor))

@@ -18,13 +18,7 @@ from hypothesis import settings, strategies as st
 from specorder.errors import InputError, ValidationError
 from specorder.functions import indicator_fn
 from specorder.linalg import TOL, HermitianOperator, Projection, _normalize_columns, hermitian_eig
-from specorder.measures import (
-    LowerSetGen,
-    _merged_support,
-    enumerate_downward_closed,
-    lower_indicator_complement,
-    lower_mollifier,
-)
+from specorder.measures import _merged_support, enumerate_downward_closed, leq_iota
 from specorder.resolution import ResolutionReport, _corner_sum_index
 from specorder.spectral import JointSpectralMeasure, _split_clusters, validate_tuple
 
@@ -327,11 +321,28 @@ def mask_indices(mask: int, m: int) -> list[int]:
     return [i for i in range(m) if mask >> i & 1]
 
 
+def co_lower_indicator(generators, iota: int):
+    """Indicator of the complement of the iota-lower set generated by the
+    rows of ``generators`` (the empty set when there are none): the
+    canonical bounded iota-increasing test function, a point at a time."""
+    return indicator_fn(lambda x: not any(leq_iota(x, y, iota) for y in generators),
+                        tag=f"co-lower[iota={iota}]", monotone_iota=iota)
+
+
+def downset_distance(x, generators, iota: int) -> float:
+    """l1 distance from x to the iota-lower set generated by the rows of
+    ``generators``, a generator at a time: to the down-set of y it is
+    sum_{j<iota} max(x_j - y_j, 0) + sum_{j>=iota} |x_j - y_j|."""
+    return min((sum(max(float(a - b), 0.0) for a, b in zip(x[:iota], y[:iota]))
+                + sum(abs(float(a - b)) for a, b in zip(x[iota:], y[iota:]))
+                for y in generators), default=math.inf)
+
+
 def lowerset_dominance_loop(mu1, mu2, iota: int, tol: float = 0.0):
     """Reference lower-set check: float masses on the oracle's ideal of
     largest gap (fraction_largest_gap). Returns (holds, witness mask or None,
     gap)."""
-    points, w1, w2, _ = _merged_support(mu1, mu2)
+    points, w1, w2, *_ = _merged_support(mu1, mu2)
     _, mask = fraction_largest_gap(mu1, mu2, iota)
     idx = mask_indices(mask, len(points))
     m1 = float(np.sum(w1[idx])) if idx else 0.0
@@ -342,30 +353,28 @@ def lowerset_dominance_loop(mu1, mu2, iota: int, tol: float = 0.0):
 
 
 def equivalence_loop(mu1, mu2, iota: int, mollifier_levels=(1, 2, 4, 8), tol: float = 1e-12):
-    """Reference equivalence routes on the oracle's ideal of largest gap: one
-    BorelFunction for the indicator and one per mollifier level, evaluated
-    point by point. Returns the EquivalenceReport fields after ``masses``,
-    witnesses as bitmasks and (bitmask, level)."""
+    """Reference equivalence routes on the oracle's ideal D of largest gap:
+    the indicator of D's complement and min(1, level * distance to D), each
+    evaluated point by point (co_lower_indicator, downset_distance). Returns
+    the EquivalenceReport fields after ``masses``, witnesses as bitmasks and
+    (bitmask, level)."""
     lower = lowerset_dominance_loop(mu1, mu2, iota, tol=tol)
-    points, w1, w2, _ = _merged_support(mu1, mu2)
+    points, w1, w2, *_ = _merged_support(mu1, mu2)
     _, mask = fraction_largest_gap(mu1, mu2, iota)
-    idx = mask_indices(mask, len(points))
+    generators = points[mask_indices(mask, len(points))]
 
-    if idx:
-        f = lower_indicator_complement(LowerSetGen.from_points(points[idx], iota))
-    else:
-        f = indicator_fn(lambda x: True, tag="co-lower[empty]", monotone_iota=iota)
+    f = co_lower_indicator(generators, iota)
     lhs = float(np.sum(w1 * f.on_points(points))) if points.size else 0.0
     rhs = float(np.sum(w2 * f.on_points(points))) if points.size else 0.0
     indicator = (False, mask) if lhs > rhs + tol else (True, None)
 
     mollifier = (True, None)
-    if idx:
-        gen = LowerSetGen.from_points(points[idx], iota)
+    if len(generators):
+        dist = [downset_distance(p, generators, iota) for p in points]
         for level in mollifier_levels:
-            f = lower_mollifier(gen, level)
-            lhs = float(np.sum(w1 * f.on_points(points)))
-            rhs = float(np.sum(w2 * f.on_points(points)))
+            f = np.array([min(1.0, level * d) for d in dist])
+            lhs = float(np.sum(w1 * f))
+            rhs = float(np.sum(w2 * f))
             if lhs > rhs + tol:
                 mollifier = (False, (mask, level))
                 break
@@ -374,7 +383,7 @@ def equivalence_loop(mu1, mu2, iota: int, mollifier_levels=(1, 2, 4, 8), tol: fl
 
 def fraction_masses(mu1, mu2):
     """Merged points and both measures' exact weights on them, as Fractions."""
-    points, _, _, group = _merged_support(mu1, mu2)
+    points, _, _, group, _, _ = _merged_support(mu1, mu2)
     exact = [[Fraction(0)] * len(points) for _ in range(2)]
     for side, (mu, at) in enumerate(((mu1, group[:mu1.n_atoms]), (mu2, group[mu1.n_atoms:]))):
         for w, g in zip(mu.weights, at):

@@ -158,6 +158,20 @@ def test_nonpositive_tol(ordered_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_non_finite_tol_exits_two(ordered_files, capsys, monkeypatch, value):
+    # b <= a fails at the default tol; an infinite one made every verdict
+    # hold and echoed "tol":Infinity, which is not JSON
+    b, a = ordered_files
+    assert main(["check-order", a, b, "--tol", value, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and not captured.out
+    monkeypatch.setenv("SPECORDER_TOL", value)
+    assert main(["check-order", a, b, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "SPECORDER_TOL" in captured.err and not captured.out
+
+
 def test_alpha_max_cap(ordered_files, capsys):
     a, b = ordered_files
     assert main(["check-order", a, b, "--alpha-max", "17"]) == 2

@@ -3,34 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    co_lower_indicator,
+    downset_distance,
     fresh_rng,
     merge_first_occurrence,
     merge_radius,
     n_ideals_by_deletion,
     near_duplicate_points,
 )
-from specorder.errors import (
-    CapExceededError,
-    EmptyGeneratorError,
-    MassMismatchError,
-    ParameterError,
-)
+from specorder.errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
 from specorder.functions import indicator_fn
 from specorder.gallery import crossed_dirac_pair
 from specorder.linalg import TOL
 from specorder.measures import (
     AtomicMeasure,
-    LowerSetGen,
     _merged_support,
     audit_iota_increasing,
     cdf_leq,
     enumerate_downward_closed,
-    epsilon_fatten,
     leq_iota,
-    lower_distance,
-    lower_indicator_complement,
-    lower_membership,
-    lower_mollifier,
     lowerset_dominance,
     thm31_equivalence_check,
     tuple_scalar_measure,
@@ -110,7 +101,7 @@ def test_premerge_matches_first_occurrence_loop(pts, data):
     mu2 = AtomicMeasure.from_atoms(pts[split:], w[split:])
     both = np.vstack([mu1.points, mu2.points])
     reps, members = merge_first_occurrence(both, merge_radius(both))
-    points, w1, w2, group = _merged_support(mu1, mu2)
+    points, w1, w2, group, _, _ = _merged_support(mu1, mu2)
     assert points.tobytes() == np.array(reps, dtype=np.float64).tobytes()
     assert [sorted(np.flatnonzero(group == k)) for k in range(len(reps))] == members
     assert points.shape == (len(reps), pts.shape[1])
@@ -145,55 +136,43 @@ def test_tuple_scalar_measure_moments():
     assert moment == pytest.approx(direct, rel=1e-12)
 
 
+# The equivalence oracle in conftest evaluates the lower set of an ideal a
+# point at a time: membership through co_lower_indicator, the l1 distance
+# through downset_distance. These pin both on hand-checked cases.
+
 def test_lower_membership_frozen_cases():
-    gen2 = LowerSetGen.from_points([[0.0, 0.0]], iota=2)
-    assert lower_membership(gen2, (-1.0, -5.0))
-    assert not lower_membership(gen2, (1.0, 0.0))
-    gen1 = LowerSetGen.from_points([[0.0, 0.0]], iota=1)
-    assert lower_membership(gen1, (-1.0, 0.0))
-    assert not lower_membership(gen1, (-1.0, 0.1))
+    def member(generators, x, iota):
+        return co_lower_indicator(np.array(generators), iota)(np.array(x)) == 0.0
+
+    assert member([[0.0, 0.0]], (-1.0, -5.0), 2)
+    assert not member([[0.0, 0.0]], (1.0, 0.0), 2)
+    assert member([[0.0, 0.0]], (-1.0, 0.0), 1)
+    assert not member([[0.0, 0.0]], (-1.0, 0.1), 1)
+    assert not member(np.zeros((0, 2)), (-1.0, -5.0), 2)
 
 
 def test_lower_distance_frozen_cases():
-    gen2 = LowerSetGen.from_points([[0.0, 0.0]], iota=2)
-    assert lower_distance(gen2, (1.0, 2.0)) == 3.0
-    assert lower_distance(gen2, (-4.0, -4.0)) == 0.0
-    gen1 = LowerSetGen.from_points([[0.0, 0.0]], iota=1)
-    assert lower_distance(gen1, (1.0, 2.0)) == 3.0
-    with pytest.raises(EmptyGeneratorError):
-        LowerSetGen.from_points(np.zeros((0, 2)), iota=2)
+    origin = np.zeros((1, 2))
+    assert downset_distance(np.array([1.0, 2.0]), origin, 2) == 3.0
+    assert downset_distance(np.array([-4.0, -4.0]), origin, 2) == 0.0
+    assert downset_distance(np.array([1.0, 2.0]), origin, 1) == 3.0
+    assert downset_distance(np.array([0.5, 0.4]), origin, 2) == pytest.approx(0.9)
+    assert downset_distance(np.array([1.0, 2.0]), np.zeros((0, 2)), 2) == np.inf
 
 
 def test_distance_is_min_over_generators():
-    gen = LowerSetGen.from_points([[0.0, 0.0], [3.0, -1.0]], iota=2)
+    generators = np.array([[0.0, 0.0], [3.0, -1.0]])
     # closer to the second generator
-    assert lower_distance(gen, (3.0, 0.0)) == 1.0
-
-
-def test_epsilon_fatten():
-    gen = LowerSetGen.from_points([[0.0, 0.0]], iota=2)
-    fat = epsilon_fatten(gen, 1.0)
-    assert fat((0.5, 0.4))  # distance 0.9
-    assert not fat((1.0, 0.5))  # distance 1.5
-    with pytest.raises(ParameterError):
-        epsilon_fatten(gen, 0.0)
-
-
-@given(eps1=st.floats(0.1, 2.0), eps2=st.floats(0.1, 2.0), salt=st.integers(0, 5))
-def test_fatten_monotone_in_eps(eps1, eps2, salt):
-    if eps1 > eps2:
-        eps1, eps2 = eps2, eps1
-    rng = fresh_rng(salt)
-    gen = LowerSetGen.from_points(rng.uniform(-1, 1, size=(3, 2)), iota=2)
-    small, large = epsilon_fatten(gen, eps1), epsilon_fatten(gen, eps2)
-    for x in rng.uniform(-2, 2, size=(25, 2)):
-        assert not small(x) or large(x)
+    assert downset_distance(np.array([3.0, 0.0]), generators, 2) == 1.0
 
 
 def test_fattening_is_still_a_lower_set():
+    # the distance to a lower set is increasing, so each fattening
+    # {distance <= eps} is again a lower set, and each mollifier
+    # min(1, n * distance) an increasing test function
     rng = fresh_rng(8)
-    gen = LowerSetGen.from_points(rng.uniform(-1, 1, size=(3, 2)), iota=2)
-    fat = indicator_fn(epsilon_fatten(gen, 0.7), tag="fat")
+    generators = rng.uniform(-1, 1, size=(3, 2))
+    fat = indicator_fn(lambda x: downset_distance(x, generators, 2) <= 0.7, tag="fat")
     pts = rng.uniform(-2, 2, size=(40, 2))
     # indicator of a lower set is decreasing, so its negation is increasing
     res = audit_iota_increasing(lambda x: -fat(x), pts, iota=2)
@@ -257,18 +236,23 @@ def test_audit_passes_projection_and_complement_indicator():
     rng = fresh_rng(9)
     pts = rng.uniform(-1, 1, size=(30, 2))
     assert audit_iota_increasing(lambda x: x[0], pts, iota=2).ok
-    gen = LowerSetGen.from_points(rng.uniform(-1, 1, size=(4, 2)), iota=2)
-    assert audit_iota_increasing(lower_indicator_complement(gen), pts, iota=2).ok
+    generators = rng.uniform(-1, 1, size=(4, 2))
+    assert audit_iota_increasing(co_lower_indicator(generators, 2), pts, iota=2).ok
 
 
-def test_mollifier_shape():
-    gen = LowerSetGen.from_points([[0.0, 0.0]], iota=2)
-    m1 = lower_mollifier(gen, 1)
-    m4 = lower_mollifier(gen, 4)
-    assert m1((-1.0, -1.0)) == 0.0
-    assert m1((0.5, 0.4)) == pytest.approx(0.9)
-    assert m4((0.5, 0.4)) == 1.0
-    assert m1((9.0, 9.0)) == 1.0
+def test_cdf_refuses_nan_and_wrong_shapes():
+    mu = AtomicMeasure.from_atoms([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
+    assert mu.cdf((np.inf, np.inf)) == 3.0
+    assert mu.cdf((0.0, -np.inf)) == 0.0
+    # a length-1 point was broadcast against both axes
+    with pytest.raises(DimensionError):
+        mu.cdf([0.5])
+    with pytest.raises(ParameterError, match="NaN"):
+        mu.cdf((np.nan, 5.0))
+    empty = AtomicMeasure.from_atoms(np.zeros((0, 2)), [])
+    assert empty.cdf((1.0, 1.0)) == 0.0
+    with pytest.raises(DimensionError):
+        empty.cdf([0.5])
 
 
 def test_cdf_leq_dirac_pair():

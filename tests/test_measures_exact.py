@@ -93,7 +93,7 @@ def test_exact_checks_match_fraction_oracle_and_float_loops(case):
     if old_dom[:2] == (holds, mask) and not holds:
         # the loop's gap cancels two float sums of k weights each, so it is
         # good to about k ulps of the larger sum, not to an ulp of the gap
-        _, w1, w2, _ = _merged_support(mu1, mu2)
+        _, w1, w2, *_ = _merged_support(mu1, mu2)
         idx = list(dom.witness.indices)
         scale = max(w1[idx].sum(), w2[idx].sum())
         assert abs(old_dom[2] - dom.gap) <= 2 * len(idx) * math.ulp(scale)

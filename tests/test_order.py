@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    co_lower_indicator,
     diagonalize_per_atom,
     distribution_order_stacked,
     fresh_rng,
@@ -46,7 +47,6 @@ from specorder.gallery import (
 )
 from specorder.io import save_json, tuple_to_dict
 from specorder.linalg import TOL
-from specorder.measures import lower_indicator_complement, LowerSetGen
 from specorder.order import (
     NormalOperator,
     OrderVerdict,
@@ -263,8 +263,7 @@ def test_order_implies_loewner_for_bounded_monotone():
     a, b = ordered_pair(rng, 5, 2)
     ea, eb = joint_measure(a), joint_measure(b)
     from specorder.spectral import calculus_scalar
-    gens = LowerSetGen.from_points(rng.uniform(-1, 1, size=(3, 2)), iota=2)
-    for phi in (lower_indicator_complement(gens),
+    for phi in (co_lower_indicator(rng.uniform(-1, 1, size=(3, 2)), 2),
                 clipped_affine_fn((1.0, 1.0), -1.0, 1.0)):
         assert loewner_leq(calculus_scalar(ea, phi), calculus_scalar(eb, phi),
                            tol=1e-8)
@@ -434,6 +433,15 @@ def test_growth_ratio_axis_filter_counts():
                           lambda_filter=lambda alpha: alpha[0] == 0)
     assert report.n_tested == 5
     assert set(report.shell_maxima) == {1, 2, 3, 4, 5}
+
+
+def test_bounded_vector_membership_refuses_nan_bound():
+    # the projection route read a NaN bound as excluding every atom while the
+    # growth route read it as admitting them: member False beside
+    # growth_member True
+    t = validate_tuple([np.diag([1.0, 3.0]), np.diag([2.0, 1.0])])
+    with pytest.raises(ParameterError, match="NaN"):
+        bounded_vector_membership(t, np.array([1.0, 0.0]), [np.nan, 5.0])
 
 
 def test_bounded_vector_eigenvector_cases():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fresh_rng, random_commuting
-from specorder.errors import DimensionError, OrderError, ValidationError
+from specorder.errors import DimensionError, OrderError, ParameterError, ValidationError
 from specorder.linalg import Projection
 from specorder.resolution import (
     ProjValuedStepFunction,
@@ -98,6 +98,16 @@ def test_evaluation_sentinels():
     got = f.at((0.3, 0.7))
     assert np.allclose(got.matrix, np.diag([1.0, 0.0, 0.0]))
     assert f.at((5.0, 5.0)).rank == 3
+
+
+def test_evaluation_refuses_nan_points():
+    # NaN lies nowhere on an axis; it was read as past the top corner
+    f = ProjValuedStepFunction.from_measure(staircase())
+    for x in ((np.nan, np.nan), (0.0, np.nan)):
+        with pytest.raises(ParameterError, match="NaN"):
+            f.at(x)
+    with pytest.raises(DimensionError):
+        f.at((0.0,))
 
 
 def test_index_access_errors():
@@ -214,6 +224,15 @@ def test_top_corner_corruption_fails_axiom_c():
     report = validate_resolution(bad)
     assert not report.axiom_c
     assert report.identity_defect == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_validation_refuses_malformed_tol(tol):
+    # an infinite tolerance passed every axiom of a corrupted function
+    f = ProjValuedStepFunction.from_measure(staircase())
+    bad = f.replace_value((1, 1), proj([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+        validate_resolution(bad, tol=tol)
 
 
 def test_overlapping_cells_fail_orthogonality():

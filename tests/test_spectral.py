@@ -14,7 +14,7 @@ from conftest import (
     random_unitary,
     tuple_from_eigs,
 )
-from specorder.errors import CommutationError, DimensionError
+from specorder.errors import CommutationError, DimensionError, ParameterError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
 from specorder.gallery import projection_pair_no_infimum
 from specorder.linalg import TOL, Projection, commutator_norm, proj_leq
@@ -160,9 +160,18 @@ def test_distribution_steps():
     assert np.allclose(np.abs(p.range_basis[:, 0]), [s, s, 0.0], atol=1e-12)
     assert e.distribution((-1.0, -1.0)).rank == 0
     assert e.distribution((1.0, 1.0)).rank == 3
-    # atol pulls in an atom just above the corner
     assert e.distribution((1.0 - 1e-9, 1.0)).rank == 1
-    assert e.distribution((1.0 - 1e-9, 1.0), atol=1e-8).rank == 3
+
+
+def test_distribution_refuses_nan_points():
+    # a NaN coordinate compared false everywhere, giving the zero projection
+    e = joint_measure(projection_pair_no_infimum()[0])
+    assert e.distribution((np.inf, np.inf)).rank == 3
+    assert e.distribution((-np.inf, 1.0)).rank == 0
+    with pytest.raises(ParameterError, match="NaN"):
+        e.distribution((np.nan, 0.0))
+    with pytest.raises(DimensionError):
+        e.distribution((1.0,))
 
 
 @given(salt=st.integers(0, 30))

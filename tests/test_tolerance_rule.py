@@ -8,11 +8,25 @@ atoms of small spectra and flips verdicts there.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fresh_rng, random_unitary, tuple_from_eigs
-from specorder.order import olson_necessity_scan, spectral_leq, spectral_leq_componentwise
-from specorder.spectral import validate_tuple
+from conftest import fresh_rng, positive_ordered_pair, random_unitary, tuple_from_eigs
+from specorder.errors import ParameterError
+from specorder.linalg import Projection, is_psd, proj_leq
+from specorder.measures import audit_iota_increasing
+from specorder.order import (
+    NormalOperator,
+    bounded_vector_membership,
+    distribution_order,
+    infimum_probe,
+    loewner_leq,
+    olson_necessity_scan,
+    scaled_monomial_check,
+    spectral_leq,
+    spectral_leq_componentwise,
+)
+from specorder.spectral import is_positive_tuple, joint_measure, validate_tuple
 
 SCAN_DEPTH = 3
 
@@ -108,3 +122,44 @@ def test_scan_decides_relative_to_the_monomials():
         assert spectral_leq(a, b).holds
         verdict = olson_necessity_scan(a, b, 1)
         assert verdict.holds, (salt, verdict)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("check", [
+    spectral_leq,
+    spectral_leq_componentwise,
+    lambda a, b, tol: distribution_order(joint_measure(a), joint_measure(b), tol=tol),
+    lambda a, b, tol: olson_necessity_scan(a, b, 3, tol=tol),
+    lambda a, b, tol: scaled_monomial_check(a, b, lambda alpha: 1.0, 3, tol=tol),
+], ids=["spectral_leq", "componentwise", "distribution_order", "olson_scan", "scaled_scan"])
+def test_order_checks_refuse_malformed_tol(check, tol):
+    # b <= a fails at the default tol; a NaN tol made it hold, and a
+    # negative one made a <= a fail
+    a, b = positive_ordered_pair(fresh_rng(5), 4, 2)
+    assert not spectral_leq(b, a).holds
+    for x, y in ((b, a), (a, a)):
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            check(x, y, tol=tol)
+
+
+ONE = np.eye(2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda tol: validate_tuple([ONE, ONE], tol_comm=tol),
+    lambda tol: proj_leq(Projection.identity(2), Projection.identity(2), tol=tol),
+    lambda tol: is_psd(ONE, tol=tol),
+    lambda tol: loewner_leq(ONE, ONE, tol=tol),
+    lambda tol: is_positive_tuple(validate_tuple([ONE]), tol=tol),
+    lambda tol: audit_iota_increasing(lambda x: -x[0], [(0.0,), (1.0,)], 1, tol=tol),
+    lambda tol: bounded_vector_membership(validate_tuple([ONE]), ONE[0], [1.0], tol=tol),
+    lambda tol: NormalOperator.from_matrix(ONE, tol=tol),
+    lambda tol: infimum_probe(validate_tuple([ONE]), validate_tuple([ONE]), tol=tol),
+], ids=["commutation", "proj_leq", "is_psd", "loewner_leq", "positive_tuple",
+        "audit", "bounded_vector", "normal", "infimum_probe"])
+def test_every_tolerance_is_checked(check, tol):
+    # a NaN tolerance passed every gate: a decreasing function its audit, a
+    # non-commuting pair validate_tuple
+    with pytest.raises(ParameterError, match="must be finite and nonnegative"):
+        check(tol)
