@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
+from .linalg import check_tol
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,15 @@ def fractional_fn(beta, tol=0.0) -> BorelFunction:
 
     ``tol`` (one number, or one per coordinate) absorbs roundoff:
     coordinates in [-tol, 0) count as 0 so that spectra of numerically
-    positive operators are not annihilated by sign noise.
+    positive operators are not annihilated by sign noise; each must be
+    finite and >= 0.
     """
     b = _check_multi_index(beta, integer=False)
+    tol = np.asarray(tol, dtype=np.float64)
+    if tol.shape not in ((), b.shape):
+        raise ParameterError(f"tol needs one number or {b.size}, got shape {tol.shape}")
+    for t in tol.ravel():
+        check_tol(t)
 
     def rule(x):
         if np.any(np.asarray(x) < -tol):

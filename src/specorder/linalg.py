@@ -41,6 +41,16 @@ def check_tol(tol, name: str = "tol") -> float:
     return tol
 
 
+def sorted_distinct(a) -> np.ndarray:
+    """The distinct values of a 1-d array in ascending order: sort, then keep
+    each value that differs from the one before it. On finite input this is
+    np.unique, which imports numpy.ma on its first call."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def as_point(x, kappa: int) -> np.ndarray:
     """x as a float point of R^kappa: DimensionError for another shape,
     ParameterError for NaN; +-inf coordinates are kept."""
@@ -74,6 +84,7 @@ class HermitianOperator:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "HermitianOperator":
         m = as_complex_matrix(m)
+        tol = check_tol(tol)
         defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         threshold = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
         if defect > threshold:

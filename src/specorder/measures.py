@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
-from .linalg import TOL, as_point, check_tol
+from .linalg import TOL, as_point, check_tol, sorted_distinct
 from .spectral import CommutingTuple, _merge_points, joint_measure
 
 IDEAL_CAP = 20
@@ -236,7 +236,7 @@ def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     along each axis. Returns (holds, witness point or None).
     """
     points, _, _, group, units, e = _merged_support(mu1, mu2)
-    axes = [np.unique(column) for column in points[group[mu1.n_atoms:]].T]
+    axes = [sorted_distinct(column) for column in points[group[mu1.n_atoms:]].T]
     shape = tuple(a.size for a in axes)
     at = np.array([np.searchsorted(a, column) for a, column in zip(axes, points.T)])
     on_grid = np.all(at < np.array(shape)[:, None], axis=0)

@@ -37,6 +37,7 @@ from .linalg import (
     check_tol,
     commutator_norm,
     orthonormalize,
+    sorted_distinct,
     subspace_meet,
 )
 from .measures import audit_iota_increasing, tuple_scalar_measure
@@ -110,7 +111,7 @@ class _OrderKernel:
                 f"dim {ea.dim}/{eb.dim}")
         pa, pb = ea.points(), eb.points()
         self.tol = check_tol(tol)
-        self.axes = [np.unique(np.concatenate([pa[:, j], pb[:, j]]))
+        self.axes = [sorted_distinct(np.concatenate([pa[:, j], pb[:, j]]))
                      for j in range(ea.kappa)]
         self.empty = any(ax.size == 0 for ax in self.axes)
         if self.empty:
@@ -185,7 +186,7 @@ class _OrderKernel:
         on eb's sub-grid, and only that sub-grid is walked: in lex order,
         starting with one first-axis slice and doubling the step, up to
         _WALK_CELLS points x atoms."""
-        steps = [np.unique(np.searchsorted(ax, self.points_b[:, j]))
+        steps = [sorted_distinct(np.searchsorted(ax, self.points_b[:, j]))
                  for j, ax in enumerate(self.axes)]
         sizes = [s.size for s in steps]
         total = prod(sizes)

@@ -8,7 +8,10 @@ value a mask over one shared basis. The alternating corner sum over a box
 recovers the measure of that half-open box; when every cell's difference is
 a projection, the nonzero cells are mutually orthogonal, and the full-grid
 difference is the identity, the cells assemble into a joint spectral measure
-and the map F -> measure inverts taking distribution functions.
+and the map F -> measure inverts taking distribution functions. Each cell is
+decided in the span of the few basis columns its mask difference touches, so
+a simple spectrum costs one 1 x 1 eigenproblem per atom, not one n x n
+eigendecomposition per cell.
 """
 
 from __future__ import annotations
@@ -19,11 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OrderError, ValidationError
-from .linalg import TOL, HermitianOperator, Projection, _normalize_columns, as_point, check_tol
+from .linalg import (
+    TOL,
+    HermitianOperator,
+    Projection,
+    _normalize_columns,
+    as_point,
+    check_tol,
+    sorted_distinct,
+)
 from .spectral import JointSpectralMeasure, _stack
 
-# Complex entries per group of cells the resolution check forms at once, and
-# per block of its orthogonality screen: about 1 MB however large the grid is.
+# Complex entries per block of the resolution check's orthogonality screen:
+# about 1 MB however many nonzero cells there are.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -68,7 +79,7 @@ class ProjValuedStepFunction:
     @classmethod
     def from_measure(cls, e: JointSpectralMeasure) -> "ProjValuedStepFunction":
         pts = e.points()
-        axes = tuple(np.unique(pts[:, j]) for j in range(e.kappa))
+        axes = tuple(sorted_distinct(pts[:, j]) for j in range(e.kappa))
         shape = tuple(a.size for a in axes)
         # atom a lies below grid point g exactly when its axis positions are <= g's
         pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
@@ -205,20 +216,29 @@ def _cross_norms(d: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d @ others, axis=(1, 2))
 
 
-def _orthogonality_violations(cells, n: int, tol: float) -> list:
+def _difference(basis: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The n x n cell difference U_S diag(delta_S) U_S^H, S the columns where
+    the cell's mask difference delta is nonzero."""
+    columns = np.flatnonzero(delta)
+    b = basis[:, columns]
+    return (b * delta[columns]) @ b.conj().T
+
+
+def _orthogonality_violations(cells, basis: np.ndarray, tol: float) -> list:
     """Pairs (i < j) of nonzero cells with ||d_i d_j||_F > tol, in row-major
-    order, from cells (box, d, V, dist): d the symmetrized difference, V its
-    eigenvalue-one basis and dist its eigenvalues' distance from {0, 1}.
+    order, from cells (box, delta, V, dist): delta the mask difference whose
+    n x n matrix d is formed by _difference, V its eigenvalue-one basis and
+    dist its eigenvalues' distance from {0, 1}.
 
     d_k is within dist_k of V_k V_k^H in spectral norm, so ||d_i d_j||_F is
     at most ||V_i^H V_j||_F + dist_i sqrt(r_j) + dist_j sqrt(r_i) +
     dist_i dist_j sqrt(n), r the ranks. One product of the stacked bases,
     in blocks of _CHUNK_ENTRIES, gives every ||V_i^H V_j||_F; only pairs
-    whose bound exceeds tol / 2 are multiplied out.
+    whose bound exceeds tol / 2 are formed and multiplied out.
     """
     if len(cells) < 2:
         return []
-    boxes, ds, bases, dist = zip(*cells)
+    boxes, deltas, bases, dist = zip(*cells)
     ranks = np.array([b.shape[1] for b in bases])
     starts = np.cumsum(ranks) - ranks
     dist, root = np.array(dist), np.sqrt(ranks)
@@ -232,12 +252,13 @@ def _orthogonality_violations(cells, n: int, tol: float) -> list:
                             starts, axis=1)
         di = dist[lo:hi, None]
         bound = (np.sqrt(g) + di * root + dist * root[lo:hi, None]
-                 + di * dist * np.sqrt(n))
+                 + di * dist * np.sqrt(basis.shape[0]))
         rows, cols = np.nonzero(np.triu(bound > tol / 2.0, k=lo + 1))
-        for i in np.unique(rows):
+        for i in sorted_distinct(rows):
             js = cols[rows == i]
             i = lo + int(i)
-            cross = _cross_norms(ds[i], np.stack([ds[j] for j in js]))
+            others = np.stack([_difference(basis, deltas[j]) for j in js])
+            cross = _cross_norms(_difference(basis, deltas[i]), others)
             out += [(boxes[i], boxes[j], float(c)) for j, c in zip(js, cross) if c > tol]
     return out
 
@@ -247,36 +268,50 @@ def validate_resolution(f: ProjValuedStepFunction,
     """Check the resolution axioms, locating every violating cell box.
 
     Each cell's corner sum is U diag(delta) U^H, delta the mixed difference
-    of the masks, exact in integers: a cell with delta = 0 is zero. The
-    other cells are formed and decomposed by one batched eigh per group of
-    about _CHUNK_ENTRIES complex entries. Orthogonality is screened by one
-    Gram product of the cells' eigenvalue-one bases, and only pairs the
-    screen cannot clear are multiplied out (see _orthogonality_violations).
+    of the masks, exact in integers: a cell with delta = 0 is zero. Any
+    other cell is decided in the span of the columns S where its delta is
+    nonzero: with the reduced QR factorization U_S = Q R, the difference is
+    Q (R diag(delta_S) R^H) Q^H, so its spectrum is that of the small
+    Hermitian matrix R diag(delta_S) R^H plus n - rank(Q) zeros, and Q y
+    carries the eigenvectors y. The columns need not be orthonormal. Cells
+    with the same |S| share one batched qr and one batched eigh; a cell
+    never gives a problem larger than n x n. Orthogonality is screened by
+    one Gram product of the cells' eigenvalue-one bases, and only the pairs
+    the screen cannot clear are formed as n x n matrices and multiplied out
+    (see _orthogonality_violations).
     """
     tol = check_tol(tol)
-    n, r = f.basis.shape
     # a bool mask's mixed difference lies in [-2^(kappa-1), 2^(kappa-1)]: the
     # smallest integer type holding -2^kappa keeps it exact
     delta = f.masks.astype(np.min_scalar_type(-(1 << f.kappa)))
     for axis in range(f.kappa):
         delta = np.diff(delta, axis=axis, prepend=delta.dtype.type(0))
+    delta = delta.reshape(-1, delta.shape[-1])
     live = np.flatnonzero(np.any(delta, axis=-1))
-    step = max(1, _CHUNK_ENTRIES // (n * max(n, r)))
-    cell_violations, cells = [], []
-    for first in range(0, live.size, step):
-        group = np.unravel_index(live[first:first + step], delta.shape[:-1])
-        d = (f.basis * delta[group][:, None, :]) @ f.basis.conj().T
-        w, v = np.linalg.eigh(d)
-        v = _normalize_columns(v)
-        dist = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
-        for k, cell in enumerate(zip(*group)):
-            box = _cell_box(f, cell)
-            if dist[k] > tol:
-                cell_violations.append((box, f"eigenvalues off {{0,1}} by {dist[k]:.3e}"))
-            elif np.max(np.abs(w[k])) > tol:
-                cells.append((box, d[k], v[k][:, w[k] > 0.5], float(dist[k])))
+    delta = delta[live]
+    sizes = np.count_nonzero(delta, axis=1)
+    dist, peak, bases = np.empty(live.size), np.empty(live.size), [None] * live.size
+    for size in sorted_distinct(sizes):
+        group = np.flatnonzero(sizes == size)
+        columns = np.nonzero(delta[group])[1].reshape(group.size, size)
+        weights = np.take_along_axis(delta[group], columns, axis=1)
+        q, r = np.linalg.qr(f.basis.T[columns].swapaxes(1, 2))
+        w, y = np.linalg.eigh((r * weights[:, None, :]) @ r.conj().swapaxes(1, 2))
+        v = _normalize_columns(q @ y)
+        dist[group] = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
+        peak[group] = np.max(np.abs(w), axis=1)
+        for k, cell in enumerate(group):
+            bases[cell] = v[k][:, w[k] > 0.5]
 
-    orthogonality_violations = _orthogonality_violations(cells, n, tol)
+    cell_violations, cells = [], []
+    for k, cell in enumerate(zip(*np.unravel_index(live, f.masks.shape[:-1]))):
+        box = _cell_box(f, cell)
+        if dist[k] > tol:
+            cell_violations.append((box, f"eigenvalues off {{0,1}} by {dist[k]:.3e}"))
+        elif peak[k] > tol:
+            cells.append((box, delta[k], bases[k], float(dist[k])))
+
+    orthogonality_violations = _orthogonality_violations(cells, f.basis, tol)
     top = f.top_corner().matrix
     identity_defect = float(np.max(np.abs(top - np.eye(f.dim))))
     return ResolutionReport(

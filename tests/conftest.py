@@ -247,6 +247,43 @@ def corner_sum_validate_resolution(f, tol: float = TOL) -> ResolutionReport:
     )
 
 
+def dense_cell_validate_resolution(f, tol: float = TOL) -> ResolutionReport:
+    """Reference cell check on the masks: per cell with a nonzero mask
+    difference delta, one n x n difference U diag(delta) U^H and one eigh
+    of it, the eigenvalue-one eigenvectors kept as the cell's atom; then
+    one product per pair of nonzero cells."""
+    delta = f.masks.astype(np.int64)
+    for axis in range(f.kappa):
+        delta = np.diff(delta, axis=axis, prepend=0)
+    cell_violations, nonzero = [], []
+    for _, idx, box in _cell_boxes(f):
+        if not delta[idx].any():
+            continue
+        d = (f.basis * delta[idx]) @ f.basis.conj().T
+        w, v = np.linalg.eigh(d)
+        dist = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0))))
+        if dist > tol:
+            cell_violations.append((box, f"eigenvalues off {{0,1}} by {dist:.3e}"))
+        elif float(np.max(np.abs(w))) > tol:
+            nonzero.append((box, d, v[:, w > 0.5]))
+    orthogonality_violations = []
+    for i, (box_i, d_i, _) in enumerate(nonzero):
+        for box_j, d_j, _ in nonzero[i + 1:]:
+            cross = float(np.linalg.norm(d_i @ d_j))
+            if cross > tol:
+                orthogonality_violations.append((box_i, box_j, cross))
+    identity_defect = float(np.max(np.abs(f.top_corner().matrix - np.eye(f.dim))))
+    return ResolutionReport(
+        axiom_a=not cell_violations and not orthogonality_violations,
+        cell_violations=tuple(cell_violations),
+        orthogonality_violations=tuple(orthogonality_violations),
+        axiom_b=True,
+        axiom_c=identity_defect <= tol,
+        identity_defect=identity_defect,
+        _atoms=tuple((box[1], v) for box, _, v in nonzero),
+    )
+
+
 def corner_sum_reconstruct_measure(f, tol: float = TOL):
     """Reference reconstruction: validate, then one corner sum and one
     hermitian_eig per cell, eigenvectors at eigenvalue one."""

@@ -453,6 +453,21 @@ def test_version_flag(capsys):
     assert "specorder" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check-order", "measure-check"])
+def test_cli_leaves_numpy_ma_unimported(tmp_path, ordered_files, command):
+    # np.unique imports numpy.ma on its first call, about 10 ms of a process
+    if command == "check-order":
+        files = ordered_files
+    else:
+        files = (write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0]),
+                 write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0]))
+    code = ("import sys; from specorder.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, command, *files], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
 def run_cli(*argv):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     return subprocess.run([sys.executable, "-m", "specorder", *argv], env=subprocess_env(),

@@ -38,6 +38,13 @@ def test_fractional_on_atoms():
     assert fractional_fn((0.0, 0.0))((0.0, 0.0)) == 1.0
 
 
+def test_fractional_tol_is_one_number_or_one_per_coordinate():
+    assert fractional_fn((0.5, 0.5), tol=(0.0, 1e-9))((1e-10, -1e-10)) == 0.0
+    # a third entry failed only at evaluation, as a numpy broadcasting error
+    with pytest.raises(ParameterError, match="one number or 2"):
+        fractional_fn((0.5, 0.5), tol=(0.0, 0.0, 0.0))
+
+
 def test_coordinate_and_sum_and_product():
     assert coordinate_fn(1, 2)((3.0, 7.0)) == 7.0
     assert sum_fn(3)((1.0, 2.0, 3.0)) == 6.0

@@ -1,27 +1,30 @@
-"""The mask-difference resolution pass against the per-cell corner-sum
-references.
+"""The span-wise resolution pass against the per-cell references.
 
 A step function is one basis U and a bool mask per grid point, each value
 U diag(m_g) U^H. ``validate_resolution`` takes every cell's corner sum as
 U diag(delta) U^H, delta the mixed difference of the masks in integers,
-skips the cells with delta = 0 and decomposes the others in batched eigh
-calls. Orthogonality is screened by one Gram product of the cells'
-eigenvalue-one bases; only pairs the screen cannot clear are multiplied out.
+skips the cells with delta = 0 and decides each other cell in the span of
+the columns S its delta touches: a reduced QR of U_S and the eigenvalues of
+a |S| x |S| (at most n x n) matrix, batched over the cells of one |S|.
+Orthogonality is screened by one Gram product of the cells' eigenvalue-one
+bases; only pairs the screen cannot clear are formed and multiplied out.
 ``reconstruct_measure`` reuses the pass's eigenvectors. The references in
-conftest form every corner sum from the grid values' matrices, decompose
-every cell and multiply every pair; both must reach the same verdicts,
-boxes and messages, and rebuild the same atoms.
+conftest form every corner sum from the grid values' matrices, or every
+live cell's n x n difference from the masks, decompose each cell and
+multiply every pair; both must reach the same verdicts, boxes and
+messages, and rebuild the same atoms.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     corner_sum_reconstruct_measure,
     corner_sum_validate_resolution,
+    dense_cell_validate_resolution,
     fresh_rng,
     random_unitary,
     tuple_from_eigs,
@@ -79,16 +82,28 @@ def overlapping_cells(rng, n: int, steps: int) -> ProjValuedStepFunction:
                                               values, dim=n)
 
 
+def regridded(f: ProjValuedStepFunction) -> ProjValuedStepFunction:
+    """The same values, each on its own columns: a cell's mask difference
+    then touches the columns of its 2^kappa corners, more than n of them
+    once two corners have full rank."""
+    values = np.empty(f.masks.shape[:-1], dtype=object)
+    for idx in np.ndindex(values.shape):
+        values[idx] = f.at_index(idx)
+    return ProjValuedStepFunction.from_values(f.axes, values, f.dim)
+
+
 @st.composite
 def step_functions(draw):
     rng = fresh_rng(7000 + draw(st.integers(0, 10_000)))
-    kind = draw(st.sampled_from(("measure", "corrupted", "overlapping")))
+    kind = draw(st.sampled_from(("measure", "corrupted", "overlapping", "regridded")))
     n = draw(st.integers(1, 7))
     if kind == "overlapping":
         return overlapping_cells(rng, n, draw(st.integers(1, 6)))
     f = random_step_function(rng, draw(st.integers(1, 3)), n, draw(st.integers(0, 3)))
     if kind == "corrupted":
         f = corrupted(rng, f, draw(st.integers(1, 2)))
+    elif kind == "regridded":
+        f = regridded(f)
     return f
 
 
@@ -109,10 +124,7 @@ def test_from_values_of_the_grid_matches_from_measure(salt, kappa, n, levels):
     e = random_measure(fresh_rng(salt), kappa, n, levels)
     f = ProjValuedStepFunction.from_measure(e)
     assert np.shares_memory(f.basis, e.basis)
-    values = np.empty(f.masks.shape[:-1], dtype=object)
-    for idx in np.ndindex(values.shape):
-        values[idx] = f.at_index(idx)
-    g = ProjValuedStepFunction.from_values(f.axes, values, f.dim)
+    g = regridded(f)
     assert validate_resolution(g) == validate_resolution(f)
     assert reconstruct_measure(g).points().tobytes() == reconstruct_measure(f).points().tobytes()
 
@@ -166,6 +178,42 @@ def test_slab_pass_matches_corner_sum_reference(f):
     for (_, p), (_, q) in zip(back.atoms, want.atoms):
         assert p.rank == q.rank
         assert np.linalg.norm(p.matrix - q.matrix) <= 1e-12
+
+
+@settings(max_examples=150)
+@given(f=step_functions())
+# kappa=2, n=3: the top cell's difference spans the 3 + 2 + 2 + 1 columns of its corners
+@example(f=regridded(random_step_function(fresh_rng(7), 2, 3, 0)))
+def test_span_pass_matches_dense_cell_reference(f):
+    got, ref = validate_resolution(f), dense_cell_validate_resolution(f)
+    assert (got.axiom_a, got.axiom_c) == (ref.axiom_a, ref.axiom_c)
+    assert got.identity_defect == ref.identity_defect
+    assert got.cell_violations == ref.cell_violations
+    assert ([v[:2] for v in got.orthogonality_violations]
+            == [v[:2] for v in ref.orthogonality_violations])
+    for (_, _, cross), (_, _, want) in zip(got.orthogonality_violations,
+                                           ref.orthogonality_violations):
+        assert abs(cross - want) <= 1e-12
+    assert [pt for pt, _ in got._atoms] == [pt for pt, _ in ref._atoms]
+    for (_, v), (_, w) in zip(got._atoms, ref._atoms):
+        assert v.shape == w.shape
+        assert np.max(np.abs(v @ v.conj().T - w @ w.conj().T), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("levels", [0, 3])
+def test_cells_are_decomposed_in_their_own_span(monkeypatch, levels):
+    # kappa=2, n=64: a simple spectrum needs only 1 x 1 eigenproblems, a
+    # degenerate one none larger than its largest atom
+    e = random_measure(fresh_rng(4545), 2, 64, levels)
+    f = ProjValuedStepFunction.from_measure(e)
+    shapes, real = [], np.linalg.eigh
+    monkeypatch.setattr(resolution.np.linalg, "eigh",
+                        lambda a, *args, **kw: shapes.append(a.shape[-2:]) or real(a, *args, **kw))
+    back = reconstruct_measure(f)
+    assert back.points().tobytes() == e.points().tobytes()
+    assert shapes and max(max(s) for s in shapes) <= int(e.ranks.max())
+    if levels == 0:
+        assert e.n_atoms() == 64 and set(shapes) == {(1, 1)}
 
 
 def test_round_trip_memory_stays_within_a_few_slabs():

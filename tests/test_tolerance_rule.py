@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 
 from conftest import fresh_rng, positive_ordered_pair, random_unitary, tuple_from_eigs
 from specorder.errors import ParameterError
-from specorder.linalg import Projection, is_psd, proj_leq
+from specorder.functions import fractional_fn
+from specorder.linalg import HermitianOperator, Projection, is_psd, proj_leq
 from specorder.measures import audit_iota_increasing
 from specorder.order import (
     NormalOperator,
@@ -156,10 +157,14 @@ ONE = np.eye(2)
     lambda tol: bounded_vector_membership(validate_tuple([ONE]), ONE[0], [1.0], tol=tol),
     lambda tol: NormalOperator.from_matrix(ONE, tol=tol),
     lambda tol: infimum_probe(validate_tuple([ONE]), validate_tuple([ONE]), tol=tol),
+    lambda tol: HermitianOperator.from_matrix(ONE, tol=tol),
+    lambda tol: fractional_fn([0.5], tol=tol),
+    lambda tol: fractional_fn([0.5, 0.5], tol=[0.0, tol]),
 ], ids=["commutation", "proj_leq", "is_psd", "loewner_leq", "positive_tuple",
-        "audit", "bounded_vector", "normal", "infimum_probe"])
+        "audit", "bounded_vector", "normal", "infimum_probe", "hermitian",
+        "fractional", "fractional_per_axis"])
 def test_every_tolerance_is_checked(check, tol):
     # a NaN tolerance passed every gate: a decreasing function its audit, a
-    # non-commuting pair validate_tuple
+    # non-commuting pair validate_tuple, a non-Hermitian matrix from_matrix
     with pytest.raises(ParameterError, match="must be finite and nonnegative"):
         check(tol)
