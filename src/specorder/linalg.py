@@ -171,7 +171,7 @@ class Projection:
     """
 
     range_basis: np.ndarray
-    dim: int = field(default=0)
+    dim: int = field(init=False)
 
     def __post_init__(self):
         b = self.range_basis

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
 from .linalg import TOL, as_point, check_tol, sorted_distinct
-from .spectral import CommutingTuple, _merge_points, joint_measure
+from .spectral import CommutingTuple, _merge_points, _refuse_nan, joint_measure
 
 IDEAL_CAP = 20
 MOLLIFIER_LEVELS = (1, 2, 4, 8)
@@ -182,13 +182,14 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
     f is called once per point. The counterexample is the first failing
     pair (x, y) = (points[a], points[b]) with a != b in row-major order of
     (a, b). Raises ParameterError unless 1 <= iota <= kappa, also for an
-    empty point set.
+    empty point set, and EvaluationError at the first point where f is NaN.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
     iota, tol = _check_iota(iota, pts.shape[1]), check_tol(tol)
     values = np.array([float(f(p)) for p in pts], dtype=np.float64)
+    _refuse_nan(np.isnan(values), pts)
     bad = (values[:, None] > values[None, :] + tol) & _leq_matrix(pts, pts, iota)
     np.fill_diagonal(bad, False)
     if not bad.any():
@@ -279,21 +280,21 @@ class DownwardClosedAtomSubset:
         return f"DownwardClosedAtomSubset(mask={self.mask:#x}, size={self.size})"
 
 
-def enumerate_downward_closed(points, iota: int, cap: int = IDEAL_CAP) -> list[DownwardClosedAtomSubset]:
+def enumerate_downward_closed(points, iota: int) -> list[DownwardClosedAtomSubset]:
     """All downward-closed subsets of the points under <=_iota.
 
     Enumeration recurses along a linear extension (lexicographic order is one
     for <=_iota), including an element only when everything below it is
     already in; each leaf is an ideal, reached exactly once. Results are
     ordered by cardinality, then by bitmask value. Raises CapExceededError
-    beyond ``cap`` atoms since the output can be exponential.
+    beyond IDEAL_CAP atoms since the output can be exponential.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
     m = pts.shape[0]
-    if m > cap:
-        raise CapExceededError(m, cap)
+    if m > IDEAL_CAP:
+        raise CapExceededError(m, IDEAL_CAP)
     iota = _check_iota(iota, pts.shape[1])
     order = sorted(range(m), key=lambda i: tuple(pts[i]))
     leq = _leq_matrix(pts, pts, iota)
@@ -473,8 +474,7 @@ class EquivalenceReport:
         return True
 
 
-def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
-                            mollifier_levels=MOLLIFIER_LEVELS, *,
+def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *,
                             tol: float = 1e-12) -> EquivalenceReport:
     """Equal-mass equivalence: mu2 <= mu1 on lower sets iff integrals of
     increasing functions satisfy int f dmu1 <= int f dmu2.
@@ -483,16 +483,12 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
     at ``tol``. The integral side is probed on the ideal D of largest gap,
     which fails the lower-set inequality exactly when some ideal does: with
     the indicator-complement of D and with the continuous surrogates
-    min(1, n*distance to D) at the configured levels, summing float
+    min(1, n*distance to D) at the MOLLIFIER_LEVELS n, summing float
     weights. Total masses further apart than TOL times the larger one raise
     MassMismatchError carrying the one-sided conclusions that survive.
     """
     points, w1, w2, member, gap, e = _largest_gap(mu1, mu2, iota)
     lowerset_holds = gap <= _units_floor(tol, e)
-    levels = tuple(mollifier_levels)
-    for level in levels:
-        if level <= 0:
-            raise ParameterError(f"mollifier level must be positive, got {level!r}")
     m1, m2 = mu1.total_mass(), mu2.total_mass()
     if not math.isclose(m1, m2, rel_tol=TOL):
         if m1 < m2:
@@ -513,7 +509,8 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int,
     failing_level = None
     if member.any():
         dist = _downset_distances(points, points[member], iota).min(axis=1)
-        failing_level = next((n for n in levels if failing(np.minimum(1.0, n * dist))), None)
+        failing_level = next((n for n in MOLLIFIER_LEVELS
+                              if failing(np.minimum(1.0, n * dist))), None)
 
     return EquivalenceReport(
         iota=iota,

@@ -23,6 +23,7 @@ from math import prod
 import numpy as np
 
 from .errors import (
+    DimensionError,
     MonotonicityError,
     NormalityError,
     ParameterError,
@@ -82,7 +83,20 @@ def _coerce_tuple(t) -> CommutingTuple:
     return validate_tuple(t)
 
 
+def _pair(a, b) -> tuple[CommutingTuple, CommutingTuple]:
+    """Both tuples coerced; ParameterError unless they share kappa and dim."""
+    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
+    if ta.kappa != tb.kappa:
+        raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
+    if ta.dim != tb.dim:
+        raise ParameterError(f"tuples on different spaces: {ta.dim} vs {tb.dim}")
+    return ta, tb
+
+
 _EPS = float(np.finfo(np.float64).eps)
+
+# bounded_vector_membership's growth route admits a rate up to 1 + this
+_GROWTH_MARGIN = 0.05
 
 # Grid points times atoms per step of the witness walk, so its masks stay
 # a few MB however large the grid is.
@@ -236,11 +250,7 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
 
 
 def _joint_measures(a, b) -> tuple[JointSpectralMeasure, JointSpectralMeasure]:
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
-    if ta.kappa != tb.kappa:
-        raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
-    if ta.dim != tb.dim:
-        raise ParameterError(f"tuples on different spaces: {ta.dim} vs {tb.dim}")
+    ta, tb = _pair(a, b)
     return joint_measure(ta), joint_measure(tb)
 
 
@@ -261,9 +271,12 @@ def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
 
 
 def loewner_leq(a, b, tol: float = TOL) -> bool:
-    """a <= b in the Loewner order: b - a PSD within tol * max(||a||_F, ||b||_F)."""
+    """a <= b in the Loewner order: b - a PSD within tol * max(||a||_F, ||b||_F).
+    DimensionError for operators of different sizes."""
     ha = a if isinstance(a, HermitianOperator) else HermitianOperator.from_matrix(a)
     hb = b if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b)
+    if ha.dim != hb.dim:
+        raise DimensionError(f"operators of sizes {ha.dim} and {hb.dim}")
     tol, w = check_tol(tol), np.linalg.eigvalsh(hb.matrix - ha.matrix)
     return w.size == 0 or float(w[0]) >= -tol * max(ha.norm(), hb.norm())
 
@@ -294,9 +307,7 @@ def restricted_monotone_check(a, b, phi, iota: int, omega=None,
     (MonotonicityError otherwise). Returns the kappa=1 verdict for
     phi(A) <= phi(B).
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
-    if ta.kappa != tb.kappa:
-        raise ParameterError(f"tuples of different lengths: {ta.kappa} vs {tb.kappa}")
+    ta, tb = _pair(a, b)
     if not 1 <= iota <= ta.kappa:
         raise ParameterError(f"iota must be in 1..{ta.kappa}, got {iota}")
     for j in range(iota, ta.kappa):
@@ -383,12 +394,12 @@ def _cholesky_certifies(diff: np.ndarray, tol: float, scale: float) -> bool:
 def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVerdict:
     """A^alpha <= r_alpha * B^alpha over |alpha| <= alpha_max, r_alpha >= 1.
 
-    ``r`` maps a multi-index tuple to a scale factor (callable or mapping).
-    Factors below 1 are rejected with ParameterError since the
-    characterization requires r_alpha >= 1 with subexponential growth.
-    r_alpha B^alpha - A^alpha is built lazily in A's eigenbasis, one
-    product per alpha, up to the first failing alpha. An alpha fails when
-    its least eigenvalue is below -tol * scale, scale =
+    ``r`` is a callable taking a multi-index tuple to its scale factor
+    (ParameterError otherwise). Factors below 1 are rejected with
+    ParameterError since the characterization requires r_alpha >= 1 with
+    subexponential growth. r_alpha B^alpha - A^alpha is built lazily in A's
+    eigenbasis, one product per alpha, up to the first failing alpha. An
+    alpha fails when its least eigenvalue is below -tol * scale, scale =
     max(||A^alpha||, r_alpha ||B^alpha||). ParameterError names the alpha
     where lambda^alpha or r_alpha B^alpha - A^alpha is not finite.
 
@@ -402,10 +413,11 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     most about (tol / 2) * scale.
     """
     tol = check_tol(tol)
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
+    if not callable(r):
+        raise ParameterError(f"r must be callable, got {type(r).__name__}")
+    ta, tb = _pair(a, b)
     _require_positive(ta, "a")
     _require_positive(tb, "b")
-    lookup = r.__getitem__ if hasattr(r, "__getitem__") else r
     ea, eb = joint_measure(ta), joint_measure(tb)
     # In A's eigenbasis U, r_alpha B^alpha - A^alpha is G diag(r_alpha
     # vb) G^H - diag(va), G = U^H W with W B's: one product per alpha, and
@@ -415,7 +427,7 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
     diagonal = np.arange(ta.dim)
     worst = 0.0
     for alpha in multi_indices(ta.kappa, alpha_max):
-        r_alpha = float(lookup(tuple(alpha)))
+        r_alpha = float(r(tuple(alpha)))
         if r_alpha < 1.0:
             raise ParameterError(f"scale r[{alpha}] = {r_alpha} < 1")
         va, vb = (_monomial_values(e.points(), alpha) for e in (ea, eb))
@@ -466,11 +478,9 @@ class GrowthRatioReport:
     limit_estimate: float
     alpha_max: int
     n_tested: int
-    filter_tag: str | None
 
 
-def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
-                 filter_tag: str | None = None) -> GrowthRatioReport:
+def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12) -> GrowthRatioReport:
     """Relative monomial growth of two positive tuples on a vector.
 
     ||A^alpha h||^2 is the x^{2 alpha} moment of the vector-state measure, so
@@ -478,7 +488,7 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
     multi-indices (e.g. to an axis); shells left empty by the filter are
     omitted.
     """
-    ta, tb = _coerce_tuple(a), _coerce_tuple(b)
+    ta, tb = _pair(a, b)
     _require_positive(ta, "a")
     _require_positive(tb, "b")
     if alpha_max < 1:
@@ -497,13 +507,9 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12,
         rate = _root_ratio(_moment_norm(mu_a, alpha), _moment_norm(mu_b, alpha), s)
         shell_maxima[s] = max(shell_maxima.get(s, 0.0), rate)
 
-    if shell_maxima:
-        estimate = shell_maxima[max(shell_maxima)]
-    else:
-        estimate = 0.0
+    estimate = shell_maxima[max(shell_maxima)] if shell_maxima else 0.0
     return GrowthRatioReport(shell_maxima=shell_maxima, limit_estimate=estimate,
-                             alpha_max=alpha_max, n_tested=n_tested,
-                             filter_tag=filter_tag)
+                             alpha_max=alpha_max, n_tested=n_tested)
 
 
 @dataclass(frozen=True)
@@ -529,8 +535,7 @@ class MembershipResult:
 
 
 def bounded_vector_membership(a, h, bound, tol: float = TOL,
-                              alpha_max: int = 12,
-                              growth_margin: float = 0.05) -> MembershipResult:
+                              alpha_max: int = 12) -> MembershipResult:
     """Is h in the joint bounded-vector space of a positive tuple at ``bound``?
 
     Route one projects: residual ||h - F(bound) h|| <= tol * ||h||. Route two
@@ -564,7 +569,7 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL,
             continue
         den = float(np.prod(bound ** np.asarray(alpha, dtype=np.float64)))  # 0^0 = 1
         rate = max(rate, _root_ratio(_moment_norm(mu, alpha), den, alpha_max))
-    growth_member = rate <= 1.0 + growth_margin
+    growth_member = rate <= 1.0 + _GROWTH_MARGIN
     return MembershipResult(member=member, growth_member=growth_member,
                             residual=residual, growth_rate=rate)
 
@@ -641,9 +646,7 @@ def infimum_probe(a, b, tol: float = TOL) -> InfimumProbeReport:
     commute with each other, in which case no commuting tuple realizes the
     infimum this way; the report carries the commutator defect.
     """
-    tol, ta, tb = check_tol(tol), _coerce_tuple(a), _coerce_tuple(b)
-    if ta.kappa != tb.kappa or ta.dim != tb.dim:
-        raise ParameterError("tuples must share length and dimension")
+    tol, (ta, tb) = check_tol(tol), _pair(a, b)
     for name, tt in (("a", ta), ("b", tb)):
         for j, op in enumerate(tt.ops):
             idem = float(np.linalg.norm(op.matrix @ op.matrix - op.matrix))

@@ -31,7 +31,7 @@ from .linalg import (
     check_tol,
     sorted_distinct,
 )
-from .spectral import JointSpectralMeasure, _stack
+from .spectral import JointSpectralMeasure
 
 # Complex entries per block of the resolution check's orthogonality screen:
 # about 1 MB however many nonzero cells there are.
@@ -88,15 +88,16 @@ class ProjValuedStepFunction:
         return cls(axes, e.basis, below[:, e.owner].reshape(shape + (-1,)))
 
     @classmethod
-    def from_values(cls, axes, values, dim: int) -> "ProjValuedStepFunction":
+    def from_values(cls, axes, values) -> "ProjValuedStepFunction":
         """Step function with the given Projection at every grid point (object
-        array indexed by per-axis positions), each on its own columns."""
-        flat = values.ravel()
-        if any(p.dim != dim for p in flat):
-            raise DimensionError(f"every value must act on dimension {dim}")
+        array indexed by per-axis positions), each on its own columns; the
+        values must act on one dimension."""
+        dims = sorted({p.dim for p in values.flat})
+        if len(dims) != 1:
+            raise DimensionError(f"the values act on dimensions {dims}, not on one")
         pairs = [(idx, p.range_basis) for idx, p in np.ndenumerate(values)]
-        _, basis, ranks = _stack(values.ndim, dim, pairs)
-        masks = np.repeat(np.arange(flat.size), ranks) == np.arange(flat.size)[:, None]
+        _, basis, ranks = _stack(values.ndim, dims[0], pairs)
+        masks = np.repeat(np.arange(values.size), ranks) == np.arange(values.size)[:, None]
         return cls(axes, basis, masks.reshape(values.shape + (-1,)))
 
     def _grid_index(self, idx, lowest: int) -> tuple:
@@ -140,24 +141,21 @@ class ProjValuedStepFunction:
         return f"ProjValuedStepFunction(kappa={self.kappa}, dim={self.dim}, grid={shape})"
 
 
-def _corner_sum_index(f: ProjValuedStepFunction, lo_idx, hi_idx) -> np.ndarray:
-    """Alternating corner sum in index space: measure of the half-open box
-    (grid[lo], grid[hi]], with lo_idx entries allowed to be -1."""
-    kappa = f.kappa
-    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)
-    for picks in itertools.product((0, 1), repeat=kappa):
-        corner = [hi_idx[j] if picks[j] == 0 else lo_idx[j] for j in range(kappa)]
-        sign = (-1.0) ** sum(picks)
-        acc += sign * f.at_index(corner).matrix
-    return acc
+def _stack(kappa: int, dim: int, pairs) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Points, stacked bases and ranks of (point, basis) pairs, in the given order."""
+    points = np.array([pt for pt, _ in pairs], dtype=np.float64).reshape(len(pairs), kappa)
+    bases = [np.zeros((dim, 0), dtype=np.complex128)] + [b for _, b in pairs]
+    return points, np.hstack(bases), [b.shape[1] for b in bases[1:]]
 
 
 def difference_box(f: ProjValuedStepFunction, a, b) -> HermitianOperator:
     """Measure of the half-open box (a, b] via the 2^kappa corner sum.
 
-    Requires a <= b componentwise, so no NaN (OrderError otherwise); -inf
-    entries in ``a`` reach below the grid and +inf entries in ``b`` past its
-    top.
+    The corners' masks are summed with signs in integers, a corner below
+    the grid counting as zero, and the difference is U_S diag(delta_S) U_S^H
+    as validate_resolution reads a cell. Requires a <= b componentwise, so
+    no NaN (OrderError otherwise); -inf entries in ``a`` reach below the
+    grid and +inf entries in ``b`` past its top.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -167,7 +165,12 @@ def difference_box(f: ProjValuedStepFunction, a, b) -> HermitianOperator:
         raise OrderError(f"box corners not ordered: {tuple(a)} !<= {tuple(b)}")
     lo = [int(np.searchsorted(ax, v, side="right")) - 1 for ax, v in zip(f.axes, a)]
     hi = [int(np.searchsorted(ax, v, side="right")) - 1 for ax, v in zip(f.axes, b)]
-    m = _corner_sum_index(f, lo, hi)
+    delta = np.zeros(f.basis.shape[1], dtype=np.int64)
+    for picks in itertools.product((0, 1), repeat=f.kappa):
+        corner = tuple(l if pick else h for pick, l, h in zip(picks, lo, hi))
+        if -1 not in corner:
+            delta += (-1) ** sum(picks) * f.masks[corner]
+    m = _difference(f.basis, delta)
     return HermitianOperator((m + m.conj().T) / 2.0, 0.0)
 
 
@@ -338,4 +341,4 @@ def reconstruct_measure(f: ProjValuedStepFunction,
     report = validate_resolution(f, tol=tol)
     if not report.passed:
         raise ValidationError(report)
-    return JointSpectralMeasure.from_arrays(*_stack(f.kappa, f.dim, report._atoms))
+    return JointSpectralMeasure(*_stack(f.kappa, f.dim, report._atoms))

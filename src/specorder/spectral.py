@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CommutationError, DimensionError, ParameterError
+from .errors import CommutationError, DimensionError, EvaluationError, ParameterError
 from .functions import _check_multi_index, fractional_fn, parts_fns
 from .linalg import (
     TOL,
@@ -120,10 +120,9 @@ class JointSpectralMeasure:
     ``points()`` is the read-only m x kappa array of atom points, sorted
     lexicographically. ``basis`` (n x r, orthonormal columns) holds the
     atoms' range bases side by side in point order: atom a owns ``ranks[a]``
-    columns, and ``owner`` maps each column to its atom. For a tuple's
-    measure r = n. The keyword constructor stacks (point, Projection) pairs
-    in the given order; ``atoms`` and ``projections()`` rebuild them. The
-    arrays are stored as read-only copies.
+    columns, and ``owner`` maps each column to its atom; atom a's projection
+    is ``join([a])``. For a tuple's measure r = n. The constructor takes
+    (points, basis, ranks) and stores read-only copies of the arrays.
     """
 
     kappa: int
@@ -133,16 +132,7 @@ class JointSpectralMeasure:
     owner: np.ndarray
     _points: np.ndarray
 
-    def __init__(self, kappa: int, dim: int, atoms):
-        self._store(*_stack(kappa, dim, [(pt, p.range_basis) for pt, p in atoms]))
-
-    @classmethod
-    def from_arrays(cls, points, basis, ranks):
-        e = cls.__new__(cls)
-        e._store(points, basis, ranks)
-        return e
-
-    def _store(self, points, basis, ranks):
+    def __init__(self, points, basis, ranks):
         ranks = np.asarray(ranks, dtype=np.intp)
         for name, value in (("_points", np.asarray(points, dtype=np.float64)), ("ranks", ranks),
                             ("basis", np.asarray(basis, dtype=np.complex128)),
@@ -154,20 +144,18 @@ class JointSpectralMeasure:
     def points(self) -> np.ndarray:
         return self._points
 
-    @property
-    def atoms(self) -> tuple[tuple[tuple[float, ...], Projection], ...]:
-        return tuple(zip(map(tuple, self._points.tolist()), self.projections()))
-
-    def projections(self) -> list[Projection]:
-        return [Projection(self.basis[:, self.owner == a]) for a in range(self.n_atoms())]
-
     def n_atoms(self) -> int:
         return self._points.shape[0]
 
     def join(self, indices) -> Projection:
         """Join of the selected atoms' projections: their basis columns, in atom
-        order, orthonormal already because the atoms are mutually orthogonal."""
-        return Projection(self.basis[:, np.isin(self.owner, list(indices))])
+        order, orthonormal already because the atoms are mutually orthogonal.
+        ParameterError for an index that is not an integer in 0..m-1."""
+        indices = np.asarray(list(indices))
+        if indices.size and not (indices.dtype.kind in "iu" and 0 <= indices.min()
+                                 and indices.max() < self.n_atoms()):
+            raise ParameterError(f"atom indices {indices} outside 0..{self.n_atoms() - 1}")
+        return Projection(self.basis[:, np.isin(self.owner, indices)])
 
     def distribution(self, x) -> Projection:
         """F(x) = measure of the closed lower orthant at x; right-continuous in x."""
@@ -212,13 +200,6 @@ class JointSpectralMeasure:
                 f"atoms={self.n_atoms()})")
 
 
-def _stack(kappa: int, dim: int, pairs) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Points, stacked bases and ranks of (point, basis) pairs, in the given order."""
-    points = np.array([pt for pt, _ in pairs], dtype=np.float64).reshape(len(pairs), kappa)
-    bases = [np.zeros((dim, 0), dtype=np.complex128)] + [b for _, b in pairs]
-    return points, np.hstack(bases), [b.shape[1] for b in bases[1:]]
-
-
 def _split_clusters(values: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximal runs of ascending values with gaps <= threshold.
 
@@ -247,12 +228,13 @@ def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     radius = tol * np.max(np.abs(pts), axis=0, initial=0.0, where=np.isfinite(pts))
     group = np.full(pts.shape[0], -1)
     first: list[int] = []
-    for i in range(pts.shape[0]):
-        if group[i] < 0:
-            near = np.all(np.abs(pts - pts[i]) <= radius, axis=1)
-            group[near & (group < 0)] = len(first)
-            group[i] = len(first)  # an infinite point is NaN away from itself
-            first.append(i)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for i in range(pts.shape[0]):
+            if group[i] < 0:
+                near = np.all(np.abs(pts - pts[i]) <= radius, axis=1)
+                group[near & (group < 0)] = len(first)
+                group[i] = len(first)  # an infinite point is NaN away from itself
+                first.append(i)
     reps = pts[first]
     order = np.lexsort(reps.T[::-1])
     rank = np.empty_like(order)
@@ -352,7 +334,7 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
     starts, moved = np.cumsum(ranks) - ranks, np.cumsum(ranks[order]) - ranks[order]
     cols = np.repeat(starts[order] - moved, ranks[order]) + np.arange(basis.shape[1])
     # re-fix column phases lost while composing cluster bases, all atoms in one call
-    return JointSpectralMeasure.from_arrays(
+    return JointSpectralMeasure(
         points[order], _normalize_columns(np.ascontiguousarray(basis[:, cols])), ranks[order])
 
 
@@ -360,6 +342,12 @@ def _rule_values(phi, points: np.ndarray) -> np.ndarray:
     """phi at every point; a non-finite value is raised on later, not warned about here."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.array([float(phi(p)) for p in points], dtype=np.float64)
+
+
+def _refuse_nan(nan: np.ndarray, points: np.ndarray):
+    """EvaluationError at the first point flagged NaN in ``nan``; +-inf pass."""
+    if nan.any():
+        raise EvaluationError(tuple(points[np.argmax(nan)].tolist()), "value is NaN")
 
 
 def _monomial_values(points: np.ndarray, alpha) -> np.ndarray:
@@ -376,11 +364,14 @@ def _monomial_values(points: np.ndarray, alpha) -> np.ndarray:
 def calculus_scalar(e: JointSpectralMeasure, phi) -> HermitianOperator:
     """phi(A) = sum phi(lambda) P_lambda as one product U diag(phi(points)[owner]) U^H.
 
-    ``phi`` is a scalar rule, or an array of its values at ``e.points()``.
-    The product is symmetrized as M/2 + M^H/2, so entries near the float
-    limit do not overflow; ParameterError when the result is not finite.
+    ``phi`` is a scalar rule, or an array of its values at ``e.points()``,
+    of shape (m,). The product is symmetrized as M/2 + M^H/2, so entries
+    near the float limit do not overflow; ParameterError when the result is
+    not finite or the array has another shape.
     """
     values = phi if isinstance(phi, np.ndarray) else _rule_values(phi, e.points())
+    if values.shape != (e.n_atoms(),):
+        raise ParameterError(f"values of shape {values.shape}, expected ({e.n_atoms()},)")
     with np.errstate(over="ignore", invalid="ignore"):
         m = (e.basis * values[e.owner]) @ e.basis.conj().T
         m = m / 2.0 + m.conj().T / 2.0
@@ -403,14 +394,19 @@ def pushforward(e: JointSpectralMeasure, phis) -> JointSpectralMeasure:
 
     Mapped points within TOL times the largest mapped |coordinate| on each
     axis of each other fuse into one atom whose projection is the join of
-    the originals.
+    the originals. DimensionError without rules; EvaluationError at the
+    first atom a rule maps to NaN.
     """
-    mapped = np.stack([_rule_values(phi, e.points()) for phi in phis], axis=1)
+    mapped = [_rule_values(phi, e.points()) for phi in phis]
+    if not mapped:
+        raise DimensionError("a pushforward needs at least one component rule")
+    mapped = np.stack(mapped, axis=1)
+    _refuse_nan(np.isnan(mapped).any(axis=1), e.points())
     reps, group = _merge_points(mapped, TOL)
     # merged atoms keep their columns in atom order
     cols = np.argsort(group[e.owner], kind="stable")
     ranks = np.bincount(group, weights=e.ranks, minlength=len(reps)).astype(np.intp)
-    return JointSpectralMeasure.from_arrays(reps, e.basis[:, cols], ranks)
+    return JointSpectralMeasure(reps, e.basis[:, cols], ranks)
 
 
 def monomial(t: CommutingTuple, alpha) -> HermitianOperator:

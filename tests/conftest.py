@@ -19,7 +19,7 @@ from specorder.errors import InputError, ValidationError
 from specorder.functions import indicator_fn
 from specorder.linalg import TOL, HermitianOperator, Projection, _normalize_columns, hermitian_eig
 from specorder.measures import _merged_support, enumerate_downward_closed, leq_iota
-from specorder.resolution import ResolutionReport, _corner_sum_index
+from specorder.resolution import ResolutionReport, _stack
 from specorder.spectral import JointSpectralMeasure, _split_clusters, validate_tuple
 
 settings.register_profile("suite", max_examples=40, deadline=None,
@@ -205,6 +205,26 @@ def normalize_columns_loop(vectors, tol: float) -> np.ndarray:
     return v
 
 
+def atoms_of(e):
+    """(point, projection) of every atom of a joint measure, in atom order."""
+    return [(tuple(p), e.join([a])) for a, p in enumerate(e.points().tolist())]
+
+
+def measure_from_pairs(kappa: int, dim: int, pairs) -> JointSpectralMeasure:
+    """Joint measure with the given (point, Projection) atoms, in the given order."""
+    return JointSpectralMeasure(*_stack(kappa, dim, [(pt, p.range_basis) for pt, p in pairs]))
+
+
+def corner_sum_index(f, lo_idx, hi_idx) -> np.ndarray:
+    """Alternating corner sum of the dense values in index space: measure of
+    the half-open box (grid[lo], grid[hi]], with lo_idx entries allowed to be -1."""
+    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)
+    for picks in itertools.product((0, 1), repeat=f.kappa):
+        corner = [lo if pick else hi for pick, lo, hi in zip(picks, lo_idx, hi_idx)]
+        acc += (-1.0) ** sum(picks) * f.at_index(corner).matrix
+    return acc
+
+
 def _cell_boxes(f):
     """(lo_idx, hi_idx, float box) for every grid cell in row-major order."""
     for idx in itertools.product(*[range(a.size) for a in f.axes]):
@@ -221,7 +241,7 @@ def corner_sum_validate_resolution(f, tol: float = TOL) -> ResolutionReport:
     cell_violations = []
     nonzero = []
     for lo, hi, box in _cell_boxes(f):
-        d = _corner_sum_index(f, lo, hi)
+        d = corner_sum_index(f, lo, hi)
         herm_defect = float(np.max(np.abs(d - d.conj().T)))
         d = (d + d.conj().T) / 2.0
         w = np.linalg.eigvalsh(d)
@@ -292,14 +312,14 @@ def corner_sum_reconstruct_measure(f, tol: float = TOL):
         raise ValidationError(report)
     atoms = []
     for lo, hi, box in _cell_boxes(f):
-        d = _corner_sum_index(f, lo, hi)
+        d = corner_sum_index(f, lo, hi)
         d = (d + d.conj().T) / 2.0
         w, v = hermitian_eig(HermitianOperator(d, 0.0))
         cols = v[:, w > 0.5]
         if cols.shape[1]:
             atoms.append((box[1], Projection(cols)))
     atoms.sort(key=lambda a: a[0])
-    return JointSpectralMeasure(kappa=f.kappa, dim=f.dim, atoms=tuple(atoms))
+    return measure_from_pairs(f.kappa, f.dim, atoms)
 
 
 @st.composite

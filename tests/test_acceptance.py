@@ -15,9 +15,11 @@ import numpy as np
 
 import conftest
 from conftest import (
+    atoms_of,
     distinct_integer_points,
     fresh_rng,
     injective_positive_pair,
+    measure_from_pairs,
     n_ideals_by_deletion,
     ordered_pair,
     positive_ordered_pair,
@@ -65,7 +67,7 @@ from specorder.resolution import (
     reconstruct_measure,
     validate_resolution,
 )
-from specorder.spectral import JointSpectralMeasure, joint_measure, validate_tuple
+from specorder.spectral import joint_measure, validate_tuple
 
 
 def verdict(n: int, ok: bool, detail: str):
@@ -314,12 +316,12 @@ def test_criterion_10_resolution_round_trip():
         atoms = tuple(
             (tuple(float(v) for v in pts[i]), Projection(bases[i]))
             for i in np.lexsort(pts.T[::-1]))
-        e = JointSpectralMeasure(kappa=kappa, dim=n, atoms=atoms)
+        e = measure_from_pairs(kappa, n, atoms)
         back = reconstruct_measure(ProjValuedStepFunction.from_measure(e))
         exact_points += np.array_equal(back.points(), e.points())
         proj_ok += all(
             np.linalg.norm(pn.matrix - po.matrix) <= 1e-9
-            for (_, pn), (_, po) in zip(back.atoms, e.atoms))
+            for (_, pn), (_, po) in zip(atoms_of(back), atoms_of(e)))
 
     t = validate_tuple([np.diag([0.0, 0.0, 1.0]), np.diag([0.0, 1.0, 1.0])])
     f = ProjValuedStepFunction.from_measure(joint_measure(t))

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    atoms_of,
     calculus_per_atom,
     diagonalize_per_atom,
     distribution_order_stacked,
     fresh_rng,
     measure_defects_per_atom,
+    measure_from_pairs,
     monomial_scan_eager,
     positive_ordered_pair,
     random_unitary,
@@ -144,23 +146,28 @@ def test_scan_stops_at_the_first_failing_alpha(monkeypatch):
 
 
 def test_keyword_constructor_and_views_round_trip():
+    # the one constructor takes (points, basis, ranks); join([a]) is atom a's
+    # projection, and the pairs helper stacks (point, Projection) atoms
     rng = fresh_rng(808)
     q = random_unitary(rng, 5)
-    atoms = (((0.0, 1.0), Projection(q[:, :2])), ((0.5, -1.0), Projection(q[:, 2:3])),
-             ((2.0, 0.0), Projection(q[:, 3:])))
-    e = JointSpectralMeasure(kappa=2, dim=5, atoms=atoms)
+    points = [(0.0, 1.0), (0.5, -1.0), (2.0, 0.0)]
+    e = JointSpectralMeasure(points, q, [2, 1, 2])
+    assert (e.kappa, e.dim) == (2, 5)
     assert e.ranks.tolist() == [2, 1, 2] and e.owner.tolist() == [0, 0, 1, 2, 2]
     assert e.basis.tobytes() == q.tobytes()
-    assert [pt for pt, _ in e.atoms] == [pt for pt, _ in atoms]
-    assert all(p.range_basis.tobytes() == w.range_basis.tobytes()
-               for p, (_, w) in zip(e.projections(), atoms))
+    assert [pt for pt, _ in atoms_of(e)] == points
+    assert [p.range_basis.tobytes() for _, p in atoms_of(e)] == [
+        q[:, :2].tobytes(), q[:, 2:3].tobytes(), q[:, 3:].tobytes()]
     assert e.join([2, 0]).range_basis.tobytes() == q[:, [0, 1, 3, 4]].tobytes()
     assert e.completeness_defect() <= 1e-14 and e.orthogonality_defect() <= 1e-14
+    same = measure_from_pairs(2, 5, atoms_of(e))
+    assert same.points().tobytes() == e.points().tobytes()
+    assert same.basis.tobytes() == e.basis.tobytes() and same.ranks.tolist() == [2, 1, 2]
 
-    empty = JointSpectralMeasure(kappa=2, dim=3, atoms=())
-    assert empty.n_atoms() == 0 and empty.points().shape == (0, 2)
-    assert empty.atoms == () and empty.projections() == []
-    assert empty.join([]).rank == 0
+    empty = JointSpectralMeasure(np.empty((0, 2)), np.empty((3, 0)), [])
+    assert empty.n_atoms() == 0 and empty.points().shape == (0, 2) and empty.dim == 3
+    assert atoms_of(empty) == [] and empty.join([]).rank == 0
+    assert measure_from_pairs(2, 3, []).basis.shape == (3, 0)
 
 
 def test_monomial_overflow_names_alpha():
@@ -176,7 +183,7 @@ def test_constructors_leave_the_input_arrays_writable():
     b = np.eye(2, dtype=np.complex128)
     p = Projection(b)
     points, ranks = np.array([[0.0], [1.0]]), np.array([1, 1], dtype=np.intp)
-    e = JointSpectralMeasure.from_arrays(points, b, ranks)
+    e = JointSpectralMeasure(points, b, ranks)
     assert b.flags.writeable and points.flags.writeable and ranks.flags.writeable
     b[0, 0] = points[0, 0] = ranks[0] = 7
     assert p.range_basis[0, 0] == 1.0 and e.basis[0, 0] == 1.0

@@ -163,11 +163,6 @@ def test_exact_checks_reject_malformed_tol(check, tol):
         check(tol)
 
 
-def test_mollifier_levels_are_checked_on_the_empty_ideal():
-    with pytest.raises(ParameterError, match="mollifier level must be positive"):
-        thm31_equivalence_check(ONE_ATOM, ONE_ATOM, 2, mollifier_levels=(1, 0))
-
-
 def write_measure(path, points, weights):
     save_json(str(path), measure_to_dict(AtomicMeasure.from_atoms(points, weights)))
 

@@ -24,6 +24,8 @@ import specorder.order as order
 import specorder.spectral as spectral
 from specorder.cli import main
 from specorder.errors import (
+    DimensionError,
+    EvaluationError,
     MonotonicityError,
     NormalityError,
     ParameterError,
@@ -47,6 +49,7 @@ from specorder.gallery import (
 )
 from specorder.io import save_json, tuple_to_dict
 from specorder.linalg import TOL
+from specorder.measures import audit_iota_increasing
 from specorder.order import (
     NormalOperator,
     OrderVerdict,
@@ -208,6 +211,25 @@ def test_transport_requires_order():
     assert "spectral_leq" in str(info.value)
     with pytest.raises(ParameterError, match="tuples of different lengths: 2 vs 1"):
         monotone_transport_check(a, validate_tuple([a.ops[0].matrix]), sum_fn(2))
+
+
+def test_transport_refuses_a_rule_with_nan_values():
+    # NaN compares false both ways, so the audit used to pass it and the
+    # pushed-forward order read "holds"
+    a, b = ordered_pair(fresh_rng(13), 4, 2, low=-1.0)
+    assert spectral_leq(a, b).holds
+    first = tuple(np.vstack([joint_measure(a).points(), joint_measure(b).points()])[0])
+    with pytest.raises(EvaluationError, match="value is NaN") as info:
+        monotone_transport_check(a, b, lambda x: float("nan"))
+    assert info.value.point == first
+    with pytest.raises(EvaluationError, match=r"at point \(1.0,\)"):
+        audit_iota_increasing(lambda x: np.nan if x[0] > 0 else 0.0,
+                              [(0.0,), (1.0,), (2.0,)], 1)
+    # infinite values are ordered and stay allowed
+    assert audit_iota_increasing(lambda x: np.inf if x[0] > 0 else -np.inf,
+                                 [(0.0,), (1.0,)], 1).ok
+    assert not audit_iota_increasing(lambda x: -np.inf if x[0] > 0 else np.inf,
+                                     [(0.0,), (1.0,)], 1).ok
 
 
 def test_transport_requires_monotone():
@@ -382,6 +404,9 @@ def test_scaled_monomial_check():
         a, b, lambda alpha: 1.0 + 1.0 / (1 + sum(alpha)) ** 2, alpha_max=4).holds
     with pytest.raises(ParameterError):
         scaled_monomial_check(a, b, lambda alpha: 0.5, alpha_max=2)
+    # r is a rule; a table that missed some alpha raised a raw KeyError
+    with pytest.raises(ParameterError, match="r must be callable, got dict"):
+        scaled_monomial_check(a, b, {(0, 0): 1.0}, alpha_max=2)
     # theta=3 family with r = 1 fails like the plain scan
     ta, tb = axis_shift_family(3.0)
     v = scaled_monomial_check(ta, tb, lambda alpha: 1.0, alpha_max=13)
@@ -421,10 +446,8 @@ def test_growth_ratio_conventions_on_kernel_vectors():
     # both kill e2: 0/0 = 0 convention keeps shells at zero
     a0 = validate_tuple([np.diag([1.0, 0.0]), np.diag([1.0, 1.0])])
     zero_report = growth_ratio(
-        a0, b, h, alpha_max=3, lambda_filter=lambda alpha: alpha[1] == 0,
-        filter_tag="axis0")
+        a0, b, h, alpha_max=3, lambda_filter=lambda alpha: alpha[1] == 0)
     assert zero_report.limit_estimate == 0.0
-    assert zero_report.filter_tag == "axis0"
 
 
 def test_growth_ratio_axis_filter_counts():
@@ -707,3 +730,37 @@ def test_order_decided_on_axis_lines_at_kappa_three():
         assert spectral_leq(lo, hi).holds is holds
         assert spectral_leq_componentwise(lo, hi).holds is holds
     assert time.perf_counter() - started < 1.0
+
+
+# kappa=2 on C^2; kappa=1 on C^2; kappa=2 on C^3. Projections, so positive
+# and fit for the infimum probe.
+PAIR_A = validate_tuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+PAIR_C = validate_tuple([np.diag([1.0, 0.0])])
+PAIR_B = validate_tuple([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+
+
+@pytest.mark.parametrize("other, message", [(PAIR_C, "tuples of different lengths"),
+                                            (PAIR_B, "tuples on different spaces")],
+                         ids=["kappa", "dim"])
+@pytest.mark.parametrize("check", [
+    spectral_leq,
+    spectral_leq_componentwise,
+    lambda x, y: restricted_monotone_check(x, y, sum_fn(2), iota=1),
+    lambda x, y: monotone_transport_check(x, y, lambda p: float(p[0])),
+    lambda x, y: scaled_monomial_check(x, y, lambda alpha: 1.0, 2),
+    lambda x, y: olson_necessity_scan(x, y, 2),
+    lambda x, y: growth_ratio(x, y, np.ones(2)),
+    infimum_probe,
+], ids=["spectral_leq", "componentwise", "restricted_transport", "transport",
+        "scaled_scan", "olson_scan", "growth_ratio", "infimum_probe"])
+def test_every_two_tuple_check_refuses_a_mismatched_pair(check, other, message):
+    # a kappa=1 partner gave the scan and the growth ratio a result, and
+    # mismatched dimensions reached numpy's broadcasting
+    for x, y in ((PAIR_A, other), (other, PAIR_A)):
+        with pytest.raises(ParameterError, match=message):
+            check(x, y)
+
+
+def test_loewner_leq_refuses_operators_of_two_sizes():
+    with pytest.raises(DimensionError, match="sizes 2 and 3"):
+        loewner_leq(np.eye(2), np.eye(3))

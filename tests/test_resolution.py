@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fresh_rng, random_commuting
+from conftest import atoms_of, fresh_rng, random_commuting
 from specorder.errors import DimensionError, OrderError, ParameterError, ValidationError
 from specorder.linalg import Projection
 from specorder.resolution import (
@@ -86,7 +86,7 @@ def test_wrong_dimension_projections_are_rejected():
     values = np.empty((2,), dtype=object)
     values[0], values[1] = proj([1.0, 0.0]), Projection.identity(3)
     with pytest.raises(DimensionError):
-        ProjValuedStepFunction.from_values((np.array([0.0, 1.0]),), values, dim=2)
+        ProjValuedStepFunction.from_values((np.array([0.0, 1.0]),), values)
 
 
 def test_evaluation_sentinels():
@@ -179,7 +179,7 @@ def test_round_trip(salt):
     back = reconstruct_measure(ProjValuedStepFunction.from_measure(e))
     assert back.n_atoms() == e.n_atoms()
     assert np.array_equal(back.points(), e.points())
-    for (_, p_new), (_, p_old) in zip(back.atoms, e.atoms):
+    for (_, p_new), (_, p_old) in zip(atoms_of(back), atoms_of(e)):
         assert np.linalg.norm(p_new.matrix - p_old.matrix) <= 1e-9
 
 
@@ -188,7 +188,7 @@ def test_round_trip_is_deterministic():
     f = ProjValuedStepFunction.from_measure(e)
     m1 = reconstruct_measure(f)
     m2 = reconstruct_measure(f)
-    for (_, p1), (_, p2) in zip(m1.atoms, m2.atoms):
+    for (_, p1), (_, p2) in zip(atoms_of(m1), atoms_of(m2)):
         assert np.array_equal(p1.range_basis, p2.range_basis)
 
 
@@ -245,7 +245,7 @@ def test_overlapping_cells_fail_orthogonality():
     values[0] = proj(u)
     values[1] = proj(u)
     values[2] = top
-    f = ProjValuedStepFunction.from_values((np.array([0.0, 1.0, 2.0]),), values, dim=2)
+    f = ProjValuedStepFunction.from_values((np.array([0.0, 1.0, 2.0]),), values)
     report = validate_resolution(f)
     assert not report.axiom_a
     assert not report.cell_violations

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    atoms_of,
+    corner_sum_index,
     corner_sum_reconstruct_measure,
     corner_sum_validate_resolution,
     dense_cell_validate_resolution,
@@ -34,6 +36,7 @@ from specorder.errors import ValidationError
 from specorder.linalg import TOL, Projection
 from specorder.resolution import (
     ProjValuedStepFunction,
+    difference_box,
     reconstruct_measure,
     validate_resolution,
 )
@@ -78,8 +81,7 @@ def overlapping_cells(rng, n: int, steps: int) -> ProjValuedStepFunction:
                 u = u / np.linalg.norm(u)
             columns.append(u)
         values[g] = Projection(np.stack(columns, axis=1))
-    return ProjValuedStepFunction.from_values((np.arange(steps, dtype=np.float64),),
-                                              values, dim=n)
+    return ProjValuedStepFunction.from_values((np.arange(steps, dtype=np.float64),), values)
 
 
 def regridded(f: ProjValuedStepFunction) -> ProjValuedStepFunction:
@@ -89,7 +91,7 @@ def regridded(f: ProjValuedStepFunction) -> ProjValuedStepFunction:
     values = np.empty(f.masks.shape[:-1], dtype=object)
     for idx in np.ndindex(values.shape):
         values[idx] = f.at_index(idx)
-    return ProjValuedStepFunction.from_values(f.axes, values, f.dim)
+    return ProjValuedStepFunction.from_values(f.axes, values)
 
 
 @st.composite
@@ -127,6 +129,24 @@ def test_from_values_of_the_grid_matches_from_measure(salt, kappa, n, levels):
     g = regridded(f)
     assert validate_resolution(g) == validate_resolution(f)
     assert reconstruct_measure(g).points().tobytes() == reconstruct_measure(f).points().tobytes()
+
+
+@given(f=step_functions(), salt=st.integers(0, 10_000))
+def test_difference_box_matches_the_dense_corner_sum(f, salt):
+    # boxes from any grid position, or below the grid, to any position at or
+    # above it, or past the top; the masks' integer corner sum against the
+    # sum of the corners' dense projection matrices
+    rng = fresh_rng(salt)
+    for _ in range(4):
+        lo = [int(rng.integers(-1, a.size)) for a in f.axes]
+        hi = [int(rng.integers(i, a.size)) if i >= 0 else int(rng.integers(-1, a.size))
+              for i, a in zip(lo, f.axes)]
+        a = [float(ax[i]) if i >= 0 else -np.inf for i, ax in zip(lo, f.axes)]
+        b = [np.inf if i == ax.size - 1 and rng.random() < 0.5 else
+             float(ax[i]) if i >= 0 else float(ax[0]) - 1.0 for i, ax in zip(hi, f.axes)]
+        want = corner_sum_index(f, lo, hi)
+        got = difference_box(f, a, b).matrix
+        assert np.allclose(got, (want + want.conj().T) / 2.0, atol=1e-12, rtol=0.0)
 
 
 @given(salt=st.integers(0, 10_000), kappa=st.integers(1, 3), n=st.integers(1, 7))
@@ -175,7 +195,7 @@ def test_slab_pass_matches_corner_sum_reference(f):
         return
     back, want = reconstruct_measure(f), corner_sum_reconstruct_measure(f)
     assert back.points().tobytes() == want.points().tobytes()
-    for (_, p), (_, q) in zip(back.atoms, want.atoms):
+    for (_, p), (_, q) in zip(atoms_of(back), atoms_of(want)):
         assert p.rank == q.rank
         assert np.linalg.norm(p.matrix - q.matrix) <= 1e-12
 
@@ -240,7 +260,7 @@ def test_screen_reports_cells_overlapping_past_tol(overlap, reported):
     values = np.empty((2, 2), dtype=object)
     values[0, 0], values[0, 1] = Projection.zero(2), Projection(v)
     values[1, 0], values[1, 1] = Projection(np.eye(2)[:, :1]), Projection.identity(2)
-    f = ProjValuedStepFunction.from_values((np.arange(2.0), np.arange(2.0)), values, dim=2)
+    f = ProjValuedStepFunction.from_values((np.arange(2.0), np.arange(2.0)), values)
     got, ref = validate_resolution(f), corner_sum_validate_resolution(f)
     assert got.orthogonality_violations == ref.orthogonality_violations
     assert bool(got.orthogonality_violations) is reported

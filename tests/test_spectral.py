@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    atoms_of,
     fresh_rng,
     merge_first_occurrence,
+    measure_from_pairs,
     merge_radius,
     near_duplicate_points,
     random_commuting,
@@ -14,12 +16,11 @@ from conftest import (
     random_unitary,
     tuple_from_eigs,
 )
-from specorder.errors import CommutationError, DimensionError, ParameterError
+from specorder.errors import CommutationError, DimensionError, EvaluationError, ParameterError
 from specorder.functions import monomial_fn, parts_fns, coordinate_fn, sum_fn
 from specorder.gallery import projection_pair_no_infimum
 from specorder.linalg import TOL, Projection, commutator_norm, proj_leq
 from specorder.spectral import (
-    JointSpectralMeasure,
     calculus_scalar,
     calculus_vector,
     fractional_power,
@@ -97,7 +98,7 @@ def test_scalar_tuple_single_atom():
     t = validate_tuple([2.0 * np.eye(3), -1.0 * np.eye(3)])
     e = joint_measure(t)
     assert e.n_atoms() == 1
-    point, proj = e.atoms[0]
+    point, proj = atoms_of(e)[0]
     assert point == (2.0, -1.0)
     assert proj.rank == 3
 
@@ -106,7 +107,7 @@ def test_degenerate_scalar_pair():
     t = validate_tuple([np.diag([0.0, 0.0]), np.diag([5.0, 5.0])])
     e = joint_measure(t)
     assert e.n_atoms() == 1
-    assert e.atoms[0][0] == (0.0, 5.0)
+    assert atoms_of(e)[0][0] == (0.0, 5.0)
 
 
 def test_projection_pair_measure_atoms():
@@ -114,14 +115,14 @@ def test_projection_pair_measure_atoms():
     e = joint_measure(a)
     assert e.n_atoms() == 3
     assert [tuple(p) for p in e.points()] == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    assert [p.rank for p in e.projections()] == [1, 1, 1]
+    assert [p.rank for _, p in atoms_of(e)] == [1, 1, 1]
     s = 1 / np.sqrt(2)
     expected = {
         (0.0, 1.0): np.array([0.0, 0.0, 1.0]),
         (1.0, 0.0): np.array([s, -s, 0.0]),
         (1.0, 1.0): np.array([s, s, 0.0]),
     }
-    for point, proj in e.atoms:
+    for point, proj in atoms_of(e):
         v = proj.range_basis[:, 0]
         assert np.allclose(v, expected[tuple(point)], atol=1e-12)
 
@@ -172,6 +173,33 @@ def test_distribution_refuses_nan_points():
         e.distribution((np.nan, 0.0))
     with pytest.raises(DimensionError):
         e.distribution((1.0,))
+
+
+def test_measure_inputs_of_the_wrong_shape_are_refused():
+    # a values array of the wrong length was read in part or hit a raw
+    # IndexError, an atom index past the end gave the zero projection, and an
+    # empty rule list reached np.stack
+    e = joint_measure(projection_pair_no_infimum()[0])
+    assert calculus_scalar(e, np.arange(3.0)).dim == 3
+    for values in (np.arange(2.0), np.arange(4.0), np.zeros((3, 1))):
+        with pytest.raises(ParameterError, match=r"expected \(3,\)"):
+            calculus_scalar(e, values)
+    assert e.join([0, 2]).rank == 2
+    for indices in ([5], [3], [-1], [0, 3], [1.5], [True]):
+        with pytest.raises(ParameterError, match=r"outside 0..2"):
+            e.join(indices)
+    with pytest.raises(DimensionError):
+        pushforward(e, [])
+
+
+def test_pushforward_refuses_nan_points_and_keeps_infinite_ones():
+    e = joint_measure(projection_pair_no_infimum()[0])
+    with pytest.raises(EvaluationError, match="value is NaN") as info:
+        pushforward(e, [coordinate_fn(0, 2), lambda x: np.nan if x[0] > 0 else 0.0])
+    assert info.value.point == (1.0, 0.0)
+    image = pushforward(e, [lambda x: -np.inf if x[0] == 0 else np.inf if x[1] == 0 else 0.0])
+    assert image.points().tolist() == [[-np.inf], [0.0], [np.inf]]
+    assert image.ranks.tolist() == [1, 1, 1]
 
 
 @given(salt=st.integers(0, 30))
@@ -305,7 +333,7 @@ def test_parts_pushforward_matches_tuple_measure():
     via_push = pushforward(joint_measure(t), parts_fns("+-"))
     assert via_tuple.n_atoms() == via_push.n_atoms()
     assert np.allclose(via_tuple.points(), via_push.points(), atol=1e-10)
-    for p, q in zip(via_tuple.projections(), via_push.projections()):
+    for (_, p), (_, q) in zip(atoms_of(via_tuple), atoms_of(via_push)):
         assert p.rank == q.rank
         assert np.allclose(p.matrix, q.matrix, atol=1e-9)
 
@@ -316,7 +344,7 @@ def test_pushforward_constant_map_merges_everything():
     e = joint_measure(t)
     squashed = pushforward(e, [monomial_fn((0, 0))])
     assert squashed.n_atoms() == 1
-    assert squashed.atoms[0][1].rank == 4
+    assert atoms_of(squashed)[0][1].rank == 4
 
 
 @given(mapped=near_duplicate_points(TOL, max_points=7), salt=st.integers(0, 50))
@@ -325,14 +353,13 @@ def test_pushforward_matches_first_occurrence_loop(mapped, salt):
     # atom i of a kappa=1 measure sits at i and is sent to mapped[i]
     m = len(mapped)
     bases = random_projection_split(fresh_rng(500 + salt), m + 2, m) if m else []
-    e = JointSpectralMeasure(kappa=1, dim=m + 2,
-                             atoms=tuple(((float(i),), Projection(b))
-                                         for i, b in enumerate(bases)))
+    e = measure_from_pairs(1, m + 2, [((float(i),), Projection(b))
+                                      for i, b in enumerate(bases)])
     phis = [lambda x, j=j: mapped[int(x[0]), j] for j in range(mapped.shape[1])]
     image = pushforward(e, phis)
     reps, members = merge_first_occurrence(mapped, merge_radius(mapped))
     assert image.points().tobytes() == np.array(reps).tobytes()
-    assert [p.range_basis.tobytes() for p in image.projections()] == [
+    assert [p.range_basis.tobytes() for _, p in atoms_of(image)] == [
         np.hstack([bases[i] for i in ms]).astype(np.complex128).tobytes()
         for ms in members]
 
