@@ -3,16 +3,20 @@
 Schemas are versioned strings; complex scalars travel as [re, im] pairs and
 matrices as flat row-major entry lists, so files are language-neutral.
 Parsing is strict: anything off-schema raises InputError with a location.
+Files are decoded by orjson when they are shallow and plain, and by the
+stdlib decoder otherwise; writes use the stdlib encoder.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import InputError
 from .measures import AtomicMeasure
@@ -137,10 +141,44 @@ def measure_from_dict(doc, location: str = "<measure>") -> AtomicMeasure:
     return AtomicMeasure.from_atoms(pts, weights)
 
 
+# the schemas nest 4 deep; orjson crashes the process on very deep nesting
+_GUARD_PASSES = 32
+_NOT_MARK = bytes(b for b in range(256) if b not in b'[]{}"\\')
+_STRING = re.compile(rb'"[^"]*"')
+
+
+def _shallow(text: str) -> bool:
+    """True when text has no backslash and, outside strings, its brackets
+    balance and nest shallowly.
+
+    Each of the _GUARD_PASSES passes removes every innermost [] and then
+    every innermost {}, so a text nested 32 deep always passes and one
+    nested more than 64 deep never does.
+    """
+    marks = text.encode().translate(None, _NOT_MARK)
+    if b"\\" in marks:
+        return False
+    marks = _STRING.sub(b"", marks)
+    for _ in range(_GUARD_PASSES):
+        marks = marks.replace(b"[]", b"").replace(b"{}", b"")
+    return not marks
+
+
 def load_json(path: str):
+    """The JSON document in a UTF-8 file; InputError with a location otherwise.
+
+    A shallow, escape-free text goes to orjson. Any other text, and any
+    that orjson refuses, goes to the stdlib decoder, whose result or error
+    stands. The two agree on every text orjson accepts, except integers
+    outside [-2**63, 2**64), which orjson returns as rounded floats.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        if _shallow(text):
+            with suppress(orjson.JSONDecodeError):
+                return orjson.loads(text)
+        return json.loads(text)
     except OSError as exc:
         raise InputError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -220,7 +220,8 @@ def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     The radius is per axis, so scaling one coordinate, a separately
     increasing map, merges the same points. The first point in input order
     represents its group; a later point joins the first representative
-    within that distance. Returns the representatives sorted
+    within that distance; equal infinite coordinates are near, so the
+    points must be NaN-free. Returns the representatives sorted
     lexicographically and, for each input point, the index of its group's
     representative in that sorted array.
     """
@@ -231,9 +232,9 @@ def _merge_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):  # inf - inf
         for i in range(pts.shape[0]):
             if group[i] < 0:
-                near = np.all(np.abs(pts - pts[i]) <= radius, axis=1)
+                # "not farther than", so the NaN of inf - inf reads as near
+                near = ~(np.abs(pts - pts[i]) > radius).any(axis=1)
                 group[near & (group < 0)] = len(first)
-                group[i] = len(first)  # an infinite point is NaN away from itself
                 first.append(i)
     reps = pts[first]
     order = np.lexsort(reps.T[::-1])
@@ -366,12 +367,14 @@ def calculus_scalar(e: JointSpectralMeasure, phi) -> HermitianOperator:
 
     ``phi`` is a scalar rule, or an array of its values at ``e.points()``,
     of shape (m,). The product is symmetrized as M/2 + M^H/2, so entries
-    near the float limit do not overflow; ParameterError when the result is
-    not finite or the array has another shape.
+    near the float limit do not overflow. EvaluationError at the first atom
+    whose value is NaN; ParameterError when the result is not finite or the
+    array has another shape.
     """
     values = phi if isinstance(phi, np.ndarray) else _rule_values(phi, e.points())
     if values.shape != (e.n_atoms(),):
         raise ParameterError(f"values of shape {values.shape}, expected ({e.n_atoms()},)")
+    _refuse_nan(np.isnan(values), e.points())
     with np.errstate(over="ignore", invalid="ignore"):
         m = (e.basis * values[e.owner]) @ e.basis.conj().T
         m = m / 2.0 + m.conj().T / 2.0

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from conftest import (
     fresh_rng,
     parse_matrix_per_entry,
     random_commuting,
+    subprocess_env,
     tuple_to_dict_per_entry,
 )
 from specorder.cli import main
@@ -19,6 +22,7 @@ from specorder.io import (
     TUPLE_SCHEMA,
     Report,
     _parse_matrix,
+    _shallow,
     load_json,
     load_measure,
     load_tuple,
@@ -349,3 +353,127 @@ def test_calculus_out_file_is_compact_and_reloads_bitwise(tmp_path, capsys):
     back = load_tuple(str(out))
     assert back.kappa == written.kappa == 1
     assert back.ops[0].matrix.tobytes() == written.ops[0].matrix.tobytes()
+
+
+def stdlib_load(path: str):
+    """How files were decoded before orjson: json.load, its errors mapped as load_json maps them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except RecursionError:
+        raise InputError(path, "nested too deeply to parse") from None
+
+
+def assert_same_document(got, want):
+    """Equal, with equal types throughout and floats equal bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_document(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_document(g, w)
+    else:
+        assert got == want
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-2 ** 63, 2 ** 63), st.booleans(), st.none(), TEXT)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+def depth(doc) -> int:
+    if isinstance(doc, (list, dict)):
+        items = doc.values() if isinstance(doc, dict) else doc
+        return 1 + max(map(depth, items), default=0)
+    return 0
+
+
+@settings(max_examples=200)
+@given(doc=DOCUMENTS.filter(lambda d: depth(d) <= 6), ascii_only=st.booleans())
+def test_load_json_decodes_like_the_stdlib(tmp_path_factory, doc, ascii_only):
+    path = tmp_path_factory.mktemp("doc") / "d.json"
+    path.write_text(json.dumps(doc, ensure_ascii=ascii_only), encoding="utf-8")
+    assert_same_document(load_json(str(path)), json.loads(path.read_text(encoding="utf-8")))
+
+
+def test_shallow_guard_bounds_nesting_outside_strings():
+    doc = json.dumps(tuple_to_dict(random_commuting(fresh_rng(11), 3, 2)))
+    assert _shallow(doc)
+    assert _shallow("[" * 32 + "]" * 32) and not _shallow("[" * 33 + "]" * 33)
+    assert not _shallow("[{" * 33 + "}]" * 33)
+    assert _shallow('{"[[[": ["]]]}{"]}')
+    for text in ('["\\u00e9"]', "[" * 3, "[}", '["]'):
+        assert not _shallow(text)
+
+
+TUPLE_TEXT = ('{"schema": "specorder/1", "kappa": 1, "dim": 2, "matrices": '
+              '[[[1, 0], [0, 0], [0, 0], [%s, 0]]]}')
+NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("text", [
+    *(TUPLE_TEXT % literal for literal in NON_FINITE_LITERALS),
+    TUPLE_TEXT % "1, 0],",
+    "{\n  \"schema\": }",
+    "\ufeff{}",
+    '["\\ud800", "\\udc00x"]',
+    "[" * 100000,
+    '{"[[[": [1, 2.5e-3, "]]"]}',
+    "",
+])
+def test_load_json_keeps_the_stdlib_outcome(tmp_path, text):
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = stdlib_load(str(path))
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            load_json(str(path))
+        assert (loc(err), err.value.reason) == (exc.location, exc.reason)
+    else:
+        assert_same_document(load_json(str(path)), want)
+
+
+def test_non_finite_literals_are_located_in_a_tuple_file(tmp_path):
+    path = tmp_path / "t.json"
+    for literal in NON_FINITE_LITERALS:
+        path.write_text(TUPLE_TEXT % literal)
+        with pytest.raises(InputError) as err:
+            load_tuple(str(path))
+        assert (loc(err), err.value.reason) == (f"{path}.matrices[0][3][0]",
+                                                "expected a finite number")
+
+
+def test_kappa_past_two_to_the_64_is_not_a_positive_integer(tmp_path):
+    # orjson returns this integer as a float, so kappa fails its type check
+    # before the matrix count is compared with it
+    path = tmp_path / "t.json"
+    path.write_text('{"schema": "specorder/1", "kappa": %d, "dim": 1, "matrices": [[[1, 0]]]}'
+                    % 2 ** 64)
+    with pytest.raises(InputError) as err:
+        load_tuple(str(path))
+    assert (loc(err), err.value.reason) == (f"{path}.kappa", "expected a positive integer")
+
+
+def test_million_deep_closed_nesting_is_refused_in_a_fresh_interpreter(tmp_path):
+    # orjson crashes the process on such a text, so it must never see it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1_000_000 + "]" * 1_000_000)
+    proc = subprocess.run([sys.executable, "-m", "specorder", "check-order", str(path), str(path)],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"error: {path}: nested too deeply to parse" in proc.stderr

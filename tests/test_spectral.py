@@ -202,6 +202,20 @@ def test_pushforward_refuses_nan_points_and_keeps_infinite_ones():
     assert image.ranks.tolist() == [1, 1, 1]
 
 
+def test_pushforward_merges_atoms_sent_to_one_infinite_point():
+    e = joint_measure(projection_pair_no_infimum()[0])
+    image = pushforward(e, [lambda x: np.inf if x[0] > 0 else -np.inf])
+    assert image.points().tolist() == [[-np.inf], [np.inf]]
+    assert image.ranks.tolist() == [1, 2]
+
+
+def test_calculus_scalar_names_the_atom_of_a_nan_value():
+    e = joint_measure(projection_pair_no_infimum()[0])
+    with pytest.raises(EvaluationError, match="value is NaN") as info:
+        calculus_scalar(e, lambda x: np.nan if x[0] > 0 else 0.0)
+    assert info.value.point == (1.0, 0.0)
+
+
 @given(salt=st.integers(0, 30))
 def test_measure_axioms(salt):
     rng = fresh_rng(salt)
