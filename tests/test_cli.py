@@ -434,6 +434,23 @@ def test_examples_and_selftest(capsys):
     out = capsys.readouterr().out
     assert "meet_candidates: holds" in out
     assert "resolution_roundtrip: holds" in out
+    # both replay the measure checks' verdicts, witnesses and gaps
+    assert main(["examples", "--format", "json"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"command":"examples","schema":"specorder-report/1","timing_s":0.0,'
+        '"tolerances":{"tol":1e-08},"verdicts":['
+        '{"detail":"commutator defect 0.666666666667","holds":true,"name":"meet_candidates"},'
+        '{"holds":true,"name":"crossed_dirac","witness":{"indices":[0,1,2],"mask":7,'
+        '"points":[[0.0,0.0],[0.0,1.0],[1.0,0.0]]}},'
+        '{"detail":"holds at theta: [2.0]","holds":true,"name":"axis_shift_family"}],'
+        '"version":"0.1.0"}')
+    assert main(["selftest", "--seed", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"command":"selftest","schema":"specorder-report/1","timing_s":0.0,'
+        '"tolerances":{"tol":1e-08},"verdicts":['
+        '{"holds":true,"name":"measure_axioms"},'
+        '{"holds":true,"name":"joint_vs_componentwise"},'
+        '{"holds":true,"name":"resolution_roundtrip"}],"version":"0.1.0"}')
 
 
 def test_usage_errors_exit_two(capsys):
