@@ -18,13 +18,12 @@ mu1, mu2 = crossed_dirac_pair()
 print("mu1 atoms:", [tuple(map(float, p)) for p in mu1.points], "weights", [float(w) for w in mu1.weights])
 print("mu2 atoms:", [tuple(map(float, p)) for p in mu2.points], "weights", [float(w) for w in mu2.weights])
 
-holds, witness = cdf_leq(mu1, mu2)
-print("CDF dominance:", holds)
+print("CDF dominance:", cdf_leq(mu1, mu2).holds)
 
 dom = lowerset_dominance(mu1, mu2, iota=2)
 print("lower-set dominance:", dom.holds)
 print("  witness ideal:", [tuple(map(float, p)) for p in dom.witness.member_points()])
-print("  mass gap:", dom.gap)
+print("  mass gap:", dom.defect)
 
 # the ideal lattice of the merged atoms, enumerated as an illustration:
 # the check above solves one max-flow and never lists these
@@ -37,7 +36,7 @@ for ideal in ideals:
 
 # three independent verdicts, one answer
 eq = thm31_equivalence_check(mu1, mu2, iota=2)
-print("lower sets", eq.lowerset_holds,
-      "| indicator integrals", eq.indicator_holds,
-      "| mollifier ladder", eq.mollifier_holds,
+print("lower sets", eq.lowerset.holds,
+      "| indicator integrals", eq.indicator.holds,
+      "| mollifier ladder", eq.mollifier.holds,
       "| all agree:", eq.agreement)

@@ -162,8 +162,8 @@ def cmd_calculus(args) -> Report:
             if rule.monotone_iota is not None:
                 continue
             audit = audit_iota_increasing(rule, points, iota=t.kappa)
-            if not audit.ok:
-                raise MonotonicityError(audit.counterexample, t.kappa)
+            if not audit.holds:
+                raise MonotonicityError(audit.witness, t.kappa)
         report.add("monotone_audit", True, detail=f"iota={t.kappa}")
     for i, op in enumerate(ops):
         if op.norm() == np.inf:
@@ -181,17 +181,17 @@ def cmd_measure_check(args) -> Report:
     mu2 = load_measure(args.measure_2)
     iota = args.iota if args.iota is not None else mu1.kappa
     report = Report(command=_echo(args, args.measure_1, args.measure_2))
-    cdf_holds, cdf_witness = cdf_leq(mu1, mu2)
-    report.add("cdf_leq", cdf_holds, witness=_jsonable(cdf_witness))
+    cdf = cdf_leq(mu1, mu2)
+    report.add("cdf_leq", cdf.holds, witness=_jsonable(cdf.witness))
     dom = lowerset_dominance(mu1, mu2, iota)
     report.add("lowerset_dominance", dom.holds,
                witness=None if dom.witness is None else _ideal_witness(dom.witness),
-               detail=None if dom.holds else f"mass gap {dom.gap:g}")
+               detail=None if dom.holds else f"mass gap {dom.defect:g}")
     try:
         eq = thm31_equivalence_check(mu1, mu2, iota)
         report.add("equivalence_agreement", eq.agreement,
-                   detail=(f"lower sets {eq.lowerset_holds}, indicators "
-                           f"{eq.indicator_holds}, mollifiers {eq.mollifier_holds}"))
+                   detail=(f"lower sets {eq.lowerset.holds}, indicators "
+                           f"{eq.indicator.holds}, mollifiers {eq.mollifier.holds}"))
     except MassMismatchError as exc:
         report.add("equivalence_agreement", True,
                    detail=(f"skipped: masses {exc.mass1:g} vs {exc.mass2:g}; "
@@ -211,10 +211,10 @@ def cmd_examples(args) -> Report:
                detail=f"commutator defect {probe.defect:.12f}")
 
     mu1, mu2 = crossed_dirac_pair()
-    cdf_holds, _ = cdf_leq(mu1, mu2)
+    cdf = cdf_leq(mu1, mu2)
     dom = lowerset_dominance(mu1, mu2, iota=2)
-    dirac_ok = (cdf_holds and not dom.holds and dom.witness is not None
-                and dom.witness.size == 3 and abs(dom.gap - 1.0) == 0.0)
+    dirac_ok = (cdf.holds and not dom.holds and dom.witness is not None
+                and dom.witness.size == 3 and abs(dom.defect - 1.0) == 0.0)
     report.add("crossed_dirac", bool(dirac_ok),
                witness=None if dom.witness is None else _ideal_witness(dom.witness))
 
@@ -363,7 +363,16 @@ def main(argv=None) -> int:
     report.timing_s = time.perf_counter() - started
     report.version = __version__
     report.tolerances["tol"] = args.tol
-    print(report.to_json() if args.format == "json" else report.human())
+    # a witness ideal's mask has one bit per merged atom and is written in
+    # decimal however many digits it takes (0 is no limit, as before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(report.to_json() if args.format == "json" else report.human())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0 if report.all_hold() else 1
 
 

@@ -41,6 +41,22 @@ def check_tol(tol, name: str = "tol") -> float:
     return tol
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a check against one threshold: whether it holds, a witness
+    when it does not, and ``defect``, the nonnegative quantity the check
+    compares with its threshold. A failing verdict's defect is the value at
+    its witness; a holding verdict's is the largest value evaluated, clipped
+    at 0."""
+
+    holds: bool
+    witness: object | None
+    defect: float
+
+    def __bool__(self):
+        return self.holds
+
+
 def sorted_distinct(a) -> np.ndarray:
     """The distinct values of a 1-d array in ascending order: sort, then keep
     each value that differs from the one before it. On finite input this is

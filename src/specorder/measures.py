@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
-from .linalg import TOL, as_point, check_tol, sorted_distinct
+from .linalg import TOL, Verdict, as_point, check_tol, sorted_distinct
 from .spectral import CommutingTuple, _merge_points, _refuse_nan, joint_measure
 
 IDEAL_CAP = 20
@@ -63,9 +63,10 @@ def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", group, size: in
 
     Every weight is an integer times a power of two (``np.frexp``); with e
     the least such exponent over both measures, capped at 0, each weight is
-    an exact integer multiple of 2**e. Returns (cells, e): an object array of
-    Python ints whose cell c holds (mass of mu2 - mass of mu1 at c) / 2**e,
-    atom i of mu1 then of mu2 going to cell group[i].
+    an exact integer multiple of 2**e. Returns (cells, e, masses): an object
+    array of Python ints whose cell c holds (mass of mu2 - mass of mu1 at
+    c) / 2**e, atom i of mu1 then of mu2 going to cell group[i], and the two
+    total masses in units of 2**e.
     """
     mant, exps = np.frexp(np.concatenate([mu1.weights, mu2.weights]))
     ints = (mant * 2.0 ** 53).astype(np.int64)  # a double's significand has 53 bits
@@ -76,7 +77,7 @@ def _unit_difference(mu1: "AtomicMeasure", mu2: "AtomicMeasure", group, size: in
     cells = np.zeros(size, dtype=object)
     np.add.at(cells, group[split:], units[split:])
     np.subtract.at(cells, group[:split], units[:split])
-    return cells, e
+    return cells, e, (sum(units[:split]), sum(units[split:]))
 
 
 def _units_floor(tol: float, e: int) -> int:
@@ -87,6 +88,14 @@ def _units_floor(tol: float, e: int) -> int:
     """
     p, q = check_tol(tol).as_integer_ratio()
     return (p << -e) // q
+
+
+def _units_float(n: int, e: int) -> float:
+    """n * 2**e for n >= 0 and e <= 0, correctly rounded; inf past the float range."""
+    try:
+        return n / (1 << -e)  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,22 +176,15 @@ def _downset_distances(x: np.ndarray, y: np.ndarray, iota: int) -> np.ndarray:
     return np.maximum(diff[..., :iota], 0.0).sum(axis=2) + np.abs(diff[..., iota:]).sum(axis=2)
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    ok: bool
-    counterexample: tuple | None  # (x, y) with x <=_iota y but f(x) > f(y)
-
-    def __bool__(self):
-        return self.ok
-
-
-def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult:
+def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> Verdict:
     """Check f(x) <= f(y) + tol for every comparable pair x <=_iota y of the points.
 
-    f is called once per point. The counterexample is the first failing
-    pair (x, y) = (points[a], points[b]) with a != b in row-major order of
-    (a, b). Raises ParameterError unless 1 <= iota <= kappa, also for an
-    empty point set, and EvaluationError at the first point where f is NaN.
+    f is called once per point. The witness is the first failing pair
+    (x, y) = (points[a], points[b]) with a != b in row-major order of
+    (a, b), and the defect f(x) - f(y) there; a holding verdict's defect is
+    the largest f(x) - f(y) over comparable pairs, at least 0. Raises
+    ParameterError unless 1 <= iota <= kappa, also for an empty point set,
+    and EvaluationError at the first point where f is NaN.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -190,13 +192,18 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> AuditResult
     iota, tol = _check_iota(iota, pts.shape[1]), check_tol(tol)
     values = np.array([float(f(p)) for p in pts], dtype=np.float64)
     _refuse_nan(np.isnan(values), pts)
-    bad = (values[:, None] > values[None, :] + tol) & _leq_matrix(pts, pts, iota)
-    np.fill_diagonal(bad, False)
+    comparable = _leq_matrix(pts, pts, iota)
+    np.fill_diagonal(comparable, False)
+    # infinite values are allowed: inf - inf is NaN, which fmax skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = values[:, None] - values[None, :]
+        bad = (values[:, None] > values[None, :] + tol) & comparable
     if not bad.any():
-        return AuditResult(ok=True, counterexample=None)
+        return Verdict(holds=True, witness=None,
+                       defect=float(np.fmax.reduce(excess[comparable], initial=0.0)))
     a, b = divmod(int(np.argmax(bad)), pts.shape[0])
-    return AuditResult(ok=False, counterexample=(tuple(map(float, pts[a])),
-                                                 tuple(map(float, pts[b]))))
+    return Verdict(holds=False, witness=(tuple(map(float, pts[a])), tuple(map(float, pts[b]))),
+                   defect=float(excess[a, b]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -204,7 +211,8 @@ def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
     """Common atom list (pre-merged across the pair) with both weight vectors,
     for each atom of mu1 then of mu2 its index in the list, and the exact
     difference mu2 - mu1 per listed atom in units of 2**e (see
-    _unit_difference): (points, w1, w2, group, diff, e).
+    _unit_difference), and the two total masses in those units:
+    (points, w1, w2, group, diff, e, masses).
 
     Kept for the last pair asked for, which cdf_leq and the lower-set checks
     share; measures compare by identity, and the arrays are read-only.
@@ -213,17 +221,17 @@ def _merged_support(mu1: AtomicMeasure, mu2: AtomicMeasure):
         raise DimensionError(f"measures on R^{mu1.kappa} vs R^{mu2.kappa}")
     points, group = _merge_points(np.vstack([mu1.points, mu2.points]), TOL)
     split = mu1.n_atoms
-    diff, e = _unit_difference(mu1, mu2, group, len(points))
+    diff, e, masses = _unit_difference(mu1, mu2, group, len(points))
     support = (points,
                _group_sums(group[:split], mu1.weights, len(points)),
                _group_sums(group[split:], mu2.weights, len(points)),
                group, diff)
     for shared in support:
         shared.setflags(write=False)
-    return support + (e,)
+    return support + (e, masses)
 
 
-def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
+def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0) -> Verdict:
     """mu2(lower orthant at x) <= mu1(lower orthant at x) at every x.
 
     Atomic CDFs are constant between consecutive atom coordinates. Lowering
@@ -234,9 +242,10 @@ def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     whole grid's. The atoms are the pair's merged support, the family
     lowerset_dominance reads. Its exact difference mu2 - mu1 is binned on
     the grid, atoms above it on some axis dropped, and summed cumulatively
-    along each axis. Returns (holds, witness point or None).
+    along each axis. The defect is the cumulative excess mu2 - mu1,
+    correctly rounded: at the witness, or the largest over the grid.
     """
-    points, _, _, group, units, e = _merged_support(mu1, mu2)
+    points, _, _, group, units, e, _ = _merged_support(mu1, mu2)
     axes = [sorted_distinct(column) for column in points[group[mu1.n_atoms:]].T]
     shape = tuple(a.size for a in axes)
     at = np.array([np.searchsorted(a, column) for a, column in zip(axes, points.T)])
@@ -245,11 +254,12 @@ def cdf_leq(mu1: AtomicMeasure, mu2: AtomicMeasure, tol: float = 0.0):
     np.add.at(diff, tuple(at[:, on_grid]), units[on_grid])
     for axis in range(diff.ndim):
         np.cumsum(diff, axis=axis, out=diff)
-    fails = diff > _units_floor(tol, e)
-    if not fails.any():
-        return True, None
-    first = np.unravel_index(int(np.argmax(fails)), shape)
-    return False, tuple(float(a[i]) for a, i in zip(axes, first))
+    floor, top = _units_floor(tol, e), np.max(diff, initial=0)
+    if top <= floor:
+        return Verdict(holds=True, witness=None, defect=_units_float(top, e))
+    first = np.unravel_index(int(np.argmax(diff > floor)), shape)
+    return Verdict(holds=False, witness=tuple(float(a[i]) for a, i in zip(axes, first)),
+                   defect=_units_float(diff[first], e))
 
 
 @dataclass(frozen=True)
@@ -318,16 +328,6 @@ def enumerate_downward_closed(points, iota: int) -> list[DownwardClosedAtomSubse
     frozen = np.array(pts)
     frozen.setflags(write=False)
     return [DownwardClosedAtomSubset(mask=s, iota=iota, points=frozen) for s in masks]
-
-
-@dataclass(frozen=True)
-class DominanceResult:
-    holds: bool
-    witness: DownwardClosedAtomSubset | None
-    gap: float  # mu2 - mu1 on the witness, correctly rounded; 0 when holds
-
-    def __bool__(self):
-        return self.holds
 
 
 def _max_flow(n: int, tails: np.ndarray, heads: np.ndarray, caps, s: int, t: int):
@@ -403,7 +403,7 @@ def _largest_gap(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int):
     the last pair asked for, which lowerset_dominance and
     thm31_equivalence_check share; measures compare by identity.
     """
-    points, w1, w2, _, d, e = _merged_support(mu1, mu2)
+    points, w1, w2, _, d, e, _ = _merged_support(mu1, mu2)
     iota = _check_iota(iota, points.shape[1])
     m = len(points)
     up, down = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
@@ -426,7 +426,7 @@ def _ideal(member: np.ndarray, iota: int, points: np.ndarray) -> DownwardClosedA
 
 
 def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *,
-                       tol: float = 0.0) -> DominanceResult:
+                       tol: float = 0.0) -> Verdict:
     """mu2(D) <= mu1(D) for every downward-closed D of the merged atom family.
 
     Checking downward-closed subsets of the merged atoms decides the
@@ -434,17 +434,13 @@ def lowerset_dominance(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *,
     downward-closed subfamily. One maximum flow finds the largest mu2 - mu1
     over them (see _largest_gap); masses compare exactly. The witness is
     the least ideal, by inclusion, on which that gap is attained: the
-    intersection of all of them, and the measure of how badly the order
-    fails.
+    intersection of all of them. The defect is that gap, correctly rounded,
+    whether or not it exceeds tol.
     """
     points, _, _, member, gap, e = _largest_gap(mu1, mu2, iota)
-    if gap <= _units_floor(tol, e):
-        return DominanceResult(holds=True, witness=None, gap=0.0)
-    try:
-        rounded = gap / (1 << -e)  # int / int is correctly rounded
-    except OverflowError:
-        rounded = math.inf
-    return DominanceResult(holds=False, witness=_ideal(member, iota, points), gap=rounded)
+    holds = gap <= _units_floor(tol, e)
+    return Verdict(holds=holds, witness=None if holds else _ideal(member, iota, points),
+                   defect=_units_float(gap, e))
 
 
 @dataclass(frozen=True)
@@ -453,25 +449,19 @@ class EquivalenceReport:
     integral inequalities for increasing test functions (equal total mass).
     Every route is evaluated on lowerset_dominance's witness ideal D (empty
     when no gap is positive); the mollifier witness is (D, first failing
-    level)."""
+    level). ``masses`` are the exact totals, correctly rounded."""
 
     iota: int
     masses: tuple[float, float]
-    lowerset_holds: bool
-    lowerset_witness: DownwardClosedAtomSubset | None
-    indicator_holds: bool
-    indicator_witness: DownwardClosedAtomSubset | None
-    mollifier_holds: bool
-    mollifier_witness: tuple | None  # (ideal, level)
+    lowerset: Verdict
+    indicator: Verdict
+    mollifier: Verdict
 
     @property
     def agreement(self) -> bool:
         """The decidable routes agree; mollifiers may only fail when the rest do."""
-        if self.lowerset_holds != self.indicator_holds:
-            return False
-        if self.lowerset_holds and not self.mollifier_holds:
-            return False
-        return True
+        return (self.lowerset.holds == self.indicator.holds
+                and (self.mollifier.holds or not self.lowerset.holds))
 
 
 def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *,
@@ -479,46 +469,52 @@ def thm31_equivalence_check(mu1: AtomicMeasure, mu2: AtomicMeasure, iota: int, *
     """Equal-mass equivalence: mu2 <= mu1 on lower sets iff integrals of
     increasing functions satisfy int f dmu1 <= int f dmu2.
 
-    The lower-set verdict compares exact masses, as lowerset_dominance does,
-    at ``tol``. The integral side is probed on the ideal D of largest gap,
-    which fails the lower-set inequality exactly when some ideal does: with
-    the indicator-complement of D and with the continuous surrogates
-    min(1, n*distance to D) at the MOLLIFIER_LEVELS n, summing float
-    weights. Total masses further apart than TOL times the larger one raise
-    MassMismatchError carrying the one-sided conclusions that survive.
+    The lower-set verdict is lowerset_dominance's at ``tol``. The integral
+    side is probed on the ideal D of largest gap, which fails the lower-set
+    inequality exactly when some ideal does: with the indicator-complement
+    of D and with the continuous surrogates min(1, n*distance to D) at the
+    MOLLIFIER_LEVELS n, summing float weights; each route's defect is
+    int f dmu1 - int f dmu2 at its witness, or the largest over the levels
+    it tried, at least 0. Where a total mass exceeds the float range, the
+    weights and tol are scaled by one power of two for these sums. Total
+    masses, compared exactly, further apart than TOL times the larger one
+    raise MassMismatchError carrying the one-sided conclusions that survive.
     """
-    points, w1, w2, member, gap, e = _largest_gap(mu1, mu2, iota)
-    lowerset_holds = gap <= _units_floor(tol, e)
-    m1, m2 = mu1.total_mass(), mu2.total_mass()
-    if not math.isclose(m1, m2, rel_tol=TOL):
+    lowerset = lowerset_dominance(mu1, mu2, iota, tol=tol)
+    points, w1, w2, member, _, e = _largest_gap(mu1, mu2, iota)
+    m1, m2 = _merged_support(mu1, mu2)[-1]
+    masses = (_units_float(m1, e), _units_float(m2, e))
+    p, q = TOL.as_integer_ratio()
+    if abs(m1 - m2) * q > p * max(m1, m2):
         if m1 < m2:
             implications = ("only mass1 <= mass2: the lower-set inequality may "
                             "still imply integral inequalities for increasing f >= 0")
         else:
             implications = ("only mass2 <= mass1: integral inequalities for "
                             "increasing f >= 0 may still imply the lower-set inequality")
-        raise MassMismatchError(m1, m2, implications)
+        raise MassMismatchError(*masses, implications)
+    # scaled by 2**-shift, every sum of w * f with 0 <= f <= 1 stays below 2**1022
+    shift = max(m1, m2).bit_length() + e - 1022 if math.inf in masses else 0
+    w1, w2, floor = np.ldexp(w1, -shift), np.ldexp(w2, -shift), math.ldexp(tol, -shift)
 
-    def failing(f: np.ndarray) -> bool:
-        return bool(np.sum(w1 * f) > np.sum(w2 * f) + tol)
+    def verdict(tests) -> Verdict:
+        # the first failing (witness, f) in order, else the largest excess
+        worst = 0.0
+        for witness, f in tests:
+            lhs, rhs = np.sum(w1 * f), np.sum(w2 * f)
+            excess = max(0.0, float(lhs - rhs)) * 2.0 ** shift
+            if lhs > rhs + floor:
+                return Verdict(holds=False, witness=witness, defect=excess)
+            worst = max(worst, excess)
+        return Verdict(holds=True, witness=None, defect=worst)
 
     ideal = _ideal(member, iota, points)
     # D is downward closed in the support, so its lower set meets the
     # support in D itself
-    indicator_holds = not failing(np.where(member, 0.0, 1.0))
-    failing_level = None
+    indicator = verdict([(ideal, np.where(member, 0.0, 1.0))])
+    mollifier = Verdict(holds=True, witness=None, defect=0.0)
     if member.any():
         dist = _downset_distances(points, points[member], iota).min(axis=1)
-        failing_level = next((n for n in MOLLIFIER_LEVELS
-                              if failing(np.minimum(1.0, n * dist))), None)
-
-    return EquivalenceReport(
-        iota=iota,
-        masses=(m1, m2),
-        lowerset_holds=lowerset_holds,
-        lowerset_witness=None if lowerset_holds else ideal,
-        indicator_holds=indicator_holds,
-        indicator_witness=None if indicator_holds else ideal,
-        mollifier_holds=failing_level is None,
-        mollifier_witness=None if failing_level is None else (ideal, failing_level),
-    )
+        mollifier = verdict(((ideal, n), np.minimum(1.0, n * dist)) for n in MOLLIFIER_LEVELS)
+    return EquivalenceReport(iota=iota, masses=masses, lowerset=lowerset,
+                             indicator=indicator, mollifier=mollifier)

@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import (
     TOL,
     HermitianOperator,
+    Verdict,
     _read_only,
     as_complex_matrix,
     check_tol,
@@ -51,30 +52,6 @@ from .spectral import (
     pushforward,
     validate_tuple,
 )
-
-
-@dataclass(frozen=True)
-class OrderVerdict:
-    """Outcome of an order check: holds, a witness when it does not, and a
-    residual as a diagnostic.
-
-    From ``distribution_order`` the witness is the lexicographically first
-    failing grid point and ``defect`` its residual; a holding verdict's
-    ``defect`` is the largest residual on the axis lines (every coordinate
-    but one at the top of its axis), which is within a factor sqrt(kappa)
-    of the largest over the whole grid.
-    """
-
-    holds: bool
-    witness: object | None
-    defect: float
-
-    def __post_init__(self):
-        if self.holds and self.witness is not None:
-            raise ValueError("a holding verdict cannot carry a witness")
-
-    def __bool__(self):
-        return self.holds
 
 
 def _coerce_tuple(t) -> CommutingTuple:
@@ -167,7 +144,7 @@ class _OrderKernel:
         return residual, residual > self.tol * np.maximum(1.0, self.ranks_b @ incl_b)
 
     @functools.cached_property
-    def lines(self) -> OrderVerdict:
+    def lines(self) -> Verdict:
         """The order read on the axis lines, each coordinate but one at the
         top of its axis, where every atom is inside: the kappa=1 orders of
         the marginals, one (m_a x m_b)(m_b x G_j) product per axis. A failure
@@ -176,7 +153,7 @@ class _OrderKernel:
         defect is the largest residual on the lines. Read once per kernel;
         both order routes share it."""
         if self.empty:
-            return OrderVerdict(holds=True, witness=None, defect=0.0)
+            return Verdict(holds=True, witness=None, defect=0.0)
         tops = [ax.size - 1 for ax in self.axes]
         worst = 0.0
         for j, ax in enumerate(self.axes):
@@ -185,12 +162,12 @@ class _OrderKernel:
             residual, bad = self.residuals(idx)
             if bad.any():
                 i = int(np.argmax(bad))
-                return OrderVerdict(holds=False, witness=(j, (float(ax[i]),)),
-                                    defect=float(residual[i]))
+                return Verdict(holds=False, witness=(j, (float(ax[i]),)),
+                               defect=float(residual[i]))
             worst = max(worst, float(residual.max()))
-        return OrderVerdict(holds=True, witness=None, defect=worst)
+        return Verdict(holds=True, witness=None, defect=worst)
 
-    def first_failure(self) -> OrderVerdict:
+    def first_failure(self) -> Verdict:
         """The lexicographically first failing grid point, given that one fails.
 
         F_b(x) changes only at eb's coordinates, and F_a(x) only grows with
@@ -213,7 +190,7 @@ class _OrderKernel:
             if bad.any():
                 g = int(np.argmax(bad))  # first True in lex order
                 witness = tuple(float(ax[i[g]]) for ax, i in zip(self.axes, idx))
-                return OrderVerdict(holds=False, witness=witness, defect=float(residual[g]))
+                return Verdict(holds=False, witness=witness, defect=float(residual[g]))
             start, step = stop, 2 * step
         raise AssertionError("a failing grid point lowers onto eb's sub-grid")
 
@@ -226,7 +203,7 @@ def _kernel(ea: JointSpectralMeasure, eb: JointSpectralMeasure, tol: float) -> _
 
 
 def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
-                       tol: float = TOL) -> OrderVerdict:
+                       tol: float = TOL) -> Verdict:
     """F_b(x) <= F_a(x) for all x on the merged coordinate grid.
 
     The grid is the product of the per-axis unions of atom coordinates;
@@ -234,7 +211,8 @@ def distribution_order(ea: JointSpectralMeasure, eb: JointSpectralMeasure,
     tol must be finite and nonnegative. The order is the product of the
     kappa one-dimensional orders of the marginals, so the verdict is
     decided on the axis lines alone (_OrderKernel.lines), and a holding
-    verdict is theirs. Only a failing verdict walks the grid, lazily and in
+    verdict is theirs: its defect, the largest residual on the lines, is
+    within a factor sqrt(kappa) of the largest over the grid. Only a failing verdict walks the grid, lazily and in
     lexicographic order, to its first failing point: the witness, with that
     point's residual as the defect.
 
@@ -254,12 +232,12 @@ def _joint_measures(a, b) -> tuple[JointSpectralMeasure, JointSpectralMeasure]:
     return joint_measure(ta), joint_measure(tb)
 
 
-def spectral_leq(a, b, tol: float = TOL) -> OrderVerdict:
+def spectral_leq(a, b, tol: float = TOL) -> Verdict:
     """a <= b in the spectral order, via joint measures and the merged grid."""
     return distribution_order(*_joint_measures(a, b), tol=tol)
 
 
-def spectral_leq_componentwise(a, b, tol: float = TOL) -> OrderVerdict:
+def spectral_leq_componentwise(a, b, tol: float = TOL) -> Verdict:
     """Product-order reduction: the kappa=1 order per coordinate.
 
     The axis lines of distribution_order on the two joint measures: the
@@ -281,7 +259,7 @@ def loewner_leq(a, b, tol: float = TOL) -> bool:
     return w.size == 0 or float(w[0]) >= -tol * max(ha.norm(), hb.norm())
 
 
-def monotone_transport_check(a, b, phi, tol: float = TOL) -> OrderVerdict:
+def monotone_transport_check(a, b, phi, tol: float = TOL) -> Verdict:
     """phi(A) <= phi(B) for increasing phi, given A <= B.
 
     Preconditions: spectral_leq(a, b) holds, and phi passes the
@@ -295,7 +273,7 @@ def monotone_transport_check(a, b, phi, tol: float = TOL) -> OrderVerdict:
 
 
 def restricted_monotone_check(a, b, phi, iota: int, omega=None,
-                              tol: float = TOL) -> OrderVerdict:
+                              tol: float = TOL) -> Verdict:
     """Transport through a phi that is only iota-increasing.
 
     Hypotheses checked, each raising PreconditionError naming itself:
@@ -328,8 +306,8 @@ def restricted_monotone_check(a, b, phi, iota: int, omega=None,
                     "atom tails inside omega",
                     f"tail {tuple(p[iota:])} of atom {tuple(p)} rejected")
     audit = audit_iota_increasing(phi, points, iota=iota)
-    if not audit.ok:
-        raise MonotonicityError(audit.counterexample, iota)
+    if not audit.holds:
+        raise MonotonicityError(audit.witness, iota)
     # transport on the measure side: phi(atom) stays exact where
     # rebuilding phi(A) and re-diagonalizing would scatter tied
     # eigenvalues (clip saturation, equal parts) to either side of
@@ -355,7 +333,7 @@ def multi_indices(kappa: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL) -> OrderVerdict:
+def olson_necessity_scan(a, b, alpha_max: int, tol: float = TOL) -> Verdict:
     """Scan A^alpha <= B^alpha (Loewner) over |alpha| <= alpha_max.
 
     For positive tuples this family of inequalities is necessary for the
@@ -391,7 +369,7 @@ def _cholesky_certifies(diff: np.ndarray, tol: float, scale: float) -> bool:
     return True
 
 
-def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVerdict:
+def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> Verdict:
     """A^alpha <= r_alpha * B^alpha over |alpha| <= alpha_max, r_alpha >= 1.
 
     ``r`` is a callable taking a multi-index tuple to its scale factor
@@ -444,9 +422,9 @@ def scaled_monomial_check(a, b, r, alpha_max: int, tol: float = TOL) -> OrderVer
         w = np.linalg.eigvalsh(diff)
         lo = float(w[0]) if w.size else 0.0
         if lo < -tol * scale:
-            return OrderVerdict(holds=False, witness=tuple(alpha), defect=-lo)
+            return Verdict(holds=False, witness=tuple(alpha), defect=-lo)
         worst = max(worst, max(0.0, -lo))
-    return OrderVerdict(holds=True, witness=None, defect=worst)
+    return Verdict(holds=True, witness=None, defect=worst)
 
 
 def _moment_norm(mu, alpha) -> float:
@@ -611,7 +589,7 @@ class NormalOperator:
         return cls.from_matrix(t.ops[0].matrix + 1j * t.ops[1].matrix, tol=tol)
 
 
-def normal_leq(s, t, tol: float = TOL) -> OrderVerdict:
+def normal_leq(s, t, tol: float = TOL) -> Verdict:
     """Spectral order of normal operators through their Hermitian pairs.
 
     s <= t iff (Re s, Im s) <= (Re t, Im t) as commuting pairs; the map is an

@@ -440,7 +440,7 @@ def equivalence_loop(mu1, mu2, iota: int, mollifier_levels=(1, 2, 4, 8), tol: fl
 
 def fraction_masses(mu1, mu2):
     """Merged points and both measures' exact weights on them, as Fractions."""
-    points, _, _, group, _, _ = _merged_support(mu1, mu2)
+    points, _, _, group, *_ = _merged_support(mu1, mu2)
     exact = [[Fraction(0)] * len(points) for _ in range(2)]
     for side, (mu, at) in enumerate(((mu1, group[:mu1.n_atoms]), (mu2, group[mu1.n_atoms:]))):
         for w, g in zip(mu.weights, at):
@@ -480,11 +480,11 @@ def fraction_largest_gap(mu1, mu2, iota: int):
 
 def fraction_lowerset_dominance(mu1, mu2, iota: int, tol: float = 0.0):
     """Oracle lower-set check in exact rational arithmetic: (holds, witness
-    mask or None, exact gap), the witness the least ideal of largest gap."""
+    mask or None, largest gap), the witness the least ideal of largest gap."""
     gap, mask = fraction_largest_gap(mu1, mu2, iota)
     if gap > Fraction(tol):
         return False, mask, gap
-    return True, None, Fraction(0)
+    return True, None, gap
 
 
 # --- per-atom references for the array-form joint spectral measure ----------

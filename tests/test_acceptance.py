@@ -93,14 +93,14 @@ def test_criterion_1_lattice_meet():
 
 def test_criterion_2_dirac_dominance_gap():
     mu1, mu2 = crossed_dirac_pair()
-    cdf_ok, _ = cdf_leq(mu1, mu2)
+    cdf_ok = cdf_leq(mu1, mu2).holds
     dom = lowerset_dominance(mu1, mu2, iota=2)
     witness_pts = (None if dom.witness is None
                    else [tuple(float(v) for v in p)
                          for p in dom.witness.member_points()])
-    ok = (cdf_ok and not dom.holds and dom.gap == 1.0
+    ok = (cdf_ok and not dom.holds and dom.defect == 1.0
           and witness_pts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
-    assert verdict(2, ok, f"cdf dominance {cdf_ok}, lower-set gap {dom.gap:g} "
+    assert verdict(2, ok, f"cdf dominance {cdf_ok}, lower-set gap {dom.defect:g} "
                           f"on ideal {witness_pts} (exact integers, zero tolerance)")
 
 
@@ -290,7 +290,7 @@ def test_criterion_9_equivalence_and_ideal_counts():
         mu2 = AtomicMeasure.from_atoms(pts2, w2)
         iota = int(rng.integers(1, 3))
         eq = thm31_equivalence_check(mu1, mu2, iota=iota)
-        agreements += eq.lowerset_holds == eq.indicator_holds
+        agreements += eq.lowerset.holds == eq.indicator.holds
         union = np.vstack([mu1.points, mu2.points])
         uniq = np.unique(union, axis=0)
         if uniq.shape[0] <= 10:

@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -82,10 +84,10 @@ def test_monomial_scan_reads_tol(tmp_path, capsys):
 
 def test_a_failing_monomial_scan_exits_one(ordered_files, capsys, monkeypatch):
     import specorder.cli as cli
-    from specorder.order import OrderVerdict
+    from specorder.linalg import Verdict
 
     monkeypatch.setattr(cli, "olson_necessity_scan", lambda a, b, alpha_max, tol:
-                        OrderVerdict(holds=False, witness=(1, 0), defect=1.0))
+                        Verdict(holds=False, witness=(1, 0), defect=1.0))
     a, b = ordered_files
     assert main(["check-order", a, b, "--alpha-max", "2"]) == 1
     out = capsys.readouterr().out
@@ -95,12 +97,13 @@ def test_a_failing_monomial_scan_exits_one(ordered_files, capsys, monkeypatch):
 
 def test_a_disagreeing_equivalence_check_exits_one(tmp_path, capsys, monkeypatch):
     import specorder.cli as cli
+    from specorder.linalg import Verdict
     from specorder.measures import EquivalenceReport
 
-    report = EquivalenceReport(iota=2, masses=(2.0, 2.0), lowerset_holds=True,
-                               lowerset_witness=None, indicator_holds=False,
-                               indicator_witness=None, mollifier_holds=True,
-                               mollifier_witness=None)
+    report = EquivalenceReport(iota=2, masses=(2.0, 2.0),
+                               lowerset=Verdict(holds=True, witness=None, defect=0.0),
+                               indicator=Verdict(holds=False, witness=None, defect=1.0),
+                               mollifier=Verdict(holds=True, witness=None, defect=0.0))
     monkeypatch.setattr(cli, "thm31_equivalence_check", lambda *args, **kw: report)
     m1 = write_measure(tmp_path / "m1.json", [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     m2 = write_measure(tmp_path / "m2.json", [[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
@@ -399,6 +402,32 @@ def test_measure_check_mass_mismatch_skips_equivalence(tmp_path, capsys):
     verdicts = {v["name"]: v for v in doc["verdicts"]}
     assert verdicts["equivalence_agreement"]["detail"].startswith("skipped:")
     assert "only mass2 <= mass1" in verdicts["equivalence_agreement"]["detail"]
+
+
+def test_a_witness_ideal_past_the_int_digit_limit_is_written_in_full(tmp_path, capsys):
+    # 15,000 atoms on a chain, mu2 heavier on the top one: the witness is
+    # every atom, and its mask has 4,516 decimal digits, past the 4,300 that
+    # Python converts by default
+    n = 15000
+    for name, top in (("m1.json", 1.0), ("m2.json", 2.0)):
+        atoms = [{"point": [float(i)], "weight": 1.0} for i in range(n - 1)]
+        atoms.append({"point": [float(n - 1)], "weight": top})
+        save_json(str(tmp_path / name), {"schema": "specorder-measure/1", "kappa": 1,
+                                         "atoms": atoms})
+    argv = ["measure-check", str(tmp_path / "m1.json"), str(tmp_path / "m2.json")]
+    limit = sys.get_int_max_str_digits()
+    assert main([*argv, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and sys.get_int_max_str_digits() == limit
+    witness = {v["name"]: v for v in json.loads(captured.out, parse_int=decimal.Decimal)[
+        "verdicts"]}["lowerset_dominance"]["witness"]
+    assert len(witness["indices"]) == n
+    assert int(witness["mask"]) == sum(1 << int(i) for i in witness["indices"])
+    assert main([*argv, "--format", "human"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and sys.get_int_max_str_digits() == limit
+    (mask,) = re.findall(r"'mask': (\d+)", captured.out)
+    assert int(decimal.Decimal(mask)) == (1 << n) - 1
 
 
 @pytest.mark.parametrize("tail", [[], [0.0]])

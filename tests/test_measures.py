@@ -14,7 +14,7 @@ from conftest import (
 from specorder.errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
 from specorder.functions import indicator_fn
 from specorder.gallery import crossed_dirac_pair
-from specorder.linalg import TOL
+from specorder.linalg import TOL, Verdict
 from specorder.measures import (
     AtomicMeasure,
     _merged_support,
@@ -69,7 +69,7 @@ def test_merge_radius_is_per_axis_on_mixed_scales():
         mu2 = AtomicMeasure.from_atoms(scaled[[0]], [1.0])
         assert not lowerset_dominance(mu1, mu2, 2).holds
         assert lowerset_dominance(mu2, mu1, 2).holds
-        assert cdf_leq(mu1, mu2)[0] is False and cdf_leq(mu2, mu1)[0] is True
+        assert cdf_leq(mu1, mu2).holds is False and cdf_leq(mu2, mu1).holds is True
 
 
 def running_sum(values) -> float:
@@ -101,7 +101,7 @@ def test_premerge_matches_first_occurrence_loop(pts, data):
     mu2 = AtomicMeasure.from_atoms(pts[split:], w[split:])
     both = np.vstack([mu1.points, mu2.points])
     reps, members = merge_first_occurrence(both, merge_radius(both))
-    points, w1, w2, group, _, _ = _merged_support(mu1, mu2)
+    points, w1, w2, group, *_ = _merged_support(mu1, mu2)
     assert points.tobytes() == np.array(reps, dtype=np.float64).tobytes()
     assert [sorted(np.flatnonzero(group == k)) for k in range(len(reps))] == members
     assert points.shape == (len(reps), pts.shape[1])
@@ -176,14 +176,15 @@ def test_fattening_is_still_a_lower_set():
     pts = rng.uniform(-2, 2, size=(40, 2))
     # indicator of a lower set is decreasing, so its negation is increasing
     res = audit_iota_increasing(lambda x: -fat(x), pts, iota=2)
-    assert res.ok
+    assert res.holds
 
 
 def test_audit_catches_decrease():
     pts = [(0.0, 0.0), (1.0, 0.0)]
     res = audit_iota_increasing(lambda x: -x[0], pts, iota=2)
-    assert not res.ok
-    assert res.counterexample == ((0.0, 0.0), (1.0, 0.0))
+    assert not res.holds
+    assert res.witness == ((0.0, 0.0), (1.0, 0.0))
+    assert res.defect == 1.0
 
 
 def audit_double_loop(values, pts, iota, tol):
@@ -217,13 +218,13 @@ def test_audit_matches_double_loop_and_sublevel_routes(pts, data):
     res = audit_iota_increasing(lambda x: table[tuple(x)], pts, iota=iota, tol=tol)
     values = [table[tuple(p)] for p in pts]
     witness = audit_double_loop(values, pts, iota, tol)
-    assert res.counterexample == witness
-    assert res.ok == (witness is None) == audit_sublevel_sets(values, pts, iota, tol)
+    assert res.witness == witness
+    assert res.holds == (witness is None) == audit_sublevel_sets(values, pts, iota, tol)
 
 
 def test_iota_checked_on_empty_point_sets():
     empty = np.zeros((0, 2))
-    assert audit_iota_increasing(lambda x: 0.0, empty, iota=2).ok
+    assert audit_iota_increasing(lambda x: 0.0, empty, iota=2).holds
     assert len(enumerate_downward_closed(empty, iota=2)) == 1
     for bad in (0, 3, 7):
         with pytest.raises(ParameterError, match="iota must be an integer in 1..2"):
@@ -235,9 +236,9 @@ def test_iota_checked_on_empty_point_sets():
 def test_audit_passes_projection_and_complement_indicator():
     rng = fresh_rng(9)
     pts = rng.uniform(-1, 1, size=(30, 2))
-    assert audit_iota_increasing(lambda x: x[0], pts, iota=2).ok
+    assert audit_iota_increasing(lambda x: x[0], pts, iota=2).holds
     generators = rng.uniform(-1, 1, size=(4, 2))
-    assert audit_iota_increasing(co_lower_indicator(generators, 2), pts, iota=2).ok
+    assert audit_iota_increasing(co_lower_indicator(generators, 2), pts, iota=2).holds
 
 
 def test_cdf_refuses_nan_and_wrong_shapes():
@@ -257,11 +258,8 @@ def test_cdf_refuses_nan_and_wrong_shapes():
 
 def test_cdf_leq_dirac_pair():
     mu1, mu2 = crossed_dirac_pair()
-    holds, witness = cdf_leq(mu1, mu2)
-    assert holds and witness is None
-    holds, witness = cdf_leq(mu2, mu1)
-    assert not holds
-    assert witness == (0.0, 0.0)
+    assert cdf_leq(mu1, mu2) == Verdict(holds=True, witness=None, defect=0.0)
+    assert cdf_leq(mu2, mu1) == Verdict(holds=False, witness=(0.0, 0.0), defect=1.0)
 
 
 def test_ideal_enumeration_of_boolean_square():
@@ -304,7 +302,7 @@ def test_dominance_dirac_witness():
     mu1, mu2 = crossed_dirac_pair()
     dom = lowerset_dominance(mu1, mu2, iota=2)
     assert not dom.holds
-    assert dom.gap == 1.0
+    assert dom.defect == 1.0
     assert [tuple(p) for p in dom.witness.member_points()] == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
 
@@ -312,23 +310,23 @@ def test_dominance_dirac_witness():
 def test_dominance_equal_measures():
     mu1, _ = crossed_dirac_pair()
     dom = lowerset_dominance(mu1, mu1, iota=2)
-    assert dom.holds and dom.witness is None and dom.gap == 0.0
+    assert dom.holds and dom.witness is None and dom.defect == 0.0
 
 
 def test_equivalence_equal_measures():
     mu1, _ = crossed_dirac_pair()
     rep = thm31_equivalence_check(mu1, mu1, iota=2)
-    assert rep.lowerset_holds and rep.indicator_holds and rep.mollifier_holds
+    assert rep.lowerset.holds and rep.indicator.holds and rep.mollifier.holds
     assert rep.agreement
 
 
 def test_equivalence_dirac_pair():
     mu1, mu2 = crossed_dirac_pair()
     rep = thm31_equivalence_check(mu1, mu2, iota=2)
-    assert not rep.lowerset_holds
-    assert not rep.indicator_holds
+    assert not rep.lowerset.holds
+    assert not rep.indicator.holds
     assert rep.agreement
-    assert rep.lowerset_witness.mask == rep.indicator_witness.mask
+    assert rep.lowerset.witness.mask == rep.indicator.witness.mask
 
 
 def test_mass_mismatch_raises_with_implications():
@@ -353,5 +351,4 @@ def test_dominance_implies_cdf(salt):
     mu1 = AtomicMeasure.from_atoms(pts1, w)
     mu2 = AtomicMeasure.from_atoms(pts2, w)
     if lowerset_dominance(mu1, mu2, iota=2).holds:
-        holds, _ = cdf_leq(mu1, mu2)
-        assert holds
+        assert cdf_leq(mu1, mu2).holds

@@ -24,6 +24,7 @@ from conftest import (
     equivalence_loop,
     fraction_cdf_leq,
     fraction_largest_gap,
+    fraction_masses,
     fraction_lowerset_dominance,
     lowerset_dominance_loop,
     subprocess_env,
@@ -31,7 +32,7 @@ from conftest import (
 from specorder.errors import MassMismatchError, ParameterError
 from specorder.gallery import crossed_dirac_pair
 from specorder.io import measure_to_dict, save_json
-from specorder.linalg import TOL
+from specorder.linalg import TOL, Verdict
 from specorder.measures import (
     AtomicMeasure,
     _largest_gap,
@@ -81,13 +82,13 @@ def test_exact_checks_match_fraction_oracle_and_float_loops(case):
     mu1, mu2, iota, tol = case
 
     cdf = cdf_leq(mu1, mu2, tol=tol)
-    assert cdf == fraction_cdf_leq(mu1, mu2, tol=tol)
+    assert (cdf.holds, cdf.witness) == fraction_cdf_leq(mu1, mu2, tol=tol)
 
     dom = lowerset_dominance(mu1, mu2, iota, tol=tol)
     holds, mask, gap = fraction_lowerset_dominance(mu1, mu2, iota, tol=tol)
     assert dom.holds == holds
     assert (None if dom.witness is None else dom.witness.mask) == mask
-    assert dom.gap == float(gap)  # correctly rounded
+    assert dom.defect == float(gap)  # correctly rounded
 
     old_dom = lowerset_dominance_loop(mu1, mu2, iota, tol=tol)
     if old_dom[:2] == (holds, mask) and not holds:
@@ -96,24 +97,23 @@ def test_exact_checks_match_fraction_oracle_and_float_loops(case):
         _, w1, w2, *_ = _merged_support(mu1, mu2)
         idx = list(dom.witness.indices)
         scale = max(w1[idx].sum(), w2[idx].sum())
-        assert abs(old_dom[2] - dom.gap) <= 2 * len(idx) * math.ulp(scale)
+        assert abs(old_dom[2] - dom.defect) <= 2 * len(idx) * math.ulp(scale)
 
-    if not math.isclose(mu1.total_mass(), mu2.total_mass(), rel_tol=TOL):
+    _, e1, e2 = fraction_masses(mu1, mu2)
+    if abs(sum(e1) - sum(e2)) > Fraction(TOL) * max(sum(e1), sum(e2)):
         with pytest.raises(MassMismatchError):
             thm31_equivalence_check(mu1, mu2, iota, tol=tol)
         return
     report = thm31_equivalence_check(mu1, mu2, iota, tol=tol)
-    assert report.lowerset_holds == holds
-    assert (None if report.lowerset_witness is None else report.lowerset_witness.mask) == mask
+    assert report.lowerset == dom
+    assert report.masses == (float(sum(e1)), float(sum(e2)))
 
     old = equivalence_loop(mu1, mu2, iota, tol=tol)
-    got = (report.lowerset_holds,
-           None if report.lowerset_witness is None else report.lowerset_witness.mask,
-           report.indicator_holds,
-           None if report.indicator_witness is None else report.indicator_witness.mask,
-           report.mollifier_holds,
-           None if report.mollifier_witness is None
-           else (report.mollifier_witness[0].mask, report.mollifier_witness[1]))
+    lowerset, indicator, mollifier = report.lowerset, report.indicator, report.mollifier
+    got = (lowerset.holds, None if lowerset.witness is None else lowerset.witness.mask,
+           indicator.holds, None if indicator.witness is None else indicator.witness.mask,
+           mollifier.holds, None if mollifier.witness is None
+           else (mollifier.witness[0].mask, mollifier.witness[1]))
     # the indicator and mollifier routes keep their float sums bit for bit
     assert got[2:] == old[2:]
     if old[:2] == (holds, mask):
@@ -144,9 +144,8 @@ def test_flow_gap_matches_fraction_oracle(case):
     assert units * Fraction(2) ** e == gap
     assert int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little") == mask
     dom = lowerset_dominance(mu1, mu2, iota, tol=tol)
-    assert (dom.holds, None if dom.witness is None else dom.witness.mask, dom.gap) == \
-        (gap <= Fraction(tol), None if gap <= Fraction(tol) else mask,
-         0.0 if gap <= Fraction(tol) else float(gap))
+    assert (dom.holds, None if dom.witness is None else dom.witness.mask, dom.defect) == \
+        (gap <= Fraction(tol), None if gap <= Fraction(tol) else mask, float(gap))
 
 
 ONE_ATOM = AtomicMeasure.from_atoms([[0.0, 0.0]], [1.0])
@@ -173,9 +172,9 @@ def test_float_sum_order_tie_holds(tmp_path):
     mu1 = AtomicMeasure.from_atoms([[0.0], [1.0], [2.0]], [0.3, 0.2, 0.1])
     mu2 = AtomicMeasure.from_atoms([[0.5], [1.5], [2.5]], [0.1, 0.2, 0.3])
     assert cdf_leq_loop(mu1, mu2) == (False, (2.5,))
-    assert cdf_leq(mu1, mu2) == (True, None)
+    assert cdf_leq(mu1, mu2) == Verdict(holds=True, witness=None, defect=0.0)
     dom = lowerset_dominance(mu1, mu2, iota=1)
-    assert dom.holds and dom.witness is None and dom.gap == 0.0
+    assert dom == Verdict(holds=True, witness=None, defect=0.0)
 
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
     write_measure(m1, [[0.0], [1.0], [2.0]], [0.3, 0.2, 0.1])
@@ -191,13 +190,13 @@ def test_float_sum_order_tie_holds(tmp_path):
 
 def test_gap_is_correctly_rounded():
     mu1, mu2 = crossed_dirac_pair()
-    assert lowerset_dominance(mu1, mu2, iota=2).gap == 1.0
+    assert lowerset_dominance(mu1, mu2, iota=2).defect == 1.0
     # the exact gap 0.1 + 0.2 - 0.3 of these weights is one power of two
     mu1 = AtomicMeasure.from_atoms([[0.0]], [0.3])
     mu2 = AtomicMeasure.from_atoms([[0.0], [0.5]], [0.1, 0.2])
     dom = lowerset_dominance(mu1, mu2, iota=1)
     exact = Fraction(0.1) + Fraction(0.2) - Fraction(0.3)
-    assert not dom.holds and dom.gap == float(exact) == 2.0 ** -55
+    assert not dom.holds and dom.defect == float(exact) == 2.0 ** -55
     assert dom.witness.size == 2
 
 
@@ -206,14 +205,16 @@ def test_tolerance_compares_exactly():
     mu2 = AtomicMeasure.from_atoms([[0.0]], [0.5 + 2.0 ** -40])
     assert not lowerset_dominance(mu1, mu2, iota=1, tol=2.0 ** -41).holds
     assert lowerset_dominance(mu1, mu2, iota=1, tol=2.0 ** -40).holds
-    assert cdf_leq(mu1, mu2, tol=2.0 ** -40) == (True, None)
-    assert cdf_leq(mu1, mu2, tol=2.0 ** -40 - 2.0 ** -90) == (False, (0.0,))
+    assert cdf_leq(mu1, mu2, tol=2.0 ** -40) == Verdict(holds=True, witness=None,
+                                                        defect=2.0 ** -40)
+    assert cdf_leq(mu1, mu2, tol=2.0 ** -40 - 2.0 ** -90) == Verdict(
+        holds=False, witness=(0.0,), defect=2.0 ** -40)
     # weights far apart in magnitude still compare exactly
     mu1 = AtomicMeasure.from_atoms([[0.0], [1.0]], [1e300, 1e-300])
     mu2 = AtomicMeasure.from_atoms([[0.0], [1.0]], [1e300, 2e-300])
     dom = lowerset_dominance(mu1, mu2, iota=1)
-    assert not dom.holds and dom.gap == 1e-300 and dom.witness.size == 2
-    assert cdf_leq(mu1, mu2) == (False, (1.0,))
+    assert not dom.holds and dom.defect == 1e-300 and dom.witness.size == 2
+    assert cdf_leq(mu1, mu2) == Verdict(holds=False, witness=(1.0,), defect=1e-300)
 
 
 def test_subnormal_weights_compare_exactly():
@@ -221,8 +222,8 @@ def test_subnormal_weights_compare_exactly():
     mu1 = AtomicMeasure.from_atoms([[0.0]], [3 * tiny])
     mu2 = AtomicMeasure.from_atoms([[0.0]], [5 * tiny])
     dom = lowerset_dominance(mu1, mu2, iota=1)
-    assert not dom.holds and dom.gap == 2 * tiny
-    assert cdf_leq(mu1, mu2) == (False, (0.0,))
+    assert not dom.holds and dom.defect == 2 * tiny
+    assert cdf_leq(mu1, mu2) == Verdict(holds=False, witness=(0.0,), defect=2 * tiny)
     assert lowerset_dominance(mu1, mu2, iota=1, tol=2 * tiny).holds
     assert lowerset_dominance(mu2, mu1, iota=1).holds
 
@@ -230,12 +231,45 @@ def test_subnormal_weights_compare_exactly():
 def test_overflowing_totals_still_compare():
     # 1.5e308 + 1.5e308 overflows a float; the exact masses do not
     big = AtomicMeasure.from_atoms([[0.0], [1.0]], [1.5e308, 1.5e308])
-    assert cdf_leq(big, big) == (True, None)
+    assert cdf_leq(big, big) == Verdict(holds=True, witness=None, defect=0.0)
     assert lowerset_dominance(big, big, iota=1).holds
     more = AtomicMeasure.from_atoms([[0.0], [1.0]], [1.5e308, 1.6e308])
     dom = lowerset_dominance(big, more, iota=1)
     assert not dom.holds and dom.witness.size == 2
-    assert dom.gap == float(Fraction(1.6e308) - Fraction(1.5e308))
+    assert dom.defect == float(Fraction(1.6e308) - Fraction(1.5e308))
+
+
+OVERFLOWING = [
+    # masses 2e308 and 3e308: unequal, though both sum to inf as floats
+    ([[0.0], [1.0]], [1.5e308, 1.5e308], 1, "skipped: masses inf vs inf; only mass1 <= mass2"),
+    # equal masses past the float range: the integral routes still compare
+    ([[0.0], [2.0]], [1e308, 1e308], 0, "lower sets True, indicators True, mollifiers True"),
+    ([[0.0]], [1.7e308], 1, "skipped: masses inf vs 1.7e+308; only mass2 <= mass1"),
+]
+
+
+@pytest.mark.parametrize("points, weights, code, detail", OVERFLOWING)
+def test_overflowing_totals_decide_the_equivalence_quietly(tmp_path, points, weights,
+                                                          code, detail):
+    mu1 = AtomicMeasure.from_atoms([[0.0], [1.0]], [1e308, 1e308])
+    mu2 = AtomicMeasure.from_atoms(points, weights)
+    if code:
+        with pytest.raises(MassMismatchError) as info:
+            thm31_equivalence_check(mu1, mu2, iota=1)
+        # correctly rounded, inf past the float range
+        assert (info.value.mass1, info.value.mass2) == (math.inf, sum(weights))
+    else:
+        report = thm31_equivalence_check(mu1, mu2, iota=1)
+        assert report.masses == (math.inf, math.inf) and report.agreement
+        assert report.indicator == Verdict(holds=True, witness=None, defect=0.0)
+
+    write_measure(tmp_path / "m1.json", [[0.0], [1.0]], [1e308, 1e308])
+    write_measure(tmp_path / "m2.json", points, weights)
+    proc = subprocess.run([sys.executable, "-m", "specorder", "measure-check",
+                           str(tmp_path / "m1.json"), str(tmp_path / "m2.json")],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert f"equivalence_agreement: holds  ({detail}" in proc.stdout
 
 
 @pytest.mark.parametrize("points, weights, bad", [
@@ -262,5 +296,5 @@ def test_equivalence_memory_stays_linear_in_ideals():
     finally:
         tracemalloc.stop()
     assert len(enumerate_downward_closed(points, iota=2)) == 2 ** 14
-    assert not report.lowerset_holds and report.agreement
+    assert not report.lowerset.holds and report.agreement
     assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

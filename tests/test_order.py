@@ -6,7 +6,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     co_lower_indicator,
@@ -48,11 +48,16 @@ from specorder.gallery import (
     projection_pair_no_infimum,
 )
 from specorder.io import save_json, tuple_to_dict
-from specorder.linalg import TOL
-from specorder.measures import audit_iota_increasing
+from specorder.linalg import TOL, Verdict
+from specorder.measures import (
+    AtomicMeasure,
+    audit_iota_increasing,
+    cdf_leq,
+    lowerset_dominance,
+    thm31_equivalence_check,
+)
 from specorder.order import (
     NormalOperator,
-    OrderVerdict,
     bounded_vector_membership,
     distribution_order,
     growth_ratio,
@@ -70,11 +75,46 @@ from specorder.order import (
 from specorder.spectral import joint_measure, parts_decompose, validate_tuple
 
 
-def test_order_verdict_shape():
-    with pytest.raises(ValueError):
-        OrderVerdict(holds=True, witness=(0.0,), defect=0.0)
-    assert bool(OrderVerdict(holds=True, witness=None, defect=0.0))
-    assert not OrderVerdict(holds=False, witness=(1.0,), defect=1.0)
+def every_check(rng, n: int, kappa: int):
+    """One verdict or more from each single-threshold check, on small random
+    inputs, holding and failing."""
+    a, b = ordered_pair(rng, n, kappa)
+    c = random_commuting(rng, n, kappa)
+    yield distribution_order(joint_measure(a), joint_measure(b))
+    for x, y in ((a, b), (b, a), (a, c)):
+        yield spectral_leq(x, y)
+        yield spectral_leq_componentwise(x, y)
+    yield monotone_transport_check(a, b, sum_fn(kappa))
+    yield restricted_monotone_check(a, b, coordinate_fn(0, kappa), iota=kappa)
+    s, t = (NormalOperator.from_parts(x) for x in ordered_pair(rng, n, 2))
+    yield normal_leq(s, t)
+    yield normal_leq(t, s)
+    pa, pb = positive_ordered_pair(rng, n, kappa)
+    yield olson_necessity_scan(pa, pb, alpha_max=3)
+    yield olson_necessity_scan(pb, pa, alpha_max=3)
+    yield scaled_monomial_check(pb, pa, lambda alpha: 1.0 + sum(alpha), alpha_max=3)
+    points = rng.integers(0, 3, size=(2 * n, kappa)).astype(np.float64)
+    weights = rng.integers(1, 4, size=n).astype(np.float64)
+    mu1 = AtomicMeasure.from_atoms(points[:n], weights)
+    mu2 = AtomicMeasure.from_atoms(points[n:], rng.permutation(weights))
+    iota, tol = int(rng.integers(1, kappa + 1)), float(rng.choice([0.0, 0.5]))
+    yield cdf_leq(mu1, mu2, tol=tol)
+    yield lowerset_dominance(mu1, mu2, iota, tol=tol)
+    report = thm31_equivalence_check(mu1, mu2, iota, tol=tol)
+    yield from (report.lowerset, report.indicator, report.mollifier)
+    table = {tuple(p): float(v) for p, v in zip(points, rng.integers(-2, 3, size=2 * n))}
+    yield audit_iota_increasing(lambda x: table[tuple(x)], points, iota, tol=tol)
+
+
+@given(salt=st.integers(0, 2 ** 20), n=st.integers(1, 4), kappa=st.integers(1, 3))
+@settings(max_examples=30)
+def test_every_check_returns_one_verdict(salt, n, kappa):
+    # a holding verdict carries no witness, a failing one always does
+    for v in every_check(fresh_rng(salt), n, kappa):
+        assert type(v) is Verdict
+        assert v.holds == (v.witness is None)
+        assert isinstance(v.defect, float) and v.defect >= 0
+        assert bool(v) == v.holds
 
 
 def test_scalar_constant_tuples():
@@ -227,9 +267,9 @@ def test_transport_refuses_a_rule_with_nan_values():
                               [(0.0,), (1.0,), (2.0,)], 1)
     # infinite values are ordered and stay allowed
     assert audit_iota_increasing(lambda x: np.inf if x[0] > 0 else -np.inf,
-                                 [(0.0,), (1.0,)], 1).ok
+                                 [(0.0,), (1.0,)], 1).holds
     assert not audit_iota_increasing(lambda x: -np.inf if x[0] > 0 else np.inf,
-                                     [(0.0,), (1.0,)], 1).ok
+                                     [(0.0,), (1.0,)], 1).holds
 
 
 def test_transport_requires_monotone():

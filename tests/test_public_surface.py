@@ -13,7 +13,8 @@ from specorder.linalg import Projection
 from specorder.spectral import JointSpectralMeasure
 
 RETIRED = ("LowerSetGen", "lower_membership", "lower_distance", "epsilon_fatten",
-           "lower_indicator_complement", "lower_mollifier", "EmptyGeneratorError")
+           "lower_indicator_complement", "lower_mollifier", "EmptyGeneratorError",
+           "OrderVerdict", "DominanceResult")
 
 
 def test_public_surface():
