@@ -2,13 +2,14 @@
 
 Subcommands: check-order, calculus, measure-check, examples, selftest.
 Exit codes: 0 when every reported verdict holds, 1 when any of them fails,
-2 on input or usage errors. --tol, a relative tolerance, falls back to the
-SPECORDER_TOL environment variable, then to the library default linalg.TOL;
-it governs check-order's two order routes and its monomial scan, which runs
-only when both tuples are positive. In
-measure-check, which compares masses exactly, and in calculus, which has no
-verdict that depends on it, the echoed tol is informational. --format json
-emits one deterministic line (timing frozen to 0.0) so outputs diff cleanly.
+2 on input or usage errors and when the problem does not fit in memory.
+--tol, a relative tolerance, falls back to the SPECORDER_TOL environment
+variable, then to the library default linalg.TOL; it governs check-order's
+two order routes and its monomial scan, which runs only when both tuples
+are positive. In measure-check, which compares masses exactly, and in
+calculus, which has no verdict that depends on it, the echoed tol is
+informational. --format json emits one deterministic line (timing frozen
+to 0.0) so outputs diff cleanly.
 """
 
 from __future__ import annotations
@@ -111,10 +112,6 @@ def _echo(args, *inputs) -> str:
 def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -159,8 +156,6 @@ def cmd_calculus(args) -> Report:
     if args.require_monotone:
         points = joint_measure(t).points()
         for rule in rules:
-            if rule.monotone_iota is not None:
-                continue
             audit = audit_iota_increasing(rule, points, iota=t.kappa)
             if not audit.holds:
                 raise MonotonicityError(audit.witness, t.kappa)
@@ -359,6 +354,9 @@ def main(argv=None) -> int:
         report = args.run(args)
     except SpecOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: problem too large for available memory", file=sys.stderr)
         return 2
     report.timing_s = time.perf_counter() - started
     report.version = __version__

@@ -54,7 +54,7 @@ class EvaluationError(SpecOrderError):
 
 
 class MonotonicityError(SpecOrderError):
-    """A function claimed or required monotone fails the audit; carries the pair."""
+    """A rule required to be iota-increasing fails the audit on the atoms; carries the pair."""
 
     def __init__(self, pair, iota: int):
         self.pair = pair

@@ -19,17 +19,14 @@ from .linalg import check_tol
 
 @dataclass(frozen=True)
 class BorelFunction:
-    """A scalar rule on R^kappa with a tag and an optional monotonicity claim.
+    """A scalar rule on R^kappa with a tag.
 
-    ``monotone_iota`` is the claimed iota for which the rule is
-    iota-increasing (kappa for jointly increasing); None claims nothing.
-    Claims are advisory: predicates that need monotonicity re-audit on the
-    relevant points.
+    A rule carries no monotonicity claim: whatever needs it increasing
+    audits it on the relevant points (measures.audit_iota_increasing).
     """
 
     tag: str
     fn: Callable[[np.ndarray], float]
-    monotone_iota: int | None = None
 
     def __call__(self, point) -> float:
         x = np.asarray(point, dtype=np.float64)
@@ -64,9 +61,7 @@ def monomial_fn(alpha) -> BorelFunction:
         with np.errstate(over="ignore"):
             return float(np.prod([xj ** int(aj) for xj, aj in zip(x, a)]))
 
-    monotone = len(a) if np.all(a == 0) else None  # constants are trivially increasing
-    return BorelFunction(tag=f"monomial{tuple(int(v) for v in a)}", fn=rule,
-                         monotone_iota=monotone)
+    return BorelFunction(tag=f"monomial{tuple(int(v) for v in a)}", fn=rule)
 
 
 def fractional_fn(beta, tol=0.0) -> BorelFunction:
@@ -95,25 +90,21 @@ def fractional_fn(beta, tol=0.0) -> BorelFunction:
             out *= base ** float(bj)
         return out
 
-    return BorelFunction(tag=f"fractional{tuple(float(v) for v in b)}", fn=rule,
-                         monotone_iota=len(b))
+    return BorelFunction(tag=f"fractional{tuple(float(v) for v in b)}", fn=rule)
 
 
 def coordinate_fn(axis: int, kappa: int) -> BorelFunction:
     if not 0 <= axis < kappa:
         raise ParameterError(f"axis {axis} out of range for kappa={kappa}")
-    return BorelFunction(tag=f"coordinate[{axis}]", fn=lambda x: float(x[axis]),
-                         monotone_iota=kappa)
+    return BorelFunction(tag=f"coordinate[{axis}]", fn=lambda x: float(x[axis]))
 
 
 def sum_fn(kappa: int) -> BorelFunction:
-    return BorelFunction(tag="sum", fn=lambda x: float(np.sum(x)), monotone_iota=kappa)
+    return BorelFunction(tag="sum", fn=lambda x: float(np.sum(x)))
 
 
 def product_fn(kappa: int) -> BorelFunction:
-    # increasing only where all coordinates are nonnegative; no blanket claim
-    return BorelFunction(tag="product", fn=lambda x: float(np.prod(x)),
-                         monotone_iota=None)
+    return BorelFunction(tag="product", fn=lambda x: float(np.prod(x)))
 
 
 def clipped_affine_fn(coeffs, lo: float, hi: float) -> BorelFunction:
@@ -127,15 +118,12 @@ def clipped_affine_fn(coeffs, lo: float, hi: float) -> BorelFunction:
     def rule(x):
         return float(np.clip(np.dot(c, x), lo, hi))
 
-    return BorelFunction(tag=f"clip[{lo},{hi}]affine{tuple(float(v) for v in c)}",
-                         fn=rule, monotone_iota=len(c))
+    return BorelFunction(tag=f"clip[{lo},{hi}]affine{tuple(float(v) for v in c)}", fn=rule)
 
 
-def indicator_fn(membership: Callable[[np.ndarray], bool], tag: str,
-                 monotone_iota: int | None = None) -> BorelFunction:
+def indicator_fn(membership: Callable[[np.ndarray], bool], tag: str) -> BorelFunction:
     """0/1 indicator of an arbitrary membership predicate."""
-    return BorelFunction(tag=tag, fn=lambda x: 1.0 if membership(x) else 0.0,
-                         monotone_iota=monotone_iota)
+    return BorelFunction(tag=tag, fn=lambda x: 1.0 if membership(x) else 0.0)
 
 
 def scalar_part_fn(sign: int) -> Callable[[float], float]:
@@ -161,20 +149,15 @@ def parts_fns(signs) -> list[BorelFunction]:
             parsed.append(-1)
         else:
             raise ParameterError(f"unrecognized part sign {s!r}")
-    kappa = len(parsed)
     out = []
     for j, s in enumerate(parsed):
         part = scalar_part_fn(s)
-        out.append(BorelFunction(
-            tag=f"part[{'+' if s > 0 else '-'}:{j}]",
-            fn=(lambda x, j=j, part=part: part(x[j])),
-            monotone_iota=kappa,
-        ))
+        out.append(BorelFunction(tag=f"part[{'+' if s > 0 else '-'}:{j}]",
+                                 fn=(lambda x, j=j, part=part: part(x[j]))))
     return out
 
 
-def table_fn(mapping: dict, tag: str = "table",
-             monotone_iota: int | None = None) -> BorelFunction:
+def table_fn(mapping: dict, tag: str = "table") -> BorelFunction:
     """Finite tabulated rule; evaluation off the table raises EvaluationError.
 
     Keys are point tuples compared exactly, so tables should be built from the
@@ -188,4 +171,4 @@ def table_fn(mapping: dict, tag: str = "table",
             raise EvaluationError(key)
         return frozen[key]
 
-    return BorelFunction(tag=tag, fn=rule, monotone_iota=monotone_iota)
+    return BorelFunction(tag=tag, fn=rule)

@@ -101,8 +101,10 @@ class HermitianOperator:
     def from_matrix(cls, m, tol: float = TOL) -> "HermitianOperator":
         m = as_complex_matrix(m)
         tol = check_tol(tol)
-        defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        threshold = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
+        # a defect past the float range reads inf, which exceeds any threshold
+        with np.errstate(over="ignore"):
+            defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+            threshold = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
         if defect > threshold:
             raise HermiticityError(defect, threshold)
         # halve before adding, so entries near the float limit do not overflow

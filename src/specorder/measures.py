@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
 from .linalg import TOL, Verdict, as_point, check_tol, sorted_distinct
-from .spectral import CommutingTuple, _merge_points, _refuse_nan, joint_measure
+from .spectral import CommutingTuple, _merge_points, _refuse_nan, _rule_values, joint_measure
 
 IDEAL_CAP = 20
 MOLLIFIER_LEVELS = (1, 2, 4, 8)
@@ -127,6 +127,11 @@ class AtomicMeasure:
             raise ParameterError("weights must be nonnegative")
         out_p, group = _merge_points(pts, TOL)
         out_w = _group_sums(group, w, len(out_p))
+        over = np.isinf(out_w)
+        if over.any():
+            i = int(np.argmax(over))
+            raise ParameterError(f"merged weight at point {tuple(map(float, out_p[i]))} "
+                                 f"exceeds the float range")
         out_p.setflags(write=False)
         out_w.setflags(write=False)
         return cls(points=out_p, weights=out_w)
@@ -190,7 +195,7 @@ def audit_iota_increasing(f, points, iota: int, tol: float = 0.0) -> Verdict:
     if pts.ndim != 2:
         raise DimensionError(f"points must be (m, kappa), got shape {pts.shape}")
     iota, tol = _check_iota(iota, pts.shape[1]), check_tol(tol)
-    values = np.array([float(f(p)) for p in pts], dtype=np.float64)
+    values = _rule_values(f, pts)
     _refuse_nan(np.isnan(values), pts)
     comparable = _leq_matrix(pts, pts, iota)
     np.fill_diagonal(comparable, False)

@@ -85,7 +85,7 @@ class ProjValuedStepFunction:
         pos = np.stack([np.searchsorted(a, pts[:, j]) for j, a in enumerate(axes)], axis=1)
         grid = np.indices(shape).reshape(e.kappa, -1).T
         below = np.all(pos[None, :, :] <= grid[:, None, :], axis=2)
-        return cls(axes, e.basis, below[:, e.owner].reshape(shape + (-1,)))
+        return cls(axes, e.basis, below[:, e.owner].reshape(shape + e.basis.shape[1:]))
 
     @classmethod
     def from_values(cls, axes, values) -> "ProjValuedStepFunction":

@@ -383,7 +383,7 @@ def co_lower_indicator(generators, iota: int):
     rows of ``generators`` (the empty set when there are none): the
     canonical bounded iota-increasing test function, a point at a time."""
     return indicator_fn(lambda x: not any(leq_iota(x, y, iota) for y in generators),
-                        tag=f"co-lower[iota={iota}]", monotone_iota=iota)
+                        tag=f"co-lower[iota={iota}]")
 
 
 def downset_distance(x, generators, iota: int) -> float:

@@ -753,3 +753,72 @@ def test_calculus_of_tied_eigenvalues_near_float_limit(tmp_path):
     proc = run_cli("calculus", t, "--fn", "sum", "--out", str(out))
     assert proc.returncode == 0 and _clean(proc)
     assert np.array_equal(load_tuple(str(out)).ops[0].matrix, np.diag([1e308 - 9e307] * 2))
+
+
+@pytest.mark.parametrize("fn, params, rules", [
+    ("monomial", ["--alpha", "0", "0"], 1),
+    ("monomial", ["--alpha", "1", "2"], 1),
+    ("fractional", ["--beta", "0.5", "1"], 1),
+    ("sum", [], 1),
+    ("product", [], 1),
+    ("parts", ["--signs", "+-"], 2),
+    ("clip", ["--coeffs", "1", "1"], 1),
+])
+def test_require_monotone_audits_every_rule(tmp_path, capsys, monkeypatch, fn, params, rules):
+    import specorder.cli as cli
+
+    audited, real = [], cli.audit_iota_increasing
+
+    def counting(f, points, iota, tol=0.0):
+        audited.append(f.tag)
+        return real(f, points, iota, tol)
+
+    monkeypatch.setattr(cli, "audit_iota_increasing", counting)
+    t = write_tuple(tmp_path / "t.json", [0.5, 1.0], [2.0, 3.0])
+    assert main(["calculus", t, "--fn", fn, *params, "--out", str(tmp_path / "o.json"),
+                 "--require-monotone"]) == 0
+    assert len(audited) == rules
+    assert "monotone_audit: holds" in capsys.readouterr().out
+
+
+def _raw_measure(path, atoms):
+    save_json(str(path), {"schema": "specorder-measure/1", "kappa": 1,
+                          "atoms": [{"point": [p], "weight": w} for p, w in atoms]})
+    return str(path)
+
+
+def test_merged_weight_past_the_float_range_exits_two(tmp_path, capsys):
+    # two atoms of 1e308 at one point merged into a weight of inf, and
+    # measure-check then read "masses -1024 vs 1e+308"
+    m1 = _raw_measure(tmp_path / "m1.json", [(0.0, 1e308), (0.0, 1e308)])
+    m2 = _raw_measure(tmp_path / "m2.json", [(0.0, 1e308)])
+    assert main(["measure-check", m1, m2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: merged weight at point (0.0,) exceeds the float range\n")
+    proc = run_cli("measure-check", m1, m2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", captured.err)
+
+
+def test_memory_exhaustion_exits_two(tmp_path):
+    # a kappa=3 pair of 1,000 atoms each asks cdf_leq for a grid of about
+    # 1e9 exact sums; only ever run under the child's own address-space limit
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(0)
+    files = []
+    for name in ("m1.json", "m2.json"):
+        points = rng.integers(0, 10 ** 6, size=(1000, 3)).astype(np.float64)
+        save_json(str(tmp_path / name), {
+            "schema": "specorder-measure/1", "kappa": 3,
+            "atoms": [{"point": p, "weight": 1.0} for p in points.tolist()]})
+        files.append(str(tmp_path / name))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "specorder", "measure-check", *files],
+                          env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: problem too large for available memory\n"

@@ -16,6 +16,7 @@ from specorder.functions import (
     sum_fn,
     table_fn,
 )
+from specorder.measures import audit_iota_increasing
 
 
 def test_monomial_zero_exponent_convention():
@@ -58,7 +59,7 @@ def test_clipped_affine():
     assert f((0.3, 0.4)) == pytest.approx(0.7)
     assert f((5.0, 5.0)) == 1.0
     assert f((-3.0, 0.0)) == 0.0
-    assert f.monotone_iota == 2
+    assert audit_iota_increasing(f, [(0.0, 0.0), (0.3, 0.4), (5.0, 5.0)], iota=2).holds
     with pytest.raises(ParameterError):
         clipped_affine_fn((1.0, -1.0), 0.0, 1.0)
     with pytest.raises(ParameterError):

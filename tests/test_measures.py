@@ -117,6 +117,13 @@ def test_atomic_measure_rejects_negative_weight():
         AtomicMeasure.from_atoms([[0.0]], [-1e-3])
 
 
+def test_atomic_measure_rejects_a_merged_weight_past_the_float_range():
+    with pytest.raises(ParameterError, match=r"merged weight at point \(1.0, 2.0\)"):
+        AtomicMeasure.from_atoms([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]], [1.0, 1e308, 1e308])
+    # atoms at distinct points may each be near the limit
+    assert AtomicMeasure.from_atoms([[0.0], [1.0]], [1e308, 1e308]).n_atoms == 2
+
+
 def test_cdf_values():
     mu = AtomicMeasure.from_atoms([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     assert mu.cdf((0.0, 0.0)) == 1.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import specorder
-from specorder import measures, order, resolution
+from specorder import functions, measures, order, resolution
 from specorder.linalg import Projection
 from specorder.spectral import JointSpectralMeasure
 
@@ -46,8 +46,12 @@ def test_retired_constructors_views_and_knobs_stay_gone():
                      (order.bounded_vector_membership, "growth_margin"),
                      (measures.thm31_equivalence_check, "mollifier_levels"),
                      (measures.enumerate_downward_closed, "cap"),
-                     (resolution.ProjValuedStepFunction.from_values, "dim")):
+                     (resolution.ProjValuedStepFunction.from_values, "dim"),
+                     (functions.indicator_fn, "monotone_iota"),
+                     (functions.table_fn, "monotone_iota")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
     assert "filter_tag" not in order.GrowthRatioReport.__dataclass_fields__
+    # a rule carries no monotonicity claim; the audit on the atoms decides
+    assert "monotone_iota" not in functions.BorelFunction.__dataclass_fields__
     with pytest.raises(TypeError):
         Projection(np.eye(2), dim=2)

@@ -13,7 +13,7 @@ from specorder.resolution import (
     reconstruct_measure,
     validate_resolution,
 )
-from specorder.spectral import joint_measure, validate_tuple
+from specorder.spectral import JointSpectralMeasure, joint_measure, validate_tuple
 
 
 def staircase():
@@ -34,6 +34,14 @@ def test_from_measure_grid_and_validation():
     report = validate_resolution(f)
     assert report.passed
     assert "A=ok" in str(report)
+
+
+def test_atomless_measure_has_no_step_function():
+    # the mask reshape refused zero atoms with numpy's own ValueError
+    for e in (JointSpectralMeasure(np.empty((0, 2)), np.empty((3, 0)), []),
+              joint_measure(validate_tuple([np.zeros((0, 0))] * 2))):
+        with pytest.raises(DimensionError, match="at least one step coordinate"):
+            ProjValuedStepFunction.from_measure(e)
 
 
 def test_constructor_gates():
