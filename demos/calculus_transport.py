@@ -40,13 +40,13 @@ print("f_plus + f_minus == id:",
 a = validate_tuple([np.diag([0.0, 1.0]), np.diag([0.0, 1.0])])
 b = validate_tuple([np.diag([0.5, 2.0]), np.diag([1.0, 1.5])])
 print("a <= b, so sum(a) <= sum(b):",
-      monotone_transport_check(a, b, sum_fn(2)).holds)
+      monotone_transport_check(a, b, sum_fn()).holds)
 
 # the product rule is not increasing once a coordinate dips below zero
 neg_a = validate_tuple([np.diag([-1.0, -1.0]), np.diag([1.0, 2.0])])
 neg_b = validate_tuple([np.diag([-0.5, -0.5]), np.diag([1.5, 2.5])])
 try:
-    monotone_transport_check(neg_a, neg_b, product_fn(2))
+    monotone_transport_check(neg_a, neg_b, product_fn())
 except MonotonicityError as exc:
     print("product audit rejects:", exc)
 

@@ -50,8 +50,7 @@ from .io import (
     Report,
     load_measure,
     load_tuple,
-    save_json,
-    tuple_to_dict,
+    save_tuple,
 )
 from .linalg import TOL, check_tol
 from .measures import (
@@ -80,20 +79,19 @@ from .spectral import (
 ALPHA_MAX_CAP = 16
 
 # --fn name -> (its parameter, the noun its length message uses, its rule or
-# rules from the parsed arguments and kappa, and the library call that
-# computes it). Without a library call each rule goes through
-# calculus_scalar. monomial names alpha when a value overflows;
-# fractional_power counts roundoff-negative coordinates as zero.
+# rules from the parsed arguments, and the library call that computes it).
+# Without a library call each rule goes through calculus_scalar. monomial
+# names alpha when a value overflows; fractional_power counts roundoff-negative
+# coordinates as zero.
 CALCULUS = {
-    "monomial": ("alpha", "integers", lambda args, kappa: [monomial_fn(args.alpha)],
-                 monomial),
-    "fractional": ("beta", "exponents", lambda args, kappa: [fractional_fn(args.beta)],
+    "monomial": ("alpha", "integers", lambda args: [monomial_fn(args.alpha)], monomial),
+    "fractional": ("beta", "exponents", lambda args: [fractional_fn(args.beta)],
                    fractional_power),
-    "sum": (None, None, lambda args, kappa: [sum_fn(kappa)], None),
-    "product": (None, None, lambda args, kappa: [product_fn(kappa)], None),
-    "parts": ("signs", "characters from +-", lambda args, kappa: parts_fns(args.signs), None),
+    "sum": (None, None, lambda args: [sum_fn()], None),
+    "product": (None, None, lambda args: [product_fn()], None),
+    "parts": ("signs", "characters from +-", lambda args: parts_fns(args.signs), None),
     "clip": ("coeffs", "numbers",
-             lambda args, kappa: [clipped_affine_fn(args.coeffs, args.lo, args.hi)], None),
+             lambda args: [clipped_affine_fn(args.coeffs, args.lo, args.hi)], None),
 }
 
 
@@ -147,7 +145,7 @@ def cmd_calculus(args) -> Report:
     report = Report(command=_echo(args, args.tuple_in))
     if param is not None and len(getattr(args, param)) != t.kappa:
         raise ParameterError(f"--{param} needs {t.kappa} {noun}")
-    rules = make_rules(args, t.kappa)
+    rules = make_rules(args)
     if library_call is not None:
         ops = (library_call(t, getattr(args, param)),)
     else:
@@ -165,7 +163,7 @@ def cmd_calculus(args) -> Report:
             raise ParameterError(f"component {i} is too large: its Frobenius "
                                  f"norm exceeds the float range")
     # the calculus symmetrizes its results, and they share one eigenbasis
-    save_json(args.out, tuple_to_dict(CommutingTuple(ops=ops, max_commutator_defect=0.0)))
+    save_tuple(args.out, CommutingTuple(ops=ops, max_commutator_defect=0.0))
     tag = ", ".join(rule.tag for rule in rules)
     report.add("calculus", True, detail=f"{tag} -> {args.out}")
     return report

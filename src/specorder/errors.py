@@ -98,6 +98,16 @@ class ParameterError(SpecOrderError):
     """A numeric parameter is out of its admissible range."""
 
 
+class MergedWeightError(ParameterError):
+    """Atoms merged at one point weigh more than the float range; carries the
+    point and the input index of the first atom merged there."""
+
+    def __init__(self, point, atom: int):
+        self.point = point
+        self.atom = atom
+        super().__init__(f"merged weight at point {point!r} exceeds the float range")
+
+
 class NormalityError(SpecOrderError):
     """Matrix fails the normality test beyond tolerance."""
 

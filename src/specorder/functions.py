@@ -99,11 +99,11 @@ def coordinate_fn(axis: int, kappa: int) -> BorelFunction:
     return BorelFunction(tag=f"coordinate[{axis}]", fn=lambda x: float(x[axis]))
 
 
-def sum_fn(kappa: int) -> BorelFunction:
+def sum_fn() -> BorelFunction:
     return BorelFunction(tag="sum", fn=lambda x: float(np.sum(x)))
 
 
-def product_fn(kappa: int) -> BorelFunction:
+def product_fn() -> BorelFunction:
     return BorelFunction(tag="product", fn=lambda x: float(np.prod(x)))
 
 

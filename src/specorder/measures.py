@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionError, MassMismatchError, ParameterError
+from .errors import (
+    CapExceededError,
+    DimensionError,
+    MassMismatchError,
+    MergedWeightError,
+    ParameterError,
+)
 from .linalg import TOL, Verdict, as_point, check_tol, sorted_distinct
 from .spectral import CommutingTuple, _merge_points, _refuse_nan, _rule_values, joint_measure
 
@@ -130,8 +136,7 @@ class AtomicMeasure:
         over = np.isinf(out_w)
         if over.any():
             i = int(np.argmax(over))
-            raise ParameterError(f"merged weight at point {tuple(map(float, out_p[i]))} "
-                                 f"exceeds the float range")
+            raise MergedWeightError(tuple(map(float, out_p[i])), int(np.argmax(group == i)))
         out_p.setflags(write=False)
         out_w.setflags(write=False)
         return cls(points=out_p, weights=out_w)

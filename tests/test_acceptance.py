@@ -167,7 +167,7 @@ def test_criterion_5_monotone_transport():
         a, b = ordered_pair(rng, n, kappa, low=-2.0, high=2.0)
         plus = parts_fns("+" * kappa)[int(rng.integers(kappa))]
         minus = parts_fns("-" * kappa)[int(rng.integers(kappa))]
-        fns = (coordinate_fn(int(rng.integers(kappa)), kappa), sum_fn(kappa),
+        fns = (coordinate_fn(int(rng.integers(kappa)), kappa), sum_fn(),
                clipped_affine_fn((0.5,) * kappa, -1.0, 1.0), plus, minus)
         for phi in fns:
             held += monotone_transport_check(a, b, phi).holds

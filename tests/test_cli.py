@@ -11,7 +11,7 @@ import pytest
 from conftest import subprocess_env
 from specorder.cli import build_parser, main
 from specorder.gallery import crossed_dirac_pair
-from specorder.io import load_tuple, measure_to_dict, save_json, tuple_to_dict
+from specorder.io import load_tuple, measure_to_dict, save_json, save_tuple, tuple_to_dict
 from specorder.measures import AtomicMeasure
 from specorder.spectral import validate_tuple
 
@@ -795,7 +795,8 @@ def test_merged_weight_past_the_float_range_exits_two(tmp_path, capsys):
     assert main(["measure-check", m1, m2]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: merged weight at point (0.0,) exceeds the float range\n")
+    assert captured.err == (f"error: {m1}.atoms[0].weight: merged weight at point (0.0,) "
+                            f"exceeds the float range\n")
     proc = run_cli("measure-check", m1, m2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", captured.err)
 
@@ -822,3 +823,37 @@ def test_memory_exhaustion_exits_two(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: problem too large for available memory\n"
+
+
+def test_calculus_writes_a_wide_tuple_within_a_memory_limit(tmp_path):
+    # kappa=1, n=600 at scale 1e-6: 720,000 numbers, all but the diagonal's
+    # zero imaginary parts respelled (e-07 where orjson writes e-7). The
+    # child runs under its own address-space limit; reading the 17 MB input
+    # is its peak, near 240 MiB.
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(0)
+    n = 600
+
+    def parts():
+        return rng.uniform(0.1, 0.9, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+
+    z = (parts() + 1j * parts()) * 1e-6
+    t = validate_tuple([(z + z.conj().T) / 2])
+    src, out = tmp_path / "t.json", tmp_path / "out.json"
+    save_tuple(str(src), t)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "specorder", "calculus", str(src),
+                           "--fn", "sum", "--out", str(out)],
+                          env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = out.read_bytes()
+    assert text.count(b"e-07") > n * n
+    assert re.search(rb"e\d|e-\d[,\]]|[\[,-]0\.0000", text) is None
+    # the sum of one component is that component, up to the eigensolver's roundoff
+    back = load_tuple(str(out)).ops[0].matrix
+    assert np.max(np.abs(back - t.ops[0].matrix)) <= 1e-9 * np.max(np.abs(t.ops[0].matrix))

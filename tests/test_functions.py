@@ -48,8 +48,8 @@ def test_fractional_tol_is_one_number_or_one_per_coordinate():
 
 def test_coordinate_and_sum_and_product():
     assert coordinate_fn(1, 2)((3.0, 7.0)) == 7.0
-    assert sum_fn(3)((1.0, 2.0, 3.0)) == 6.0
-    assert product_fn(2)((3.0, -2.0)) == -6.0
+    assert sum_fn()((1.0, 2.0, 3.0)) == 6.0
+    assert product_fn()((3.0, -2.0)) == -6.0
     with pytest.raises(ParameterError):
         coordinate_fn(2, 2)
 
@@ -98,7 +98,7 @@ def test_nonfinite_value_raises():
 
 
 def test_on_points_vectorizes():
-    f = sum_fn(2)
+    f = sum_fn()
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     assert np.array_equal(f.on_points(pts), [1.0, 5.0])
 

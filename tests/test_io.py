@@ -1,10 +1,12 @@
 import json
+import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     fresh_rng,
@@ -13,6 +15,7 @@ from conftest import (
     subprocess_env,
     tuple_to_dict_per_entry,
 )
+from specorder import io as sio
 from specorder.cli import main
 from specorder.errors import InputError
 from specorder.functions import sum_fn
@@ -29,11 +32,13 @@ from specorder.io import (
     measure_from_dict,
     measure_to_dict,
     save_json,
+    save_tuple,
     tuple_from_dict,
     tuple_to_dict,
 )
+from specorder.linalg import HermitianOperator
 from specorder.measures import AtomicMeasure
-from specorder.spectral import calculus_scalar, joint_measure, validate_tuple
+from specorder.spectral import CommutingTuple, calculus_scalar, joint_measure, validate_tuple
 
 
 @given(salt=st.integers(0, 20))
@@ -349,10 +354,87 @@ def test_calculus_out_file_is_compact_and_reloads_bitwise(tmp_path, capsys):
     assert text.count("\n") == 1 and text.endswith("\n")
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
     written = validate_tuple([calculus_scalar(joint_measure(load_tuple(str(src))),
-                                              sum_fn(2)).matrix])
+                                              sum_fn()).matrix])
     back = load_tuple(str(out))
     assert back.kappa == written.kappa == 1
     assert back.ops[0].matrix.tobytes() == written.ops[0].matrix.tobytes()
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps_from(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# repr and orjson spell floats apart on three sets: positive exponents
+# (repr e+16, orjson e16), one-digit negative ones (e-07 and e-7), and
+# [1e-5, 1e-4), which repr spells 1.5e-05 and orjson 0.000015. Each set
+# starts or ends at one of these points.
+SWITCH_POINTS = (1e-9, 1e-5, 1e-4, 1e16)
+FLOAT64 = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_float_of_bits).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     -2.2250738585072014e-308, 1.7976931348623157e308, 10.00001]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda x, k, sign: sign * _ulps_from(x, k), st.sampled_from(SWITCH_POINTS),
+              st.integers(-3, 3), st.sampled_from([1.0, -1.0])))
+ENTRIES = 2 * 3 * 3 ** 2  # kappa 3, dim 3, two parts per entry
+# each rule once, and 10.00001, whose 0.0000 is not a token's start
+EVERY_RULE = [1e16, -1e-7, 1.5e-05, -1e-05, 1e-4, 9.999999999999999e-05, -10.00001, 5e-324]
+
+
+def tuple_of_entries(kappa: int, dim: int, entries) -> CommutingTuple:
+    """The entries as kappa dim×dim matrices, unchecked: the writers only
+    read ``matrix``, ``kappa`` and ``dim``."""
+    parts = np.array(entries[:2 * kappa * dim * dim], dtype=np.float64)
+    mats = parts.view(np.complex128).reshape(kappa, dim, dim)
+    return CommutingTuple(ops=tuple(HermitianOperator(m, 0.0) for m in mats),
+                          max_commutator_defect=0.0)
+
+
+def assert_writes_save_json_bytes(t: CommutingTuple, where):
+    save_tuple(str(where / "new.json"), t)
+    save_json(str(where / "ref.json"), tuple_to_dict(t))
+    assert (where / "new.json").read_bytes() == (where / "ref.json").read_bytes()
+
+
+@settings(max_examples=100)
+@given(kappa=st.integers(1, 3), dim=st.integers(1, 3),
+       entries=st.lists(FLOAT64, min_size=ENTRIES, max_size=ENTRIES))
+@example(kappa=1, dim=2, entries=EVERY_RULE + [0.0] * (ENTRIES - len(EVERY_RULE)))
+def test_save_tuple_writes_the_bytes_of_save_json(tmp_path_factory, kappa, dim, entries):
+    # save_json through tuple_to_dict is the reference: the stdlib encoder
+    # spells each float by repr
+    assert_writes_save_json_bytes(tuple_of_entries(kappa, dim, entries),
+                                  tmp_path_factory.mktemp("w"))
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64, 1 << 18])
+def test_save_tuple_respells_across_piece_boundaries(tmp_path, monkeypatch, piece):
+    rng = fresh_rng(41)
+    scales = 10.0 ** rng.integers(-10, 18, size=2 * 3 * 8 * 8)
+    entries = rng.uniform(-1.0, 1.0, size=scales.size) * scales
+    monkeypatch.setattr(sio, "_PIECE", piece)
+    assert_writes_save_json_bytes(tuple_of_entries(3, 8, entries), tmp_path)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_calculus_out_has_the_bytes_of_save_json(tmp_path, capsys, monkeypatch, scale):
+    src, out, ref = tmp_path / "t.json", tmp_path / "out.json", tmp_path / "ref.json"
+    t = random_commuting(fresh_rng(43), 12, 2)
+    save_json(str(src), tuple_to_dict(validate_tuple([op.matrix * scale for op in t.ops])))
+    with monkeypatch.context() as patch:
+        # one writer, with no fallback to the stdlib encoder
+        patch.setattr(json, "dumps", None)
+        assert main(["calculus", str(src), "--fn", "sum", "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = calculus_scalar(joint_measure(load_tuple(str(src))), sum_fn())
+    save_json(str(ref), tuple_to_dict(CommutingTuple(ops=(written,), max_commutator_defect=0.0)))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def stdlib_load(path: str):

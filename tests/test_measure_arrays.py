@@ -98,8 +98,8 @@ def test_arrays_match_the_per_atom_reference(pair):
         assert not e.points().flags.writeable and e.points() is e.points()
 
         bound = 1e-12 * scale_of(t)
-        values = sum_fn(t.kappa).on_points(e.points())
-        got = calculus_scalar(e, sum_fn(t.kappa)).matrix
+        values = sum_fn().on_points(e.points())
+        got = calculus_scalar(e, sum_fn()).matrix
         assert np.max(np.abs(got - calculus_per_atom(ref, values))) <= bound
         want = measure_defects_per_atom(ref, t)
         got = (e.completeness_defect(), e.orthogonality_defect(), e.reconstruction_defect(t))

@@ -118,8 +118,10 @@ def test_atomic_measure_rejects_negative_weight():
 
 
 def test_atomic_measure_rejects_a_merged_weight_past_the_float_range():
-    with pytest.raises(ParameterError, match=r"merged weight at point \(1.0, 2.0\)"):
+    with pytest.raises(ParameterError, match=r"merged weight at point \(1.0, 2.0\)") as info:
         AtomicMeasure.from_atoms([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]], [1.0, 1e308, 1e308])
+    # the first atom merged there, which the CLI names by its file location
+    assert (info.value.point, info.value.atom) == ((1.0, 2.0), 1)
     # atoms at distinct points may each be near the limit
     assert AtomicMeasure.from_atoms([[0.0], [1.0]], [1e308, 1e308]).n_atoms == 2
 

@@ -84,7 +84,7 @@ def every_check(rng, n: int, kappa: int):
     for x, y in ((a, b), (b, a), (a, c)):
         yield spectral_leq(x, y)
         yield spectral_leq_componentwise(x, y)
-    yield monotone_transport_check(a, b, sum_fn(kappa))
+    yield monotone_transport_check(a, b, sum_fn())
     yield restricted_monotone_check(a, b, coordinate_fn(0, kappa), iota=kappa)
     s, t = (NormalOperator.from_parts(x) for x in ordered_pair(rng, n, 2))
     yield normal_leq(s, t)
@@ -247,10 +247,10 @@ def test_loewner_leq_one_operator_from_two_bases():
 def test_transport_requires_order():
     a, b = crossed_dirac_diagonal_pair()
     with pytest.raises(PreconditionError) as info:
-        monotone_transport_check(a, b, sum_fn(2))
+        monotone_transport_check(a, b, sum_fn())
     assert "spectral_leq" in str(info.value)
     with pytest.raises(ParameterError, match="tuples of different lengths: 2 vs 1"):
-        monotone_transport_check(a, validate_tuple([a.ops[0].matrix]), sum_fn(2))
+        monotone_transport_check(a, validate_tuple([a.ops[0].matrix]), sum_fn())
 
 
 def test_transport_refuses_a_rule_with_nan_values():
@@ -276,13 +276,13 @@ def test_transport_requires_monotone():
     rng = fresh_rng(13)
     a, b = ordered_pair(rng, 4, 2, low=-1.0)
     with pytest.raises(MonotonicityError):
-        monotone_transport_check(a, b, product_fn(2))
+        monotone_transport_check(a, b, product_fn())
 
 
 def test_transport_holds_for_increasing_functions():
     rng = fresh_rng(14)
     a, b = ordered_pair(rng, 5, 2)
-    for phi in (sum_fn(2), coordinate_fn(0, 2), coordinate_fn(1, 2),
+    for phi in (sum_fn(), coordinate_fn(0, 2), coordinate_fn(1, 2),
                 clipped_affine_fn((0.5, 2.0), 0.0, 1.0)):
         assert monotone_transport_check(a, b, phi).holds
 
@@ -342,7 +342,7 @@ def test_restricted_transport_product_on_shared_positive_factor():
     a = tuple_from_eigs(q, np.stack([ea, ec]))
     b = tuple_from_eigs(q, np.stack([eb, ec]))
     verdict = restricted_monotone_check(
-        a, b, product_fn(2), iota=1, omega=lambda tail: np.all(tail >= 0))
+        a, b, product_fn(), iota=1, omega=lambda tail: np.all(tail >= 0))
     assert verdict.holds
     ac = a.ops[0].matrix @ a.ops[1].matrix
     bc = b.ops[0].matrix @ b.ops[1].matrix
@@ -359,17 +359,17 @@ def test_restricted_transport_preconditions():
     a = tuple_from_eigs(q, np.stack([ea, ec]))
     b = tuple_from_eigs(q, np.stack([eb, ec + 0.5]))
     with pytest.raises(PreconditionError) as info:
-        restricted_monotone_check(a, b, product_fn(2), iota=1)
+        restricted_monotone_check(a, b, product_fn(), iota=1)
     assert "trailing components equal" in str(info.value)
 
     neg = tuple_from_eigs(q, np.stack([ea, ec - 2.0]))
     neg_b = tuple_from_eigs(q, np.stack([eb, ec - 2.0]))
     with pytest.raises(PreconditionError) as info:
-        restricted_monotone_check(neg, neg_b, product_fn(2), iota=1,
+        restricted_monotone_check(neg, neg_b, product_fn(), iota=1,
                                   omega=lambda tail: np.all(tail >= 0))
     assert "atom tails inside omega" in str(info.value)
 
-    assert restricted_monotone_check(a, b, sum_fn(2), iota=2).holds
+    assert restricted_monotone_check(a, b, sum_fn(), iota=2).holds
 
 
 def test_multi_indices_order():
@@ -785,7 +785,7 @@ PAIR_B = validate_tuple([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
 @pytest.mark.parametrize("check", [
     spectral_leq,
     spectral_leq_componentwise,
-    lambda x, y: restricted_monotone_check(x, y, sum_fn(2), iota=1),
+    lambda x, y: restricted_monotone_check(x, y, sum_fn(), iota=1),
     lambda x, y: monotone_transport_check(x, y, lambda p: float(p[0])),
     lambda x, y: scaled_monomial_check(x, y, lambda alpha: 1.0, 2),
     lambda x, y: olson_necessity_scan(x, y, 2),

@@ -48,7 +48,9 @@ def test_retired_constructors_views_and_knobs_stay_gone():
                      (measures.enumerate_downward_closed, "cap"),
                      (resolution.ProjValuedStepFunction.from_values, "dim"),
                      (functions.indicator_fn, "monotone_iota"),
-                     (functions.table_fn, "monotone_iota")):
+                     (functions.table_fn, "monotone_iota"),
+                     (functions.sum_fn, "kappa"),
+                     (functions.product_fn, "kappa")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
     assert "filter_tag" not in order.GrowthRatioReport.__dataclass_fields__
     # a rule carries no monotonicity claim; the audit on the atoms decides

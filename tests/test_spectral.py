@@ -272,7 +272,7 @@ def test_calculus_recovers_coordinates():
 def test_calculus_sum_on_projection_pair():
     a, _ = projection_pair_no_infimum()
     e = joint_measure(a)
-    total = calculus_scalar(e, sum_fn(2))
+    total = calculus_scalar(e, sum_fn())
     m1, m2 = a.matrices()
     assert np.allclose(total.matrix, m1 + m2, atol=1e-12)
 
