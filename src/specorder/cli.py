@@ -226,13 +226,10 @@ def cmd_selftest(args) -> Report:
     rng = np.random.default_rng(args.seed)
     report = Report(command=_echo(args))
 
-    def random_commuting(n: int, kappa: int, low=-1.0, high=1.0):
+    def random_commuting(n: int, kappa: int):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        mats = []
-        for _ in range(kappa):
-            w = rng.uniform(low, high, size=n)
-            mats.append((q * w) @ q.conj().T)
-        return validate_tuple(mats)
+        return validate_tuple([(q * rng.uniform(-1.0, 1.0, size=n)) @ q.conj().T
+                               for _ in range(kappa)])
 
     measure_ok = True
     agree_ok = True

@@ -7,6 +7,8 @@ comparisons. Every decision threshold in the package is a tolerance (TOL by
 default) times the size of what it compares, with no absolute floor, so
 verdicts do not change when all operands are scaled by one positive number;
 eigh's backward error, n * eps * ||A|| (Golub & Van Loan 8.1), is far below.
+Every Frobenius size or defect of an operator is taken on M/2^e (_scaled)
+and scaled back exactly, so it is right across the float range.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scaled(*ms) -> tuple:
+    """(M_1/2^e, ..., M_k/2^e, e) as complex arrays, e the binary exponent of
+    the largest real or imaginary part among the M_i (0 when all are zero)."""
+    parts = [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64) for m in ms]
+    e = int(np.frexp(max(np.max(np.abs(p), initial=0.0) for p in parts))[1])
+    return (*(np.ldexp(p, -e).view(np.complex128) for p in parts), e)
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix together with the symmetry defect it was built from.
@@ -115,20 +125,11 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     def norm(self) -> float:
-        """Frobenius norm of the symmetrized matrix.
-
-        When squaring the entries overflows, the norm is taken on M/2^e, e the
-        binary exponent of max|M|, and scaled back; power-of-two scaling is
-        exact, so only a norm beyond the float range stays infinite.
-        """
+        """Frobenius norm of the symmetrized matrix M, taken on M/2^e (_scaled)
+        and scaled back: inf only past the float range, and 0 only for M = 0."""
+        m, e = _scaled(self.matrix)
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.matrix))
-            if norm == np.inf:
-                parts = self.matrix.view(np.float64)
-                e = int(np.frexp(np.max(np.abs(parts)))[1])
-                scaled = np.ldexp(parts, -e).view(self.matrix.dtype)
-                norm = float(np.ldexp(np.linalg.norm(scaled), e))
-        return norm
+            return float(np.ldexp(np.linalg.norm(m), e))
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, defect={self.hermiticity_defect:.2e})"
@@ -304,8 +305,8 @@ def is_psd(op, tol: float = TOL) -> bool:
 
 def commutator_norm(a, b) -> float:
     """Frobenius norm of the commutator ab - ba."""
-    am = _coerce_hermitian(a)
-    bm = _coerce_hermitian(b)
+    (am, ea), (bm, eb) = (_scaled(_coerce_hermitian(x)) for x in (a, b))
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return float(np.linalg.norm(am @ bm - bm @ am))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(am @ bm - bm @ am), ea + eb))

@@ -287,14 +287,15 @@ class DownwardClosedAtomSubset:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.points.shape[0]) if self.mask >> i & 1)
+        bits = np.frombuffer(self.mask.to_bytes(-(-len(self.points) // 8), "little"), np.uint8)
+        return tuple(np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist())
 
     def member_points(self) -> np.ndarray:
         return self.points[list(self.indices)]
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.mask.bit_count()
 
     def __repr__(self):
         return f"DownwardClosedAtomSubset(mask={self.mask:#x}, size={self.size})"

@@ -35,6 +35,7 @@ from .linalg import (
     HermitianOperator,
     Verdict,
     _read_only,
+    _scaled,
     as_complex_matrix,
     check_tol,
     commutator_norm,
@@ -255,8 +256,9 @@ def loewner_leq(a, b, tol: float = TOL) -> bool:
     hb = b if isinstance(b, HermitianOperator) else HermitianOperator.from_matrix(b)
     if ha.dim != hb.dim:
         raise DimensionError(f"operators of sizes {ha.dim} and {hb.dim}")
-    tol, w = check_tol(tol), np.linalg.eigvalsh(hb.matrix - ha.matrix)
-    return w.size == 0 or float(w[0]) >= -tol * max(ha.norm(), hb.norm())
+    am, bm, _ = _scaled(ha.matrix, hb.matrix)
+    tol, w = check_tol(tol), np.linalg.eigvalsh(bm - am)
+    return w.size == 0 or float(w[0]) >= -tol * max(np.linalg.norm(am), np.linalg.norm(bm))
 
 
 def monotone_transport_check(a, b, phi, tol: float = TOL) -> Verdict:
@@ -288,11 +290,13 @@ def restricted_monotone_check(a, b, phi, iota: int, omega=None,
     ta, tb = _pair(a, b)
     if not 1 <= iota <= ta.kappa:
         raise ParameterError(f"iota must be in 1..{ta.kappa}, got {iota}")
-    for j in range(iota, ta.kappa):
-        gap = float(np.linalg.norm(ta.ops[j].matrix - tb.ops[j].matrix))
-        if gap > tol * ta.ops[j].norm():
-            raise PreconditionError("trailing components equal",
-                                    f"component {j} differs by {gap:.3e}")
+    with np.errstate(over="ignore"):
+        for j in range(iota, ta.kappa):
+            am, bm, e = _scaled(ta.ops[j].matrix, tb.ops[j].matrix)
+            gap = float(np.linalg.norm(am - bm))
+            if gap > tol * np.linalg.norm(am):
+                raise PreconditionError("trailing components equal",
+                                        f"component {j} differs by {np.ldexp(gap, e):.3e}")
     ea, eb = joint_measure(ta), joint_measure(tb)
     base = distribution_order(ea, eb, tol=tol)
     if not base.holds:
@@ -562,12 +566,14 @@ class NormalOperator:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "NormalOperator":
         m = as_complex_matrix(m)
-        defect = float(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
-        scale = float(np.linalg.norm(m))
+        s, e = _scaled(m)  # the defect and threshold of M/2^e carry one factor 4^-e
+        defect = float(np.linalg.norm(s @ s.conj().T - s.conj().T @ s))
+        scale = float(np.linalg.norm(s))
         threshold = check_tol(tol) * scale * scale
-        if defect > threshold:
-            raise NormalityError(defect, threshold)
-        return cls(matrix=_read_only(m), normality_defect=defect)
+        with np.errstate(over="ignore"):
+            if defect > threshold:
+                raise NormalityError(np.ldexp(defect, 2 * e), np.ldexp(threshold, 2 * e))
+            return cls(matrix=_read_only(m), normality_defect=float(np.ldexp(defect, 2 * e)))
 
     @property
     def dim(self) -> int:
@@ -638,12 +644,9 @@ def infimum_probe(a, b, tol: float = TOL) -> InfimumProbeReport:
         pb = orthonormalize(pb_op.matrix)
         meet = subspace_meet(pa, pb)
         candidates.append(HermitianOperator(meet.matrix, 0.0))
-    defect = 0.0
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            defect = max(defect, commutator_norm(candidates[i], candidates[j]))
-    scale = max((ci.norm() * cj.norm() for i, ci in enumerate(candidates)
-                 for cj in candidates[i + 1:]), default=0.0)
+    pairs = list(itertools.combinations(candidates, 2))
+    defect = max((commutator_norm(ci, cj) for ci, cj in pairs), default=0.0)
+    scale = max((ci.norm() * cj.norm() for ci, cj in pairs), default=0.0)
     commutes = defect <= tol * scale
     lower_bound_ok = None
     if commutes:

@@ -16,6 +16,7 @@ monomials included, is then one product with that unitary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .linalg import (
     Projection,
     _normalize_columns,
     _read_only,
+    _scaled,
     as_point,
     check_tol,
     hermitian_eig,
@@ -88,12 +90,9 @@ def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
     dims = {h.dim for h in herms}
     if len(dims) != 1:
         raise DimensionError(f"components have mixed dimensions: {sorted(dims)}")
-    # Compare A_i / 2^e_i with e_i the binary exponent of max|A_i|, so nothing
-    # overflows; power-of-two scaling is exact, so the decision and the
-    # reported numbers are the unscaled ones wherever those are finite.
-    parts = [h.matrix.view(np.float64) for h in herms]
-    exps = [int(np.frexp(np.max(np.abs(m), initial=0.0))[1]) for m in parts]
-    scaled = [np.ldexp(m, -e).view(np.complex128) for m, e in zip(parts, exps)]
+    # Compare A_i / 2^e_i (_scaled), so nothing overflows; the decision and
+    # the reported numbers are the unscaled ones wherever those are finite.
+    scaled, exps = zip(*(_scaled(h.matrix) for h in herms))
     norms = [float(np.linalg.norm(m)) for m in scaled]
     worst = 0.0
     with np.errstate(over="ignore"):
@@ -101,15 +100,13 @@ def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
             if not np.isfinite(np.ldexp(norm, e)):
                 raise ParameterError(f"component {i} is too large: its Frobenius "
                                      f"norm exceeds the float range")
-        for i in range(len(herms)):
-            for j in range(i + 1, len(herms)):
-                e = exps[i] + exps[j]
-                a, b = scaled[i], scaled[j]
-                defect = float(np.linalg.norm(a @ b - b @ a))
-                threshold = tol_comm * norms[i] * norms[j]
-                if defect > threshold:
-                    raise CommutationError(i, j, np.ldexp(defect, e), np.ldexp(threshold, e))
-                worst = max(worst, float(np.ldexp(defect, e)))
+        for i, j in itertools.combinations(range(len(herms)), 2):
+            a, b, e = scaled[i], scaled[j], exps[i] + exps[j]
+            defect = float(np.linalg.norm(a @ b - b @ a))
+            threshold = tol_comm * norms[i] * norms[j]
+            if defect > threshold:
+                raise CommutationError(i, j, np.ldexp(defect, e), np.ldexp(threshold, e))
+            worst = max(worst, float(np.ldexp(defect, e)))
     return CommutingTuple(ops=tuple(herms), max_commutator_defect=worst)
 
 

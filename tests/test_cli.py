@@ -404,17 +404,20 @@ def test_measure_check_mass_mismatch_skips_equivalence(tmp_path, capsys):
     assert "only mass2 <= mass1" in verdicts["equivalence_agreement"]["detail"]
 
 
+def chain_pair(tmp_path, n: int) -> list[str]:
+    """kappa=1 measures with atoms of weight 1 at 0..n-1, the second with
+    weight 2 on the top atom: its witness ideal is every atom."""
+    return [_raw_measure(tmp_path / name, [(float(i), 1.0) for i in range(n - 1)]
+                         + [(float(n - 1), top)])
+            for name, top in (("m1.json", 1.0), ("m2.json", 2.0))]
+
+
 def test_a_witness_ideal_past_the_int_digit_limit_is_written_in_full(tmp_path, capsys):
     # 15,000 atoms on a chain, mu2 heavier on the top one: the witness is
     # every atom, and its mask has 4,516 decimal digits, past the 4,300 that
     # Python converts by default
     n = 15000
-    for name, top in (("m1.json", 1.0), ("m2.json", 2.0)):
-        atoms = [{"point": [float(i)], "weight": 1.0} for i in range(n - 1)]
-        atoms.append({"point": [float(n - 1)], "weight": top})
-        save_json(str(tmp_path / name), {"schema": "specorder-measure/1", "kappa": 1,
-                                         "atoms": atoms})
-    argv = ["measure-check", str(tmp_path / "m1.json"), str(tmp_path / "m2.json")]
+    argv = ["measure-check", *chain_pair(tmp_path, n)]
     limit = sys.get_int_max_str_digits()
     assert main([*argv, "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -823,6 +826,31 @@ def test_memory_exhaustion_exits_two(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: problem too large for available memory\n"
+
+
+def test_a_witness_ideal_of_15000_atoms_within_a_memory_limit(tmp_path, capsys):
+    # the child needs about 122 MiB of address space, 46 MiB resident, here
+    # and at the commit before the mask was read in one pass
+    resource = pytest.importorskip("resource")
+    argv = ["measure-check", *chain_pair(tmp_path, 15000)]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for fmt, fails, mask in (("json", '"holds":false,"name":"lowerset_dominance"',
+                              r'"mask":(\d+)'),
+                             ("human", "lowerset_dominance: FAILS", r"'mask': (\d+)")):
+        proc = subprocess.run([sys.executable, "-m", "specorder", *argv, "--format", fmt],
+                              env=env, preexec_fn=limit, capture_output=True, text=True,
+                              timeout=120)
+        assert main([*argv, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stderr, captured.err) == (1, "", "")
+        assert (re.sub(r"elapsed: .*", "", proc.stdout)
+                == re.sub(r"elapsed: .*", "", captured.out))
+        assert fails in captured.out
+        assert [len(digits) for digits in re.findall(mask, captured.out)] == [4516]
 
 
 def test_calculus_writes_a_wide_tuple_within_a_memory_limit(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from conftest import (
     co_lower_indicator,
     downset_distance,
     fresh_rng,
+    mask_indices,
     merge_first_occurrence,
     merge_radius,
     n_ideals_by_deletion,
@@ -17,6 +20,7 @@ from specorder.gallery import crossed_dirac_pair
 from specorder.linalg import TOL, Verdict
 from specorder.measures import (
     AtomicMeasure,
+    DownwardClosedAtomSubset,
     _merged_support,
     audit_iota_increasing,
     cdf_leq,
@@ -286,6 +290,20 @@ def test_ideal_enumeration_antichain_and_chain():
     assert len(enumerate_downward_closed(anti, iota=2)) == 8
     chain = [(float(i), float(i)) for i in range(4)]
     assert len(enumerate_downward_closed(chain, iota=2)) == 5
+
+
+@pytest.mark.parametrize("m", [0, 1, 64, 15000])
+def test_ideal_indices_read_every_bit_of_the_mask(m):
+    # indices, size and member_points read the mask in one pass; a shift per
+    # bit took quadratic time in the number of atoms
+    points = np.arange(2.0 * m).reshape(m, 2)
+    rng = random.Random(m)
+    for mask in (0, (1 << m) - 1, (1 << m) >> 1, rng.getrandbits(m)):
+        ideal = DownwardClosedAtomSubset(mask=mask, iota=2, points=points)
+        want = mask_indices(mask, m)
+        assert ideal.indices == tuple(want)
+        assert ideal.size == len(want)
+        assert np.array_equal(ideal.member_points(), points[want])
 
 
 def test_ideal_cap():

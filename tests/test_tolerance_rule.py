@@ -7,14 +7,18 @@ these symmetries at any scale; an absolute floor in a threshold merges the
 atoms of small spectra and flips verdicts there.
 """
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import fresh_rng, positive_ordered_pair, random_unitary, tuple_from_eigs
-from specorder.errors import ParameterError
-from specorder.functions import fractional_fn
-from specorder.linalg import HermitianOperator, Projection, is_psd, proj_leq
+from specorder.cli import main
+from specorder.errors import NormalityError, ParameterError, PreconditionError
+from specorder.functions import fractional_fn, sum_fn
+from specorder.io import save_json, tuple_to_dict
+from specorder.linalg import TOL, HermitianOperator, Projection, commutator_norm, is_psd, proj_leq
 from specorder.measures import audit_iota_increasing
 from specorder.order import (
     NormalOperator,
@@ -23,6 +27,7 @@ from specorder.order import (
     infimum_probe,
     loewner_leq,
     olson_necessity_scan,
+    restricted_monotone_check,
     scaled_monomial_check,
     spectral_leq,
     spectral_leq_componentwise,
@@ -108,6 +113,135 @@ def test_conjugation_and_shift_keep_verdicts(pair, k, shift, salt):
         assert verdicts == {spectral_leq(x, y).holds}
         if want is not None:
             assert verdicts == {want}
+
+
+@st.composite
+def shared_basis_pairs(draw):
+    """(q, eigs_a, eigs_b): kappa 1-3, n 1-6, integer levels -1..3 in one
+    eigenbasis q. b moves each level by a step in {-1, 0, 1} or in {0, 1},
+    and half the time leaves the trailing components as they are."""
+    kappa = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    rng = fresh_rng(draw(st.integers(0, 10_000)))
+    eigs_a = rng.integers(-1, 4, size=(kappa, n)).astype(np.float64)
+    steps = rng.integers(draw(st.sampled_from([-1, 0])), 2, size=(kappa, n))
+    if draw(st.booleans()):
+        steps[1:] = 0
+    return random_unitary(rng, n), eigs_a, eigs_a + steps
+
+
+def issue_pair(scale: float = 1.0):
+    """A = (q diag(0,1,1,2) q^T, q diag(1,1,2,2) q^T) and B = (q diag(1,1,2,2) q^T,
+    q diag(1,2,2,3) q^T), q the Q factor of a seeded normal 4x4 matrix; A <= B."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+
+    def ops(*diags):
+        return [q @ np.diag(np.asarray(d, dtype=np.float64)) @ q.T * scale for d in diags]
+
+    return ops([0, 1, 1, 2], [1, 1, 2, 2]), ops([1, 1, 2, 2], [1, 2, 2, 3])
+
+
+def transport_outcome(x, y):
+    """restricted_monotone_check's verdict for sum at iota=1, or the
+    hypothesis it refused."""
+    try:
+        return restricted_monotone_check(x, y, sum_fn(), iota=1).holds
+    except PreconditionError as exc:
+        return exc.hypothesis
+
+
+ISSUE_EIGS = (np.array([[0.0, 1, 1, 2], [1, 1, 2, 2]]), np.array([[1.0, 1, 2, 2], [1, 2, 2, 3]]))
+
+
+@given(pair=shared_basis_pairs(), k=st.integers(-1000, 1000))
+@example(pair=(np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0], *ISSUE_EIGS),
+         k=-565)
+@example(pair=(np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0], *ISSUE_EIGS),
+         k=-830)
+def test_exact_scaling_keeps_verdicts_across_the_float_range(pair, k):
+    # 2^-565 and 2^-830 put the squared entries below the float range, where
+    # an unscaled Frobenius norm reads 0; 2^1000 puts them above it
+    c = 2.0 ** k
+    for x, y in both_ways(pair[0], pair[0], *pair[1:]):
+        sx, sy = (validate_tuple([c * m for m in t.matrices()]) for t in (x, y))
+        spread = max(float(np.max(np.abs(joint_measure(t).points()))) for t in (x, y))
+
+        def assert_scaled(got, want):
+            assert np.max(np.abs(np.asarray(got) / c - want)) <= TOL * spread
+
+        for t, st_ in ((x, sx), (y, sy)):
+            assert joint_measure(st_).n_atoms() == joint_measure(t).n_atoms()
+            assert is_positive_tuple(st_) == is_positive_tuple(t)
+        want, got = spectral_leq(x, y), spectral_leq(sx, sy)
+        assert got.holds == want.holds
+        if not want.holds:
+            assert_scaled(got.witness, want.witness)
+        want, got = spectral_leq_componentwise(x, y), spectral_leq_componentwise(sx, sy)
+        assert got.holds == want.holds
+        if not want.holds:
+            assert got.witness[0] == want.witness[0]
+            assert_scaled(got.witness[1], want.witness[1])
+        assert ([loewner_leq(a, b) for a, b in zip(sx.ops, sy.ops)]
+                == [loewner_leq(a, b) for a, b in zip(x.ops, y.ops)])
+        assert transport_outcome(sx, sy) == transport_outcome(x, y)
+
+
+def test_check_order_at_1e_170_reads_as_at_scale_1(tmp_path, capsys):
+    # the pair multiplied by 1e-170 failed spectral_leq with residual 0.52:
+    # its norms read 0, so no eigenvalue ties were merged
+    docs = []
+    for scale in (1.0, 1e-170):
+        files = []
+        for name, ops in zip("ab", issue_pair(scale)):
+            save_json(str(tmp_path / f"{name}.json"), tuple_to_dict(validate_tuple(ops)))
+            files.append(str(tmp_path / f"{name}.json"))
+        assert main(["check-order", *files, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        docs.append(json.loads(captured.out))
+    assert [[(v["name"], v["holds"]) for v in doc["verdicts"]] for doc in docs] == [
+        [("spectral_leq", True), ("componentwise", True), ("routes_agree", True)]] * 2
+
+
+def test_loewner_leq_at_1e_250_reads_as_at_scale_1():
+    for scale in (1.0, 1e-250):
+        (a1, _), (b1, _) = issue_pair(scale)
+        assert loewner_leq(a1, b1) and not loewner_leq(b1, a1)
+
+
+@pytest.mark.parametrize("k", [0, -565])
+def test_unequal_trailing_components_are_refused_at_any_scale(k):
+    # at 2^-565 the gap between diag(1, 1) and diag(1, 2) read 0
+    c = 2.0 ** k
+    a = (np.diag([0.0, 1.0]) * c, np.diag([1.0, 1.0]) * c)
+    b = (np.diag([1.0, 1.0]) * c, np.diag([1.0, 2.0]) * c)
+    with pytest.raises(PreconditionError, match="trailing components equal"):
+        restricted_monotone_check(a, b, sum_fn(), iota=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_a_nilpotent_matrix_is_not_normal_at_any_scale(scale):
+    # at 1e160 the unscaled defect was nan, at 1e-160 it was 0.0
+    with pytest.raises(NormalityError):
+        NormalOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]) * scale)
+
+
+def test_loewner_leq_near_the_float_limit():
+    # B - A = diag(3e308, 0) is PSD, though it is past the float range
+    a, b = np.diag([-1.5e308, 0.0]), np.diag([1.5e308, 0.0])
+    assert loewner_leq(a, b) and not loewner_leq(b, a)
+
+
+def test_commutator_norm_scales_exactly():
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    b = np.diag([1.0, 2.0])
+    want = commutator_norm(a, b)
+    # squaring the commutator's entries overflows, though its norm does not
+    assert commutator_norm(a * 2.0 ** 300, b * 2.0 ** 300) == want * 2.0 ** 600
+    assert commutator_norm(a * 2.0 ** -300, b * 2.0 ** -300) == want * 2.0 ** -600
+    # past the float range it reads inf; commuting operators read 0 at any scale
+    assert commutator_norm(a * 1e200, b * 1e200) == np.inf
+    assert commutator_norm(b * 1e200, b * 1e200) == 0.0
 
 
 def test_scan_decides_relative_to_the_monomials():
