@@ -3,10 +3,12 @@
 Schemas are versioned strings; complex scalars travel as [re, im] pairs and
 matrices as flat row-major entry lists, so files are language-neutral.
 Parsing is strict: anything off-schema raises InputError with a location.
-Files are decoded by orjson when they are shallow and plain, and by the
-stdlib decoder otherwise. Tuples are written by orjson, respelled to the
-stdlib encoder's bytes; every other document is written by the stdlib
-encoder.
+A tuple file in the plain shape every writer here produces (one object
+whose only array holds the matrices' number pairs) has its numbers read by
+orjson as one flat list. Every other file is decoded by orjson when it is
+shallow and plain, and by the stdlib decoder otherwise, and then checked
+against its schema. Tuples are written by orjson, respelled to the stdlib
+encoder's bytes; every other document is written by the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -72,9 +74,14 @@ def _parse_matrix(flat: list, dim: int, where: str) -> np.ndarray:
     if bad.any():
         k, part = divmod(int(np.argmax(bad)), 2)
         raise InputError(f"{where}[{k}][{part}]", "expected a finite number")
+    return _entries(pairs).reshape(dim, dim)
+
+
+def _entries(pairs: np.ndarray) -> np.ndarray:
+    """The complex entries of [re, im] pairs along the last axis."""
     # not a complex view: re + 1j * im turns some -0.0 parts into +0.0, and
     # matrices have always been built that way
-    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim)
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def tuple_to_dict(t: CommutingTuple) -> dict:
@@ -195,8 +202,68 @@ def load_json(path: str):
         raise InputError(path, "nested too deeply to parse") from None
 
 
+# a tuple text without the bytes of numbers and the whitespace and colons
+# around them, outside strings and with each [re, im] pair's [,] removed:
+# one object whose only array is a list of matrices of number pairs
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r:"
+_TUPLE_SHAPE = re.compile(rb"\{,*(\[\[,*\](?:,\[,*\])*\]),*\}")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _flat_matrices(data: bytes):
+    """The matrices of a tuple text in its plain shape, or None.
+
+    The plain shape has no backslash and no bracket in a string, and its
+    only array is ``"matrices"``: kappa lists of dim² [re, im] pairs of
+    number literals, with no other token. orjson reads the array's numbers
+    as one flat list, its brackets blanked, and the header in a second
+    call, the array replaced by []. Any other text, any whose header or
+    counts do not fit, and any that tuple_from_dict would refuse gives None.
+    """
+    marks = data.translate(None, _NUMBER_BYTES)
+    if b"\\" in marks or any(b"[" in s or b"]" in s for s in _STRING.findall(marks)):
+        return None
+    # with no bracket in a string, a quote between the outer brackets opens
+    # a string in the array
+    if b'"' in marks[marks.find(b"["):marks.rfind(b"]")]:
+        return None
+    shape = _TUPLE_SHAPE.fullmatch(_STRING.sub(b"", marks).replace(b"[,]", b""))
+    if shape is None:
+        return None
+    start, stop = data.index(b"["), data.rindex(b"]") + 1
+    try:
+        head = orjson.loads(data[:start] + b"[]" + data[stop:])
+        flat = orjson.loads(b"[" + data[start + 1:stop - 1].translate(_BLANK_BRACKETS) + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    if not (isinstance(head, dict) and head.get("matrices") == []
+            and head.get("schema") == TUPLE_SCHEMA):
+        return None
+    kappa, dim = head.get("kappa"), head.get("dim")
+    if not (_is_positive_int(kappa) and _is_positive_int(dim)
+            and len(flat) == 2 * kappa * dim * dim
+            and shape[1] == b"[%b]" % b",".join([b"[%b]" % (b"," * (dim * dim - 1))] * kappa)):
+        return None
+    # the array holds number literals only, so flat holds ints and floats
+    pairs = np.array(flat, dtype=np.float64).reshape(kappa, dim, dim, 2)
+    return list(_entries(pairs)) if np.isfinite(pairs).all() else None
+
+
 def load_tuple(path: str) -> CommutingTuple:
-    return tuple_from_dict(load_json(path), location=path)
+    """The tuple in a specorder/1 file; InputError with a location otherwise.
+
+    The file's bytes are read once for _flat_matrices. A text it declines
+    goes to load_json and tuple_from_dict, which read every valid document
+    and locate every error.
+    """
+    try:
+        with open(path, "rb") as fh:
+            mats = _flat_matrices(fh.read())
+    except OSError:
+        mats = None
+    if mats is None:
+        return tuple_from_dict(load_json(path), location=path)
+    return validate_tuple(mats)
 
 
 def load_measure(path: str) -> AtomicMeasure:

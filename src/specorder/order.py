@@ -633,11 +633,16 @@ def infimum_probe(a, b, tol: float = TOL) -> InfimumProbeReport:
     tol, (ta, tb) = check_tol(tol), _pair(a, b)
     for name, tt in (("a", ta), ("b", tb)):
         for j, op in enumerate(tt.ops):
-            idem = float(np.linalg.norm(op.matrix @ op.matrix - op.matrix))
-            if idem > tol * op.norm():
+            # P^2 - P = 2^e (2^e P'^2 - P') for P' = P/2^e (_scaled). A
+            # projection's entries have modulus <= 1, so e <= 1; past that
+            # the square could overflow, and P is refused unsquared (NaN)
+            p, e = _scaled(op.matrix)
+            idem = float(np.linalg.norm(np.ldexp(1.0, e) * (p @ p) - p)) if e <= 1 else np.nan
+            if not idem <= tol * float(np.linalg.norm(p)):
+                detail = (f"idempotency defect {np.ldexp(idem, e):.3e}" if e <= 1
+                          else "an entry of modulus 2 or more")
                 raise ParameterError(
-                    f"component {j} of {name!r} is not a projection "
-                    f"(idempotency defect {idem:.3e})")
+                    f"component {j} of {name!r} is not a projection ({detail})")
     candidates = []
     for pa_op, pb_op in zip(ta.ops, tb.ops):
         pa = orthonormalize(pa_op.matrix)

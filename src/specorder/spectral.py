@@ -187,10 +187,16 @@ class JointSpectralMeasure:
         return float(np.max(cross, initial=0.0))
 
     def reconstruction_defect(self, t: CommutingTuple) -> float:
-        """max_j ||A_j - sum lambda_j P_lambda||_F, the moment-recovery residual."""
+        """max_j ||A_j - sum lambda_j P_lambda||_F, the moment-recovery residual.
+
+        Each difference is taken on A_j/2^e and its moment over 2^e, e from
+        both (_scaled), and scaled back, so it is 0 only when they are equal.
+        """
         u = self.basis
         moments = (u * self._points[self.owner].T[:, None, :]) @ u.conj().T
-        return float(np.max(np.linalg.norm(np.stack(t.matrices()) - moments, axis=(1, 2))))
+        scaled = (_scaled(a, m) for a, m in zip(t.matrices(), moments))
+        with np.errstate(over="ignore"):
+            return float(max(np.ldexp(np.linalg.norm(a - m), e) for a, m, e in scaled))
 
     def __repr__(self):
         return (f"JointSpectralMeasure(kappa={self.kappa}, dim={self.dim}, "
@@ -290,20 +296,31 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             points[:, j] = c
         keep(points, cols[:, :, 0].T, np.ones(cols.shape[0], dtype=np.intp))
 
-    # the open clusters of a level: basis and coordinates so far
-    clusters = [(np.eye(t.dim, dtype=np.complex128), ())]
+    def lift(basis, v: np.ndarray) -> np.ndarray:
+        # columns v in the basis as columns of the whole space. Level 0 has
+        # no basis; its columns are copied in C order, as a product gives
+        # them, so later levels multiply, and round, as before
+        return np.ascontiguousarray(v) if basis is None else basis @ v
+
+    # the open clusters of a level: basis and coordinates so far; level 0
+    # has one, the whole space, with no basis to compress to
+    clusters = [(None, ())]
     if t.dim == 1:
         # the one column is an atom before any eigendecomposition
-        finish(clusters.pop()[0][None], [])
+        finish(np.ones((1, 1, 1), dtype=np.complex128), [])
+        clusters = []
     for level, a in enumerate(mats):
         if not clusters:
             break
         threshold = TOL * t.ops[level].norm()
         deeper = []
         for basis, prefix in clusters:
-            compressed = basis.conj().T @ a @ basis
-            compressed = compressed / 2.0 + compressed.conj().T / 2.0
-            w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
+            if basis is None:
+                w, v = hermitian_eig(t.ops[0])
+            else:
+                compressed = basis.conj().T @ a @ basis
+                compressed = compressed / 2.0 + compressed.conj().T / 2.0
+                w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
             order, bounds = _split_clusters(w, threshold)
             sizes = np.diff(bounds)
             # every cluster of size 1 is an atom: one stacked product for
@@ -311,10 +328,10 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             ks = np.flatnonzero(sizes == 1)
             if ks.size:
                 single = order[bounds[ks]]
-                finish(basis[None] @ v.T[single][:, :, None], [*prefix, w[single]])
+                finish(lift(basis, v.T[single][:, :, None]), [*prefix, w[single]])
             for k in np.flatnonzero(sizes > 1):
                 cluster = order[bounds[k]:bounds[k + 1]]
-                sub = basis @ v[:, np.sort(cluster)]
+                sub = lift(basis, v[:, np.sort(cluster)])
                 coords = (*prefix, _mean(w[cluster]))
                 if level + 1 < t.kappa:
                     deeper.append((sub, coords))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -17,7 +18,7 @@ from conftest import (
 )
 from specorder import io as sio
 from specorder.cli import main
-from specorder.errors import InputError
+from specorder.errors import InputError, SpecOrderError
 from specorder.functions import sum_fn
 from specorder.io import (
     MEASURE_SCHEMA,
@@ -559,3 +560,141 @@ def test_million_deep_closed_nesting_is_refused_in_a_fresh_interpreter(tmp_path)
                           env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert f"error: {path}: nested too deeply to parse" in proc.stderr
+
+
+def load_outcome(load, path: str):
+    """The matrices' bytes and commutator defect, or the error's type and text."""
+    try:
+        t = load(path)
+    except SpecOrderError as exc:
+        return type(exc), str(exc)
+    return [op.matrix.tobytes() for op in t.ops], t.max_commutator_defect.hex()
+
+
+def reference_load_tuple(path: str) -> CommutingTuple:
+    return tuple_from_dict(stdlib_load(path), location=path)
+
+
+NUMBER_LITERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["-0", "0.0", "-0.0", "5e-324", "1E5", "-2.5e+3", str(2 ** 63),
+                     str(2 ** 64 - 1), str(-2 ** 63 - 1)]))
+ZERO_LITERALS = st.sampled_from(["0", "-0", "0.0", "-0.0"])
+# parts and entries that are not finite numbers or [re, im] pairs of them
+ODD_PARTS = st.sampled_from(['"1.5"', '"x"', '"[1,2]"', '""', "true", "false", "null", "NaN",
+                             "Infinity", "1e400", "-1e400", "1" + "0" * 400])
+ODD_PAIRS = st.one_of(st.tuples(ODD_PARTS, NUMBER_LITERALS), st.tuples(NUMBER_LITERALS, ODD_PARTS))
+ODD_ENTRIES = st.one_of(
+    *[ODD_PAIRS.map(lambda p: "[%s, %s]" % p)] * 4,  # weighted: they keep the counts
+    st.sampled_from(["true", "null", '"x"', '"[1,2]"', "[]", "7"]),
+    st.lists(NUMBER_LITERALS, min_size=1, max_size=3).map(lambda ps: "[" + ", ".join(ps) + "]"),
+    st.tuples(NUMBER_LITERALS, NUMBER_LITERALS).map(lambda p: "[[%s, %s]]" % p),
+    st.tuples(NUMBER_LITERALS, NUMBER_LITERALS).map(lambda p: "[%s, [%s]]" % p))
+# scalar members beside the tuple's keys: brackets and commas in strings
+EXTRA_MEMBERS = st.sampled_from([('"note"', '"a[,]b"'), ('"[x]"', "1"), ('"n"', "null"),
+                                 ('"t"', "true"), ('"c,"', '","'), ('"f"', "2.5e-3"),
+                                 ('"by"', '"hand"'), ('"v"', "-1E+2")])
+
+
+TEXT_CHANGES = ("entries", "header", "placement", "members", "escape", "bom")
+
+
+@st.composite
+def tuple_texts(draw):
+    """Texts around a kappa-tuple of diagonal matrices, spelled many ways.
+
+    Separators, member order and zero spellings vary in every text. About
+    a quarter are plain tuple documents; each of the others takes one or
+    two changes from TEXT_CHANGES: odd entries or parts, a wrong header,
+    a misplaced or duplicate "matrices" key, extra members (strings with
+    brackets or commas, bare true and null), an escaped key, or a
+    byte-order mark.
+    """
+    changes = draw(st.sampled_from([()] * 12 + [(c,) for c in TEXT_CHANGES] * 3
+                                   + list(itertools.combinations(TEXT_CHANGES, 2))))
+    kappa, dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    item_sep = draw(st.sampled_from([",", ", ", ",\t", ",\r\n", " ,\n "]))
+    key_sep = draw(st.sampled_from([":", ": ", " :\t"]))
+    matrices = [[[draw(NUMBER_LITERALS if k % (dim + 1) == 0 else ZERO_LITERALS),
+                  draw(ZERO_LITERALS)] for k in range(dim * dim)] for _ in range(kappa)]
+    matrices = [[item_sep.join(pair).join("[]") for pair in flat] for flat in matrices]
+    for _ in range(draw(st.integers(1, 2)) if "entries" in changes else 0):
+        flat = draw(st.sampled_from(matrices))
+        k = draw(st.integers(0, len(flat)))
+        odd = draw(ODD_ENTRIES)
+        if k < len(flat) and draw(st.integers(0, 2)):
+            flat[k] = odd
+        else:
+            flat.insert(k, odd)
+    array = item_sep.join(item_sep.join(flat).join("[]") for flat in matrices).join("[]")
+    header = [("schema", '"specorder/1"'), ("kappa", str(kappa)), ("dim", str(dim))]
+    if "header" in changes:
+        k = draw(st.integers(0, 2))
+        header[k] = (header[k][0], draw(st.sampled_from(
+            [['"specorder/2"', "null"], [str(kappa + 1), "0", "true", '"1"', "1.0"],
+             [str(dim + 1), "0", "1.0", "null", '"2"']][k])))
+    if "escape" in changes:
+        header[0] = ("sch\\u0065ma", header[0][1])
+    members = [(f'"{key}"', value) for key, value in header]
+    if "placement" in changes:
+        filler = draw(st.sampled_from(["null", "5", '"x"', "[]"]))
+        members += draw(st.sampled_from([
+            # a placeholder of null or 0 for the array would misread these
+            [('"matrices"', draw(st.sampled_from(["null", "0"]))), ('"other"', array)],
+            [('"matrices"', array), ('"matrices"', filler)],
+            [('"matrices"', filler), ('"matrices"', array)]]))
+    else:
+        members.append(('"matrices"', array))
+    if "members" in changes:
+        members += draw(st.lists(EXTRA_MEMBERS, min_size=1, max_size=2))
+    members = draw(st.permutations(members))
+    body = item_sep.join(key + key_sep + value for key, value in members)
+    return (("\ufeff" if "bom" in changes else "") + "{" + body + "}"
+            + draw(st.sampled_from(["", "\n", "\r\n"])))
+
+
+@settings(max_examples=400)
+@given(text=tuple_texts())
+@example(text='{"schema": "specorder/1", "kappa": 1, "dim": 1, "matrices": null, '
+              '"other": [[[1, 0]]]}')
+@example(text='{"schema": "specorder/1", "kappa": 1, "dim": 1, "matrices": 0, '
+              '"other": [[[1, 0]]]}')
+# strings in the array: numpy would convert the first and raise on the second
+@example(text='{"schema": "specorder/1", "kappa": 1, "dim": 1, "matrices": [[[1, "2.5"]]]}')
+@example(text='{"schema": "specorder/1", "kappa": 1, "dim": 1, "matrices": [[["x", 0]]]}')
+@example(text='{"dim":2,"kappa":1,"matrices":[[[1,-0.0],[-0.0,0],[0,-0],[%d,0]]],'
+              '"schema":"specorder/1"}\n' % 2 ** 64)
+def test_load_tuple_matches_the_stdlib_reading_of_any_text(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("t") / "t.json")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    assert load_outcome(load_tuple, path) == load_outcome(reference_load_tuple, path)
+
+
+def written_tuple_files(where) -> list:
+    """Paths of tuple files of every kind the project writes."""
+    rng = fresh_rng(47)
+    tuples = [random_commuting(rng, n, kappa) for n, kappa in [(1, 1), (2, 3), (5, 2), (9, 1)]]
+    tuples += [validate_tuple([np.diag([-0.0, 1.0]), np.diag([1e300, -5e-324])]),
+               validate_tuple([op.matrix * 1e-170 for op in tuples[2].ops])]
+    files = []
+    for k, t in enumerate(tuples):
+        written = [where / f"{kind}{k}.json" for kind in ("save_tuple", "save_json", "dumps")]
+        save_tuple(str(written[0]), t)
+        save_json(str(written[1]), tuple_to_dict(t))
+        # bench/workloads.write_tuple's spelling: json.dumps with default separators
+        written[2].write_text(json.dumps(tuple_to_dict(t)))
+        files += [str(path) for path in written]
+    return files
+
+
+def test_load_tuple_reads_every_written_file_without_tuple_from_dict(tmp_path, monkeypatch):
+    files = written_tuple_files(tmp_path)
+    want = [load_outcome(reference_load_tuple, path) for path in files]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a written tuple file left the flat route")
+
+    monkeypatch.setattr(sio, "tuple_from_dict", refuse)
+    assert [load_outcome(load_tuple, path) for path in files] == want

@@ -8,6 +8,7 @@ atoms of small spectra and flips verdicts there.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,29 @@ def test_a_nilpotent_matrix_is_not_normal_at_any_scale(scale):
     # at 1e160 the unscaled defect was nan, at 1e-160 it was 0.0
     with pytest.raises(NormalityError):
         NormalOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]) * scale)
+
+
+@pytest.mark.parametrize("k", [-565, -830, 1000])
+def test_reconstruction_defect_scales_with_the_tuple(k):
+    # unscaled, the defect read 0.0 at 2^-565 and 2^-830, so selftest's
+    # bound on it held there whatever the measure
+    t = tuple_from_eigs(random_unitary(fresh_rng(5), 4), ISSUE_EIGS[0])
+    c = 2.0 ** k
+    scaled = validate_tuple([c * m for m in t.matrices()])
+    want = joint_measure(t).reconstruction_defect(t)
+    got = joint_measure(scaled).reconstruction_defect(scaled) / c
+    # the same roundoff, up to how eigh rounds at each scale
+    assert 0 < want / 16 <= got <= 16 * want
+
+
+@pytest.mark.parametrize("scale", [1e200, 2.0, 1e-200])
+def test_a_scaled_projection_is_refused_without_warnings(scale):
+    # at 1e200 the unscaled defect was nan, read as a projection with three
+    # numpy warnings; at 1e-200 it read 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="not a projection"):
+            infimum_probe([scale * np.diag([1.0, 0.0])], [np.diag([1.0, 0.0])])
 
 
 def test_loewner_leq_near_the_float_limit():
