@@ -17,7 +17,6 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -52,24 +51,15 @@ def _as_number(value, location: str) -> float:
 def _parse_matrix(flat: list, dim: int, where: str) -> np.ndarray:
     """dim² row-major [re, im] pairs as a dim×dim complex matrix.
 
-    Pairs of plain ints and floats take one numpy conversion. Anything else
-    (a bool or string would convert silently, an int past the float range
-    would overflow) is converted entry by entry, which raises at the first
-    malformed entry, re before im. Non-finite values are located after that.
+    Entries are converted one by one, which raises at the first malformed
+    entry, re before im. Non-finite values are located after that.
     """
-    pairs = None
-    if set(map(type, flat)) == {list} and set(map(len, flat)) == {2}:
-        parts = list(chain.from_iterable(flat))
-        if set(map(type, parts)) <= {int, float}:
-            with suppress(OverflowError):
-                pairs = np.array(parts, dtype=np.float64).reshape(-1, 2)
-    if pairs is None:
-        pairs = np.empty((len(flat), 2))
-        for k, entry in enumerate(flat):
-            _require(isinstance(entry, list) and len(entry) == 2,
-                     f"{where}[{k}]", "expected an [re, im] pair")
-            pairs[k] = [_as_number(v, f"{where}[{k}][{part}]")
-                        for part, v in enumerate(entry)]
+    pairs = np.empty((len(flat), 2))
+    for k, entry in enumerate(flat):
+        _require(isinstance(entry, list) and len(entry) == 2,
+                 f"{where}[{k}]", "expected an [re, im] pair")
+        pairs[k] = [_as_number(v, f"{where}[{k}][{part}]")
+                    for part, v in enumerate(entry)]
     bad = ~np.isfinite(pairs)
     if bad.any():
         k, part = divmod(int(np.argmax(bad)), 2)
@@ -233,7 +223,10 @@ def _flat_matrices(data: bytes):
     start, stop = data.index(b"["), data.rindex(b"]") + 1
     try:
         head = orjson.loads(data[:start] + b"[]" + data[stop:])
-        flat = orjson.loads(b"[" + data[start + 1:stop - 1].translate(_BLANK_BRACKETS) + b"]")
+        # one copy of the array for orjson, its outer brackets put back
+        text = bytearray(memoryview(data)[start:stop]).translate(_BLANK_BRACKETS)
+        text[0], text[-1] = b"[]"
+        flat = orjson.loads(text)
     except orjson.JSONDecodeError:
         return None
     if not (isinstance(head, dict) and head.get("matrices") == []

@@ -296,31 +296,20 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             points[:, j] = c
         keep(points, cols[:, :, 0].T, np.ones(cols.shape[0], dtype=np.intp))
 
-    def lift(basis, v: np.ndarray) -> np.ndarray:
-        # columns v in the basis as columns of the whole space. Level 0 has
-        # no basis; its columns are copied in C order, as a product gives
-        # them, so later levels multiply, and round, as before
-        return np.ascontiguousarray(v) if basis is None else basis @ v
-
-    # the open clusters of a level: basis and coordinates so far; level 0
-    # has one, the whole space, with no basis to compress to
-    clusters = [(None, ())]
+    # the open clusters of a level: basis and coordinates so far
+    clusters = [(np.eye(t.dim, dtype=np.complex128), ())]
     if t.dim == 1:
         # the one column is an atom before any eigendecomposition
-        finish(np.ones((1, 1, 1), dtype=np.complex128), [])
-        clusters = []
+        finish(clusters.pop()[0][None], [])
     for level, a in enumerate(mats):
         if not clusters:
             break
         threshold = TOL * t.ops[level].norm()
         deeper = []
         for basis, prefix in clusters:
-            if basis is None:
-                w, v = hermitian_eig(t.ops[0])
-            else:
-                compressed = basis.conj().T @ a @ basis
-                compressed = compressed / 2.0 + compressed.conj().T / 2.0
-                w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
+            compressed = basis.conj().T @ a @ basis
+            compressed = compressed / 2.0 + compressed.conj().T / 2.0
+            w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
             order, bounds = _split_clusters(w, threshold)
             sizes = np.diff(bounds)
             # every cluster of size 1 is an atom: one stacked product for
@@ -328,10 +317,10 @@ def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:
             ks = np.flatnonzero(sizes == 1)
             if ks.size:
                 single = order[bounds[ks]]
-                finish(lift(basis, v.T[single][:, :, None]), [*prefix, w[single]])
+                finish(basis[None] @ v.T[single][:, :, None], [*prefix, w[single]])
             for k in np.flatnonzero(sizes > 1):
                 cluster = order[bounds[k]:bounds[k + 1]]
-                sub = lift(basis, v[:, np.sort(cluster)])
+                sub = basis @ v[:, np.sort(cluster)]
                 coords = (*prefix, _mean(w[cluster]))
                 if level + 1 < t.kappa:
                     deeper.append((sub, coords))

@@ -504,23 +504,18 @@ def diagonalize_per_atom(t):
         if level == t.kappa:
             leaves.append((prefix, basis))
             return
-        if basis is None:
-            # level 0 diagonalizes A_1 itself; its eigenvectors are the bases
-            w, v = hermitian_eig(t.ops[0])
-        else:
-            compressed = basis.conj().T @ t.ops[level].matrix @ basis
-            if basis.shape[1] == 1:
-                recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
-                return
-            compressed = compressed / 2.0 + compressed.conj().T / 2.0
-            w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
+        compressed = basis.conj().T @ t.ops[level].matrix @ basis
+        if basis.shape[1] == 1:
+            recurse(level + 1, basis, prefix + (float(compressed[0, 0].real),))
+            return
+        compressed = compressed / 2.0 + compressed.conj().T / 2.0
+        w, v = hermitian_eig(HermitianOperator(compressed, 0.0))
         order, bounds = _split_clusters(w, thresholds[level])
         for cluster in (order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])):
-            cols = v[:, np.sort(cluster)]
-            recurse(level + 1, np.ascontiguousarray(cols) if basis is None else basis @ cols,
+            recurse(level + 1, basis @ v[:, np.sort(cluster)],
                     prefix + (float(np.mean(w[cluster])),))
 
-    recurse(0, np.eye(1, dtype=np.complex128) if t.dim == 1 else None, ())
+    recurse(0, np.eye(t.dim, dtype=np.complex128), ())
     if not leaves:
         return []
     fixed = _normalize_columns(np.hstack([b for _, b in leaves]))

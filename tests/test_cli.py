@@ -856,8 +856,8 @@ def test_a_witness_ideal_of_15000_atoms_within_a_memory_limit(tmp_path, capsys):
 def test_calculus_writes_a_wide_tuple_within_a_memory_limit(tmp_path):
     # kappa=1, n=600 at scale 1e-6: 720,000 numbers, all but the diagonal's
     # zero imaginary parts respelled (e-07 where orjson writes e-7). The
-    # child runs under its own address-space limit; reading the 17 MB input
-    # is its peak, near 240 MiB.
+    # child runs under its own address-space limit and needs about 232 MiB;
+    # reading the 17 MB input alone needs about 203 MiB.
     resource = pytest.importorskip("resource")
     rng = np.random.default_rng(0)
     n = 600
