@@ -5,17 +5,16 @@ matrices as flat row-major entry lists, so files are language-neutral.
 Parsing is strict: anything off-schema raises InputError with a location.
 A tuple file in the plain shape every writer here produces (one object
 whose only array holds the matrices' number pairs) has its numbers read by
-orjson as one flat list. Every other file is decoded by orjson when it is
-shallow and plain, and by the stdlib decoder otherwise, and then checked
-against its schema. Tuples are written by orjson, respelled to the stdlib
-encoder's bytes; every other document is written by the stdlib encoder.
+orjson as one flat list. Every other file is decoded by the stdlib json
+and then checked against its schema. Tuples are written by orjson,
+respelled to the stdlib encoder's bytes; every other document is written
+by the stdlib encoder.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,44 +142,12 @@ def measure_from_dict(doc, location: str = "<measure>") -> AtomicMeasure:
         raise InputError(f"{location}.atoms[{exc.atom}].weight", str(exc)) from None
 
 
-# the schemas nest 4 deep; orjson crashes the process on very deep nesting
-_GUARD_PASSES = 32
-_NOT_MARK = bytes(b for b in range(256) if b not in b'[]{}"\\')
-_STRING = re.compile(rb'"[^"]*"')
-
-
-def _shallow(text: str) -> bool:
-    """True when text has no backslash and, outside strings, its brackets
-    balance and nest shallowly.
-
-    Each of the _GUARD_PASSES passes removes every innermost [] and then
-    every innermost {}, so a text nested 32 deep always passes and one
-    nested more than 64 deep never does.
-    """
-    marks = text.encode().translate(None, _NOT_MARK)
-    if b"\\" in marks:
-        return False
-    marks = _STRING.sub(b"", marks)
-    for _ in range(_GUARD_PASSES):
-        marks = marks.replace(b"[]", b"").replace(b"{}", b"")
-    return not marks
-
-
 def load_json(path: str):
-    """The JSON document in a UTF-8 file; InputError with a location otherwise.
-
-    A shallow, escape-free text goes to orjson. Any other text, and any
-    that orjson refuses, goes to the stdlib decoder, whose result or error
-    stands. The two agree on every text orjson accepts, except integers
-    outside [-2**63, 2**64), which orjson returns as rounded floats.
-    """
+    """The JSON document in a UTF-8 file, decoded by the stdlib json;
+    InputError with a location otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if _shallow(text):
-            with suppress(orjson.JSONDecodeError):
-                return orjson.loads(text)
-        return json.loads(text)
+            return json.loads(fh.read())
     except OSError as exc:
         raise InputError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -196,6 +163,7 @@ def load_json(path: str):
 # around them, outside strings and with each [re, im] pair's [,] removed:
 # one object whose only array is a list of matrices of number pairs
 _NUMBER_BYTES = b"0123456789+-.eE \t\n\r:"
+_STRING = re.compile(rb'"[^"]*"')
 _TUPLE_SHAPE = re.compile(rb"\{,*(\[\[,*\](?:,\[,*\])*\]),*\}")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
@@ -218,6 +186,9 @@ def _flat_matrices(data: bytes):
     if b'"' in marks[marks.find(b"["):marks.rfind(b"]")]:
         return None
     shape = _TUPLE_SHAPE.fullmatch(_STRING.sub(b"", marks).replace(b"[,]", b""))
+    # the fullmatch guards orjson, which crashes the process on deep
+    # nesting: it sees only the header, one object holding [], and the flat
+    # list of numbers, both at most 2 deep
     if shape is None:
         return None
     start, stop = data.index(b"["), data.rindex(b"]") + 1

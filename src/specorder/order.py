@@ -475,6 +475,10 @@ def growth_ratio(a, b, h, lambda_filter=None, alpha_max: int = 12) -> GrowthRati
     _require_positive(tb, "b")
     if alpha_max < 1:
         raise ParameterError(f"alpha_max must be >= 1, got {alpha_max}")
+    # the ratio does not depend on ||h||, so it is taken for h/2^e, whose
+    # masses stay in the float range
+    h = np.asarray(h, dtype=np.complex128)
+    h = _scaled(h)[0].reshape(h.shape)
     mu_a = tuple_scalar_measure(ta, h)
     mu_b = tuple_scalar_measure(tb, h)
     shell_maxima: dict[int, float] = {}
@@ -534,7 +538,11 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL,
         raise ParameterError("bound must be in the nonnegative orthant")
     if alpha_max < 1:
         raise ParameterError(f"alpha_max must be >= 1, got {alpha_max}")
+    # membership does not depend on ||h||, so it is decided for h/2^e,
+    # whose norms stay in the float range, and the residual is scaled back
     h = np.asarray(h, dtype=np.complex128)
+    scaled, exponent = _scaled(h)
+    h = scaled.reshape(h.shape)
     norm_h = float(np.linalg.norm(h))
     e = joint_measure(ta)
     if norm_h == 0.0:
@@ -552,6 +560,8 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL,
         den = float(np.prod(bound ** np.asarray(alpha, dtype=np.float64)))  # 0^0 = 1
         rate = max(rate, _root_ratio(_moment_norm(mu, alpha), den, alpha_max))
     growth_member = rate <= 1.0 + _GROWTH_MARGIN
+    with np.errstate(over="ignore"):  # inf only past the float range
+        residual = float(np.ldexp(residual, exponent))
     return MembershipResult(member=member, growth_member=growth_member,
                             residual=residual, growth_rate=rate)
 

@@ -24,6 +24,9 @@ from specorder.spectral import JointSpectralMeasure, _split_clusters, validate_t
 
 settings.register_profile("suite", max_examples=40, deadline=None,
                           derandomize=True)
+# the suite's examples, drawn afresh: pytest --hypothesis-profile=random
+# --hypothesis-seed=N
+settings.register_profile("random", settings.get_profile("suite"), derandomize=False)
 settings.load_profile("suite")
 
 SEED = 20260816

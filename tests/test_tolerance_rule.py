@@ -25,6 +25,7 @@ from specorder.order import (
     NormalOperator,
     bounded_vector_membership,
     distribution_order,
+    growth_ratio,
     infimum_probe,
     loewner_leq,
     olson_necessity_scan,
@@ -248,6 +249,40 @@ def test_a_scaled_projection_is_refused_without_warnings(scale):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="not a projection"):
             infimum_probe([scale * np.diag([1.0, 0.0])], [np.diag([1.0, 0.0])])
+
+
+VECTOR_TUPLE = [np.diag([0.5, 2.0, 1.0])]
+# zero, or a magnitude whose products with 2^-1000 and 2^1000 stay normal
+VECTOR_PARTS = st.one_of(st.just(0.0), st.floats(2.0 ** -20, 2.0 ** 20),
+                         st.floats(-2.0 ** 20, -2.0 ** -20))
+
+
+def vector_outcome(h):
+    membership = bounded_vector_membership(VECTOR_TUPLE, h, [1.5])
+    return membership, growth_ratio(VECTOR_TUPLE, [np.eye(3)], h).shell_maxima
+
+
+@given(h=st.lists(VECTOR_PARTS, min_size=6, max_size=6).map(
+    lambda parts: np.array(parts).view(np.complex128)), k=st.integers(-1000, 1000))
+# at about 1e-160 and 1e-170 the squared entries left the float range and
+# the residual read 0, so non-members were members and every shell read 0;
+# at about 1e200 the residual was inf and the growth ratio raised
+@example(h=np.array([1.0, 1e-3, 1.0], dtype=np.complex128), k=-532)
+@example(h=np.array([0.0, 1.0, 0.0], dtype=np.complex128), k=-565)
+@example(h=np.array([0.0, 1.0, 0.0], dtype=np.complex128), k=664)
+@example(h=np.ones(3, dtype=np.complex128), k=-565)
+@example(h=np.ones(3, dtype=np.complex128), k=664)
+def test_vector_checks_do_not_depend_on_the_scale_of_h(h, k):
+    want, want_maxima = vector_outcome(h)
+    got, got_maxima = vector_outcome(np.ldexp(h.view(np.float64), k).view(np.complex128))
+    assert (got.member, got.growth_member) == (want.member, want.growth_member)
+    assert got.growth_rate.hex() == want.growth_rate.hex()
+    assert {s: m.hex() for s, m in got_maxima.items()} == {
+        s: m.hex() for s, m in want_maxima.items()}
+    with np.errstate(over="ignore"):
+        residual = np.ldexp(want.residual, k)
+    if np.isfinite(residual):
+        assert got.residual.hex() == float(residual).hex()
 
 
 def test_loewner_leq_near_the_float_limit():
