@@ -6,9 +6,9 @@ Parsing is strict: anything off-schema raises InputError with a location.
 A tuple file in the plain shape every writer here produces (one object
 whose only array holds the matrices' number pairs) has its numbers read by
 orjson as one flat list. Every other file is decoded by the stdlib json
-and then checked against its schema. Tuples are written by orjson,
-respelled to the stdlib encoder's bytes; every other document is written
-by the stdlib encoder.
+and then checked against its schema. Tuples are written by orjson, in its
+own shortest round-trip spelling of each float; every other document is
+written by the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -242,75 +242,15 @@ def save_json(path: str, doc: dict):
         raise InputError(path, f"cannot write: {exc}") from exc
 
 
-# bytes classes for the respelling: digits, a number's end, a token's opening
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[48:58] = True
-_END = np.zeros(256, dtype=bool)
-_END[list(b",]")] = True
-_OPEN = np.zeros(256, dtype=bool)
-_OPEN[list(b"[,-")] = True
-# offsets from the dot of 0.0000d... to where the number can end: d has at
-# most 16 digits after it (17 significant digits)
-_TAIL = np.arange(6, 23)
-_E_05 = np.frombuffer(b"e-05", dtype=np.uint8)
-_PIECE = 1 << 18
-
-
-def _respell(c: np.ndarray) -> np.ndarray:
-    """orjson's number text c, in repr's spelling.
-
-    c is a stretch of orjson's output, as bytes, that ends with a ']'.
-    Both spell a float by its shortest round-trip digits and differ in
-    three rules only: repr writes e+16 where orjson writes e16, e-07 for
-    e-7, and 1.5e-05 for 0.000015, repr's fixed notation stopping at 1e-4.
-    """
-    n = len(c)
-    e = np.flatnonzero(c == ord("e"))
-    after = c[e + 1]
-    plus = e[_DIGIT[after]] + 1
-    minus = e[after == ord("-")]
-    pad = minus[_END[c[minus + 3]]] + 2
-    # 0.0000d...: a dot with a zero before it and four after, the token
-    # opened by '[', ',' or '-'
-    dot = np.flatnonzero(c == ord("."))
-    dot = dot[dot < n - 6]
-    for k in (1, 2, 3, 4):
-        dot = dot[c[dot + k] == ord("0")]
-    dot = dot[(c[dot - 1] == ord("0")) & _OPEN[c[dot - 2]]]
-    point = dot[_DIGIT[c[dot + 6]]] + 6
-    end = dot + 6 + np.argmax(~_DIGIT[c[np.minimum(dot[:, None] + _TAIL, n - 1)]], axis=1)
-    at = np.concatenate([plus, pad, point, np.repeat(end, len(_E_05))])
-    added = np.concatenate([np.full(len(plus), ord("+"), dtype=np.uint8),
-                           np.full(len(pad), ord("0"), dtype=np.uint8),
-                           np.full(len(point), ord("."), dtype=np.uint8),
-                           np.tile(_E_05, len(end))])
-    if len(dot):
-        keep = np.ones(n, dtype=bool)
-        keep[(dot[:, None] + np.arange(-1, 5)).ravel()] = False  # each "0.0000"
-        c = c[keep]
-        at -= 6 * np.searchsorted(dot, at)
-    return np.insert(c, at, added)
-
-
-def _respelled(text: bytes):
-    """orjson's text of finite numbers in repr's spelling, in pieces of
-    about _PIECE bytes."""
-    if b"e" not in text and b"0.0000" not in text:
-        yield text
-        return
-    start = 0
-    while start < len(text):
-        stop = text.find(b"]", start + _PIECE) + 1 or len(text)
-        yield _respell(np.frombuffer(text, np.uint8, stop - start, start))
-        start = stop
-
-
 def save_tuple(path: str, t: CommutingTuple):
-    """Write t as ``save_json(path, tuple_to_dict(t))`` does, byte for byte.
+    """Write t as ``save_json(path, tuple_to_dict(t))`` does, in orjson's
+    spelling of each float.
 
-    orjson writes the (kappa, dim², 2) entries, and its text goes to the
-    file piece by piece through _respell, so it is held once. The entries
-    must be finite: orjson writes null where json writes NaN.
+    orjson writes the (kappa, dim², 2) entries between the sorted-key
+    header and the schema. It spells a float by the same shortest
+    round-trip digits as repr (1e16 for 1e+16, 1e-7 for 1e-07, 0.000015 for
+    1.5e-05), so any JSON reader reads the same bits. The entries must be
+    finite: orjson writes null where json writes NaN.
     """
     entries = np.stack([op.matrix for op in t.ops]).astype(np.complex128, copy=False)
     text = orjson.dumps(entries.view(np.float64).reshape(t.kappa, -1, 2),
@@ -318,8 +258,7 @@ def save_tuple(path: str, t: CommutingTuple):
     try:
         with open(path, "wb") as fh:
             fh.write(f'{{"dim":{t.dim},"kappa":{t.kappa},"matrices":'.encode())
-            for piece in _respelled(text):
-                fh.write(piece)
+            fh.write(text)
             fh.write(f',"schema":"{TUPLE_SCHEMA}"}}\n'.encode())
     except OSError as exc:
         raise InputError(path, f"cannot write: {exc}") from exc

@@ -538,11 +538,12 @@ def bounded_vector_membership(a, h, bound, tol: float = TOL,
         raise ParameterError("bound must be in the nonnegative orthant")
     if alpha_max < 1:
         raise ParameterError(f"alpha_max must be >= 1, got {alpha_max}")
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (ta.dim,):
+        raise DimensionError(f"vector has shape {h.shape}, expected ({ta.dim},)")
     # membership does not depend on ||h||, so it is decided for h/2^e,
     # whose norms stay in the float range, and the residual is scaled back
-    h = np.asarray(h, dtype=np.complex128)
-    scaled, exponent = _scaled(h)
-    h = scaled.reshape(h.shape)
+    h, exponent = _scaled(h)
     norm_h = float(np.linalg.norm(h))
     e = joint_measure(ta)
     if norm_h == 0.0:

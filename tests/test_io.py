@@ -8,6 +8,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -385,7 +386,8 @@ FLOAT64 = st.one_of(
     st.builds(lambda x, k, sign: sign * _ulps_from(x, k), st.sampled_from(SWITCH_POINTS),
               st.integers(-3, 3), st.sampled_from([1.0, -1.0])))
 ENTRIES = 2 * 3 * 3 ** 2  # kappa 3, dim 3, two parts per entry
-# each rule once, and 10.00001, whose 0.0000 is not a token's start
+# each spelling difference between repr and orjson once, and 10.00001,
+# whose digits hold a 0.0000 that is not a number's start
 EVERY_RULE = [1e16, -1e-7, 1.5e-05, -1e-05, 1e-4, 9.999999999999999e-05, -10.00001, 5e-324]
 
 
@@ -393,15 +395,19 @@ def tuple_of_entries(kappa: int, dim: int, entries) -> CommutingTuple:
     """The entries as kappa dim×dim matrices, unchecked: the writers only
     read ``matrix``, ``kappa`` and ``dim``."""
     parts = np.array(entries[:2 * kappa * dim * dim], dtype=np.float64)
-    mats = parts.view(np.complex128).reshape(kappa, dim, dim)
+    return unchecked(parts.view(np.complex128).reshape(kappa, dim, dim))
+
+
+def unchecked(mats) -> CommutingTuple:
     return CommutingTuple(ops=tuple(HermitianOperator(m, 0.0) for m in mats),
                           max_commutator_defect=0.0)
 
 
-def assert_writes_save_json_bytes(t: CommutingTuple, where):
-    save_tuple(str(where / "new.json"), t)
-    save_json(str(where / "ref.json"), tuple_to_dict(t))
-    assert (where / "new.json").read_bytes() == (where / "ref.json").read_bytes()
+def float_bits(path) -> tuple:
+    """The keys of a tuple file's JSON document, and the bits of its
+    matrices' floats, -0.0 told from 0.0."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return sorted(doc), np.array(doc["matrices"], dtype=np.float64).tobytes()
 
 
 @settings(max_examples=100)
@@ -409,23 +415,26 @@ def assert_writes_save_json_bytes(t: CommutingTuple, where):
        entries=st.lists(FLOAT64, min_size=ENTRIES, max_size=ENTRIES))
 @example(kappa=1, dim=2, entries=EVERY_RULE + [0.0] * (ENTRIES - len(EVERY_RULE)))
 def test_save_tuple_writes_the_bytes_of_save_json(tmp_path_factory, kappa, dim, entries):
-    # save_json through tuple_to_dict is the reference: the stdlib encoder
-    # spells each float by repr
-    assert_writes_save_json_bytes(tuple_of_entries(kappa, dim, entries),
-                                  tmp_path_factory.mktemp("w"))
-
-
-@pytest.mark.parametrize("piece", [1, 7, 64, 1 << 18])
-def test_save_tuple_respells_across_piece_boundaries(tmp_path, monkeypatch, piece):
-    rng = fresh_rng(41)
-    scales = 10.0 ** rng.integers(-10, 18, size=2 * 3 * 8 * 8)
-    entries = rng.uniform(-1.0, 1.0, size=scales.size) * scales
-    monkeypatch.setattr(sio, "_PIECE", piece)
-    assert_writes_save_json_bytes(tuple_of_entries(3, 8, entries), tmp_path)
+    # save_tuple writes orjson's text as it comes; save_json through
+    # tuple_to_dict, the stdlib encoder, is the reference for the floats
+    t = tuple_of_entries(kappa, dim, entries)
+    where = tmp_path_factory.mktemp("w")
+    new, ref = where / "new.json", where / "ref.json"
+    save_tuple(str(new), t)
+    save_json(str(ref), tuple_to_dict(t))
+    parts = np.array(entries[:2 * kappa * dim * dim]).reshape(kappa, -1, 2)
+    assert new.read_bytes() == (b'{"dim":%d,"kappa":%d,"matrices":' % (dim, kappa)
+                                + orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)
+                                + b',"schema":"specorder/1"}\n')
+    assert float_bits(new) == float_bits(ref)
+    # the entries need not be a commuting tuple, so load_tuple is read unchecked
+    with mock.patch.object(sio, "validate_tuple", unchecked):
+        assert load_outcome(load_tuple, str(new)) == load_outcome(load_tuple, str(ref))
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_calculus_out_has_the_bytes_of_save_json(tmp_path, capsys, monkeypatch, scale):
+    # the floats of save_json's file, bit for bit, as any JSON reader reads them
     src, out, ref = tmp_path / "t.json", tmp_path / "out.json", tmp_path / "ref.json"
     t = random_commuting(fresh_rng(43), 12, 2)
     save_json(str(src), tuple_to_dict(validate_tuple([op.matrix * scale for op in t.ops])))
@@ -436,7 +445,8 @@ def test_calculus_out_has_the_bytes_of_save_json(tmp_path, capsys, monkeypatch, 
     capsys.readouterr()
     written = calculus_scalar(joint_measure(load_tuple(str(src))), sum_fn())
     save_json(str(ref), tuple_to_dict(CommutingTuple(ops=(written,), max_commutator_defect=0.0)))
-    assert out.read_bytes() == ref.read_bytes()
+    assert float_bits(out) == float_bits(ref)
+    assert load_outcome(load_tuple, str(out)) == load_outcome(load_tuple, str(ref))
 
 
 def stdlib_load(path: str):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import time
 from fractions import Fraction
@@ -529,6 +530,19 @@ def test_bounded_vector_zero_and_errors():
             validate_tuple([np.diag([-1.0, 2.0])]), np.ones(2), (1.0,))
     with pytest.raises(ParameterError):
         bounded_vector_membership(t, np.ones(2), (-1.0,))
+
+
+@pytest.mark.parametrize("h", [[1.0, 2.0], 1.0, [0.0, 0.0]],
+                         ids=["short", "scalar", "short-zero"])
+def test_bounded_vector_refuses_a_vector_of_the_wrong_shape(h):
+    # the first two reached numpy's matmul ValueError, the zero one returned
+    # member=True before any check; growth_ratio's message is the one given
+    t = validate_tuple([np.diag([0.5, 2.0, 1.0])])
+    message = re.escape(f"vector has shape {np.shape(h)}, expected (3,)")
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        bounded_vector_membership(t, h, [1.5])
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        growth_ratio(t, t, h)
 
 
 @pytest.mark.parametrize("alpha_max", [0, -1])
