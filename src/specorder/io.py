@@ -5,8 +5,9 @@ matrices as flat row-major entry lists, so files are language-neutral.
 Parsing is strict: anything off-schema raises InputError with a location.
 A tuple file in the plain shape every writer here produces (one object
 whose only array holds the matrices' number pairs) has its numbers read by
-orjson as one flat list. Every other file is decoded by the stdlib json
-and then checked against its schema. Tuples are written by orjson, in its
+orjson as one flat list, with one copy of the text alive at a time, so a
+read holds about 2.5 times the file's size. Every other file is decoded by
+the stdlib json and then checked against its schema. Tuples are written by orjson, in its
 own shortest round-trip spelling of each float; every other document is
 written by the stdlib encoder.
 """
@@ -160,11 +161,10 @@ def load_json(path: str):
 
 
 # a tuple text without the bytes of numbers and the whitespace and colons
-# around them, outside strings and with each [re, im] pair's [,] removed:
-# one object whose only array is a list of matrices of number pairs
+# around them: one object whose only array is a list of matrices of number
+# pairs, each pair's marks [,]
 _NUMBER_BYTES = b"0123456789+-.eE \t\n\r:"
 _STRING = re.compile(rb'"[^"]*"')
-_TUPLE_SHAPE = re.compile(rb"\{,*(\[\[,*\](?:,\[,*\])*\]),*\}")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
@@ -173,52 +173,70 @@ def _flat_matrices(data: bytes):
 
     The plain shape has no backslash and no bracket in a string, and its
     only array is ``"matrices"``: kappa lists of dim² [re, im] pairs of
-    number literals, with no other token. orjson reads the array's numbers
-    as one flat list, its brackets blanked, and the header in a second
-    call, the array replaced by []. Any other text, any whose header or
-    counts do not fit, and any that tuple_from_dict would refuse gives None.
+    number literals, with no other token. orjson reads the header first,
+    the array replaced by [], and then the array's numbers as one flat
+    list, its brackets blanked. Only one copy of the text is alive while
+    it does: the array is copied out of data before data is dropped, and
+    the copy is dropped as soon as orjson has read it. Any other text, any
+    whose header or counts do not fit, and any that tuple_from_dict would
+    refuse gives None.
     """
     marks = data.translate(None, _NUMBER_BYTES)
     if b"\\" in marks or any(b"[" in s or b"]" in s for s in _STRING.findall(marks)):
         return None
+    first, last = marks.find(b"["), marks.rfind(b"]") + 1
     # with no bracket in a string, a quote between the outer brackets opens
     # a string in the array
-    if b'"' in marks[marks.find(b"["):marks.rfind(b"]")]:
+    if first < 0 or b'"' in marks[first:last]:
         return None
-    shape = _TUPLE_SHAPE.fullmatch(_STRING.sub(b"", marks).replace(b"[,]", b""))
-    # the fullmatch guards orjson, which crashes the process on deep
-    # nesting: it sees only the header, one object holding [], and the flat
-    # list of numbers, both at most 2 deep
-    if shape is None:
+    # orjson crashes the process on deep nesting: it sees only the header,
+    # one object holding [], and the flat list of numbers, both at most 2 deep
+    if _STRING.sub(b"", marks[:first] + marks[last:]).replace(b",", b"") != b"{}":
         return None
     start, stop = data.index(b"["), data.rindex(b"]") + 1
     try:
         head = orjson.loads(data[:start] + b"[]" + data[stop:])
-        # one copy of the array for orjson, its outer brackets put back
-        text = bytearray(memoryview(data)[start:stop]).translate(_BLANK_BRACKETS)
-        text[0], text[-1] = b"[]"
-        flat = orjson.loads(text)
     except orjson.JSONDecodeError:
         return None
     if not (isinstance(head, dict) and head.get("matrices") == []
             and head.get("schema") == TUPLE_SCHEMA):
         return None
     kappa, dim = head.get("kappa"), head.get("dim")
-    if not (_is_positive_int(kappa) and _is_positive_int(dim)
-            and len(flat) == 2 * kappa * dim * dim
-            and shape[1] == b"[%b]" % b",".join([b"[%b]" % (b"," * (dim * dim - 1))] * kappa)):
+    if not (_is_positive_int(kappa) and _is_positive_int(dim)):
+        return None
+    # the array's marks are those of kappa matrices of dim² [,] pairs; the
+    # length is compared first, so a huge kappa or dim builds nothing
+    if last - first != kappa * (4 * dim * dim + 2) + 1:
+        return None
+    matrix = b"[%b]" % b",".join([b"[,]"] * (dim * dim))
+    if marks[first:last] != b"[%b]" % b",".join([matrix] * kappa):
+        return None
+    del marks, matrix
+    # one copy of the array for orjson, its outer brackets put back
+    text = bytearray(memoryview(data)[start:stop])
+    del data
+    text = text.translate(_BLANK_BRACKETS)
+    text[0], text[-1] = b"[]"
+    try:
+        flat = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    del text
+    if len(flat) != 2 * kappa * dim * dim:
         return None
     # the array holds number literals only, so flat holds ints and floats
-    pairs = np.array(flat, dtype=np.float64).reshape(kappa, dim, dim, 2)
+    pairs = np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(kappa, dim, dim, 2)
+    del flat
     return list(_entries(pairs)) if np.isfinite(pairs).all() else None
 
 
 def load_tuple(path: str) -> CommutingTuple:
     """The tuple in a specorder/1 file; InputError with a location otherwise.
 
-    The file's bytes are read once for _flat_matrices. A text it declines
-    goes to load_json and tuple_from_dict, which read every valid document
-    and locate every error.
+    The file's bytes are read once and handed to _flat_matrices, which
+    drops them once it has copied the array out. A text it declines goes to
+    load_json and tuple_from_dict, which read every valid document and
+    locate every error.
     """
     try:
         with open(path, "rb") as fh:

@@ -106,19 +106,24 @@ class HermitianOperator:
 
     matrix: np.ndarray
     hermiticity_defect: float
+    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "HermitianOperator":
         m = as_complex_matrix(m)
         tol = check_tol(tol)
+        adjoint = m.conj().T
         # a defect past the float range reads inf, which exceeds any threshold
         with np.errstate(over="ignore"):
-            defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+            defect = float(np.max(np.abs(m - adjoint))) if m.size else 0.0
             threshold = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
         if defect > threshold:
             raise HermiticityError(defect, threshold)
-        # halve before adding, so entries near the float limit do not overflow
-        return cls(matrix=_read_only(m / 2.0 + m.conj().T / 2.0), hermiticity_defect=defect)
+        # halve before adding, so entries near the float limit do not overflow;
+        # the sum is a new array, so freezing it leaves the caller's writable
+        matrix = np.ascontiguousarray(m / 2.0 + adjoint / 2.0)
+        matrix.setflags(write=False)
+        return cls(matrix=matrix, hermiticity_defect=defect)
 
     @property
     def dim(self) -> int:
@@ -126,10 +131,22 @@ class HermitianOperator:
 
     def norm(self) -> float:
         """Frobenius norm of the symmetrized matrix M, taken on M/2^e (_scaled)
-        and scaled back: inf only past the float range, and 0 only for M = 0."""
+        and scaled back: inf only past the float range, and 0 only for M = 0.
+
+        It is computed once when M is read-only, as from_matrix builds it."""
+        if self._norm is not None:
+            return self._norm
         m, e = _scaled(self.matrix)
         with np.errstate(over="ignore"):
-            return float(np.ldexp(np.linalg.norm(m), e))
+            norm = float(np.ldexp(np.linalg.norm(m), e))
+        self._keep_norm(norm)
+        return norm
+
+    def _keep_norm(self, norm: float):
+        # a writable matrix may change under the operator, so its size is
+        # not kept
+        if not self.matrix.flags.writeable:
+            object.__setattr__(self, "_norm", norm)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, defect={self.hermiticity_defect:.2e})"
@@ -147,15 +164,19 @@ def _normalize_columns(vectors: np.ndarray, tol: float = PHASE_PIVOT) -> np.ndar
     Works on stacks (..., n, k); a column with no entry above tol is left as is.
     """
     v = np.array(vectors)
-    if v.shape[-2] == 0:
+    if v.size == 0:
         return v
-    big = np.abs(v) > tol
-    first = np.argmax(big, axis=-2)[..., None, :]
-    found = np.take_along_axis(big, first, axis=-2)
-    pivot = np.where(found, np.take_along_axis(v, first, axis=-2), 1.0)
+    # one (n, k) matrix per leading index: the pivot of column j of matrix s
+    # is stack[s, first[s, j], j]
+    stack = v.reshape(-1, *v.shape[-2:])
+    big = np.abs(stack) > tol
+    first = np.argmax(big, axis=-2)
+    at = (np.arange(len(stack))[:, None], first, np.arange(stack.shape[-1]))
+    found = big[at][:, None, :]
+    pivot = np.where(found, stack[at][:, None, :], 1.0)
     # hypot, not abs: it rounds like the scalar abs of one complex entry
     phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
-    return np.where(found, v * phase, v)
+    return np.where(found, stack * phase, stack).reshape(v.shape)
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:

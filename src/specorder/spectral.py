@@ -96,10 +96,13 @@ def validate_tuple(ops, tol_comm: float = TOL) -> CommutingTuple:
     norms = [float(np.linalg.norm(m)) for m in scaled]
     worst = 0.0
     with np.errstate(over="ignore"):
-        for i, (norm, e) in enumerate(zip(norms, exps)):
-            if not np.isfinite(np.ldexp(norm, e)):
+        for i, (h, norm, e) in enumerate(zip(herms, norms, exps)):
+            size = float(np.ldexp(norm, e))
+            if not np.isfinite(size):
                 raise ParameterError(f"component {i} is too large: its Frobenius "
                                      f"norm exceeds the float range")
+            # the number h.norm() computes, kept for the levels and floors
+            h._keep_norm(size)
         for i, j in itertools.combinations(range(len(herms)), 2):
             a, b, e = scaled[i], scaled[j], exps[i] + exps[j]
             defect = float(np.linalg.norm(a @ b - b @ a))
@@ -271,9 +274,10 @@ def joint_measure(t: CommutingTuple) -> JointSpectralMeasure:
 def _mean(values: np.ndarray) -> float:
     """Mean of finite values; where their sum overflows, twice the mean of
     the halves, so every mean that fits keeps its bits."""
+    # np.mean's arithmetic: the pairwise sum over the count
     with np.errstate(over="ignore"):
-        mean = float(np.mean(values))
-    return mean if np.isfinite(mean) else 2.0 * float(np.mean(values / 2.0))
+        mean = float(values.sum() / values.size)
+    return mean if np.isfinite(mean) else 2.0 * float((values / 2.0).sum() / values.size)
 
 
 def _diagonalize(t: CommutingTuple) -> JointSpectralMeasure:

@@ -208,6 +208,20 @@ def normalize_columns_loop(vectors, tol: float) -> np.ndarray:
     return v
 
 
+def normalize_columns_take_along(vectors, tol: float) -> np.ndarray:
+    """Reference phase normalization of stacks (..., n, k): each column's
+    pivot gathered by take_along_axis."""
+    v = np.array(vectors)
+    if v.shape[-2] == 0:
+        return v
+    big = np.abs(v) > tol
+    first = np.argmax(big, axis=-2)[..., None, :]
+    found = np.take_along_axis(big, first, axis=-2)
+    pivot = np.where(found, np.take_along_axis(v, first, axis=-2), 1.0)
+    phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    return np.where(found, v * phase, v)
+
+
 def atoms_of(e):
     """(point, projection) of every atom of a joint measure, in atom order."""
     return [(tuple(p), e.join([a])) for a, p in enumerate(e.points().tolist())]

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import fresh_rng, random_unitary, subprocess_env, tuple_from_eigs
+from specorder import cli, linalg, order, spectral
 from specorder.cli import build_parser, main
 from specorder.gallery import crossed_dirac_pair
 from specorder.io import load_tuple, measure_to_dict, save_json, save_tuple, tuple_to_dict
@@ -65,6 +66,34 @@ def test_check_order_monomial_scan_verdict(tmp_path, capsys):
     names = [v["name"] for v in doc["verdicts"]]
     assert names == ["spectral_leq", "componentwise", "routes_agree", "monomial_scan"]
     assert doc["command"].endswith("--alpha-max 4")
+
+
+def test_check_order_scales_each_operator_once(tmp_path, monkeypatch, capsys):
+    # the first components have tied eigenvalues, so the joint measure takes
+    # the second component's size too; the scan runs, as both are positive
+    q = random_unitary(fresh_rng(17), 4)
+    ea = np.array([[1.0, 1.0, 2.0, 2.0], [0.5, 0.7, 0.9, 1.1]])
+    paths = [str(tmp_path / f"{name}.json") for name in "ab"]
+    for path, eigs in zip(paths, (ea, ea + 0.5)):
+        save_tuple(path, tuple_from_eigs(q, eigs))
+    loaded, scaled, original = [], [], linalg._scaled
+
+    def load(path):
+        loaded.append(load_tuple(path))
+        return loaded[-1]
+
+    def counting(*ms):
+        scaled.append(ms)
+        return original(*ms)
+
+    monkeypatch.setattr(cli, "load_tuple", load)
+    for module in (linalg, spectral, order):
+        monkeypatch.setattr(module, "_scaled", counting)
+    assert main(["check-order", *paths, "--alpha-max", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [v["name"] for v in doc["verdicts"]][-1] == "monomial_scan"
+    counts = [sum(m is op.matrix for ms in scaled for m in ms) for t in loaded for op in t.ops]
+    assert counts == [1] * 4
 
 
 def test_monomial_scan_reads_tol(tmp_path, capsys):

@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -665,7 +666,8 @@ TUPLE_HEAD = '"schema": "specorder/1", "kappa": %s, "dim": %s, "matrices": '
 # one text for each way the flat route declines: a backslash, a bracket in
 # a string, a token other than a number in the array, the tuple inside
 # another object, a kappa that is not an int or too large to spell out,
-# dim² - 1 pairs in a matrix, a second "matrices" in the header, a number
+# dim² - 1 pairs in a matrix, a triple and a single in place of two pairs
+# (marks of the right length), a second "matrices" in the header, a number
 # past the float range
 @example(text='{' + TUPLE_HEAD % (1, 1) + '[[[1, 0]]], "note": "\\"]"}')
 @example(text='{"note": "[", ' + TUPLE_HEAD % (1, 1) + '[[[1, 0]]]}')
@@ -676,6 +678,8 @@ TUPLE_HEAD = '"schema": "specorder/1", "kappa": %s, "dim": %s, "matrices": '
 @example(text='{' + TUPLE_HEAD % (2 ** 62, 1) + '[[[1, 0]]]}')
 @example(text='{' + TUPLE_HEAD % (2, 2) + '[[[1, 0], [0, 0], [0, 0]], '
               '[[1, 0], [0, 0], [0, 0], [1, 0], [0, 0]]]}')
+@example(text='{' + TUPLE_HEAD % (1, 2) + '[[[1, 2, 3], [4], [0, 0], [1, 0]]]}')
+@example(text='{' + TUPLE_HEAD % (2, 1) + '[[[1]], [[0, 0, 0]]]}')
 @example(text='{' + TUPLE_HEAD % (1, 1) + '[[[1, 0]]], "matrices": 5}')
 @example(text='{' + TUPLE_HEAD % (1, 1) + '[[[1e400, 0]]]}')
 def test_load_tuple_matches_the_stdlib_reading_of_any_text(tmp_path_factory, text):
@@ -722,3 +726,18 @@ def test_load_tuple_reads_every_written_file_without_tuple_from_dict(tmp_path, m
 
     monkeypatch.setattr(sio, "tuple_from_dict", refuse)
     assert [load_outcome(load_tuple, path) for path in files] == want
+
+
+def test_load_tuple_holds_at_most_three_times_the_file(tmp_path):
+    # one copy of the text is alive at a time: the file's bytes, then the
+    # array's copy while orjson reads it into the flat number list
+    path = tmp_path / "t.json"
+    save_tuple(str(path), random_commuting(fresh_rng(53), 120, 2))
+    load_tuple(str(path))
+    tracemalloc.start()
+    try:
+        load_tuple(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size

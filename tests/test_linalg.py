@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fresh_rng, normalize_columns_loop, random_unitary
+from conftest import (
+    fresh_rng,
+    normalize_columns_loop,
+    normalize_columns_take_along,
+    random_commuting,
+    random_unitary,
+)
 from specorder.errors import DimensionError, HermiticityError
 from specorder.linalg import (
+    PHASE_PIVOT,
     HermitianOperator,
     Projection,
     _normalize_columns,
+    _scaled,
     commutator_norm,
     hermitian_eig,
     is_psd,
@@ -16,6 +24,7 @@ from specorder.linalg import (
     subspace_join,
     subspace_meet,
 )
+from specorder.spectral import validate_tuple
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -169,6 +178,58 @@ def test_normalize_columns_matches_column_loop_bitwise(n, k, stack, salt, tol):
         assert _normalize_columns(v[i], tol).tobytes() == got[i].tobytes()
         assert (_normalize_columns(v[i].real, tol).tobytes()
                 == normalize_columns_loop(v[i].real, tol).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 7), (1, 1), (3, 6, 2), (2, 3, 4, 4),
+                                   (0, 3), (3, 0), (0, 0), (2, 0, 3), (0, 3, 3), (2, 3, 0)])
+@pytest.mark.parametrize("salt", range(4))
+def test_normalize_columns_matches_the_take_along_axis_form_bitwise(shape, salt):
+    rng = fresh_rng(salt)
+    v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.integers(-14, 1, size=shape)
+    # exact zeros of both signs, and parts at and just below the pivot
+    v[rng.random(shape) < 0.3] = 0.0
+    v[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    v[rng.random(shape) < 0.1] = PHASE_PIVOT
+    v[rng.random(shape) < 0.1] = complex(0.0, PHASE_PIVOT * 0.5)
+    if shape[-1]:
+        v[..., -1] *= 1e-13  # a column with every entry below the pivot
+    for tol in (PHASE_PIVOT, 1e-3):
+        got, want = _normalize_columns(v, tol), normalize_columns_take_along(v, tol)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def test_kept_norm_is_the_fresh_norm_bitwise_at_every_power_of_two():
+    base = random_commuting(fresh_rng(91), 3, 2).matrices()
+    for k in range(-1000, 1001):
+        ops = validate_tuple([m * np.ldexp(1.0, k) for m in base]).ops
+        for op in ops:
+            assert op._norm is not None
+            m, e = _scaled(op.matrix)
+            with np.errstate(over="ignore"):
+                fresh = float(np.ldexp(np.linalg.norm(m), e))
+            assert op.norm().hex() == fresh.hex()
+            assert HermitianOperator(np.array(op.matrix), 0.0).norm().hex() == fresh.hex()
+    op = HermitianOperator.from_matrix(base[0] * np.ldexp(1.0, 1000))
+    assert op._norm is None and op.norm() == op._norm == op.norm()
+
+
+def test_norm_of_a_writable_matrix_is_not_kept():
+    m = np.diag([3.0, 4.0]).astype(np.complex128)
+    op = HermitianOperator(m, 0.0)
+    assert op.norm() == 5.0
+    m *= 2.0
+    assert op.norm() == 10.0 and op._norm is None
+
+
+def test_from_matrix_freezes_a_c_ordered_copy():
+    wide = np.zeros((4, 8), dtype=np.complex128)
+    m = wide[:, 2:6]  # rows strided, so not C-contiguous
+    m[:] = random_hermitian(fresh_rng(5), 4)
+    op = HermitianOperator.from_matrix(m)
+    assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+    assert m.flags.writeable and not np.shares_memory(m, op.matrix)
+    assert op.matrix.tobytes() == np.ascontiguousarray(m / 2.0 + m.conj().T / 2.0).tobytes()
 
 
 def matrices_in_range(low: float, high: float):
